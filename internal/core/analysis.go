@@ -32,16 +32,11 @@ type cacheEntry struct {
 
 	proxyOnce [2]sync.Once // indexed by interval.ProxyKind
 	proxy     [2]*ProxyCuts
-
-	// done / proxyDone are store-released after the corresponding once.Do
-	// body publishes its result, so NewAnalysisCarry can read completed
-	// entries from a still-live Analysis without touching the sync.Once
-	// internals (a bare read of e.ic would race with an in-flight build).
-	done      atomic.Bool
-	proxyDone [2]atomic.Bool
 }
 
-// cacheShard is one lock domain of the cut cache.
+// cacheShard is one lock domain of the cut cache. Its map is created on the
+// shard's first insert, so an analysis that builds few cuts, such as a
+// stream snapshot's, pays only for the shards it touches.
 type cacheShard struct {
 	mu sync.RWMutex
 	m  map[*interval.Interval]*cacheEntry
@@ -168,79 +163,32 @@ func NewAnalysisShards(ex *poset.Execution, shards int) *Analysis {
 	if shards < 1 {
 		shards = 1
 	}
-	a := &Analysis{
+	return &Analysis{
 		ex:     ex,
 		clk:    vclock.New(ex),
 		shards: make([]cacheShard, shards),
 	}
-	for i := range a.shards {
-		a.shards[i].m = make(map[*interval.Interval]*cacheEntry)
-	}
-	return a
 }
 
-// NewAnalysisCarry builds an Analysis over ex with caller-supplied clocks,
-// seeding its cut cache from a previous epoch's Analysis. Cache entries are
-// carried only when provably identical to what a cold rebuild at the new
-// epoch would produce: the entry's build is complete (done flag, published
-// with release semantics by the builder) and its up-cuts never consulted the
-// epoch-dependent TopPos fallback (upStable; see IntervalCuts). Down-cuts,
-// being functions of the past alone, are always safe. prev may be nil, which
-// degenerates to a cold cache. The pre-interned instruments of prev are
-// copied so a carried Analysis keeps reporting to the same registry without
-// re-interning ~100 counters per snapshot.
+// NewAnalysisClocks builds an Analysis over ex with caller-supplied clocks
+// and an empty cut cache. When prev is non-nil the new analysis reports to
+// prev's instruments (see Instrument), so a stream that takes one analysis
+// per snapshot does not re-intern ~100 counters each time. Nothing else of
+// prev is shared: an interval's cuts are first built in the epoch that
+// completes it, before its greatest events have followers, and up-cuts built
+// then do not hold at later epochs, so carrying caches forward saves no
+// builds (DESIGN.md S25).
 //
-// This is the online hot path's constructor: paired with vclock.NewLazy it
-// makes Stream.Snapshot amortized O(|P|) per appended event (DESIGN.md S25).
-func NewAnalysisCarry(ex *poset.Execution, clk *vclock.Clocks, prev *Analysis) *Analysis {
-	return NewAnalysisCarryFiltered(ex, clk, prev, nil)
-}
-
-// NewAnalysisCarryFiltered is NewAnalysisCarry with a retention predicate:
-// cache entries whose interval fails keep are not carried into the new
-// epoch. Stream compaction uses it to drop cuts whose provenance falls below
-// the watermark — a carried cut's events must all remain addressable by the
-// new epoch's (possibly rebased) clocks, and the cheapest sound rule is to
-// carry only intervals the monitor still retains. A nil keep carries
-// everything the stability rules allow.
-func NewAnalysisCarryFiltered(ex *poset.Execution, clk *vclock.Clocks, prev *Analysis, keep func(*interval.Interval) bool) *Analysis {
+// This is the online hot path's constructor, paired with
+// vclock.NewLazyRebased.
+func NewAnalysisClocks(ex *poset.Execution, clk *vclock.Clocks, prev *Analysis) *Analysis {
 	a := &Analysis{
 		ex:     ex,
 		clk:    clk,
 		shards: make([]cacheShard, DefaultCacheShards),
 	}
-	for i := range a.shards {
-		a.shards[i].m = make(map[*interval.Interval]*cacheEntry)
-	}
-	if prev == nil {
-		return a
-	}
-	a.met = prev.met
-	for si := range prev.shards {
-		ps := &prev.shards[si]
-		ps.mu.RLock()
-		for iv, e := range ps.m {
-			if !e.done.Load() || !e.ic.upStable {
-				continue
-			}
-			if keep != nil && !keep(iv) {
-				continue
-			}
-			ne := &cacheEntry{}
-			ne.once.Do(func() { ne.ic = e.ic })
-			ne.done.Store(true)
-			for k := range e.proxy {
-				if e.proxyDone[k].Load() && e.proxy[k].Cuts.upStable {
-					pc := e.proxy[k]
-					ne.proxyOnce[k].Do(func() { ne.proxy[k] = pc })
-					ne.proxyDone[k].Store(true)
-				}
-			}
-			// a is not yet published, so the shard map can be written
-			// without its lock.
-			a.shard(iv).m[iv] = ne
-		}
-		ps.mu.RUnlock()
+	if prev != nil {
+		a.met = prev.met
 	}
 	return a
 }
@@ -269,15 +217,6 @@ type IntervalCuts struct {
 	// the event's own node, which is all the per-event tests of Theorem 20
 	// consult.
 	FirstPos, LastPos []int
-
-	// upStable records whether every component of the two up-cuts was
-	// derived from a known reverse-timestamp entry (TR > 0) rather than the
-	// TopPos fallback for "no follower yet". Down-cuts and the extremal
-	// positions are functions of the past and never change as an execution
-	// grows; an up-cut component with TR(e)[i] = 0 evaluates to TopPos(i),
-	// which grows with the epoch. Only entries with upStable set may be
-	// carried across snapshot epochs by NewAnalysisCarry.
-	upStable bool
 }
 
 // shard maps an interval to its lock domain. The hash mixes the interval's
@@ -289,31 +228,43 @@ func (a *Analysis) shard(iv *interval.Interval) *cacheShard {
 	return &a.shards[h%uint(len(a.shards))]
 }
 
-// Cuts returns the condensed cuts of iv, computing them on first use and
-// caching thereafter (Key Idea 1). It panics when iv belongs to a different
-// execution.
-//
-// The lookup is double-checked: a shared-lock probe on the hot path, then an
-// exclusive-lock slot reservation, then a singleflight build outside the
-// shard lock — concurrent queries for the same cold interval build its cuts
-// exactly once (CutBuilds counts), and builds of different intervals in the
-// same shard never serialize on each other.
-func (a *Analysis) Cuts(iv *interval.Interval) *IntervalCuts {
-	if !poset.Prefix(iv.Execution(), a.ex) {
-		panic(fmt.Sprintf("core: interval %v belongs to a different execution", iv))
-	}
+// entry returns iv's cache slot, reserving an empty one on first use. The
+// lookup is double-checked: a shared-lock probe on the hot path, then an
+// exclusive-lock reservation (creating the shard's map if this is its first
+// insert).
+func (a *Analysis) entry(iv *interval.Interval) *cacheEntry {
 	s := a.shard(iv)
 	s.mu.RLock()
 	e, ok := s.m[iv]
 	s.mu.RUnlock()
-	if !ok {
-		s.mu.Lock()
-		if e, ok = s.m[iv]; !ok {
-			e = &cacheEntry{}
-			s.m[iv] = e
-		}
-		s.mu.Unlock()
+	if ok {
+		return e
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e, ok = s.m[iv]; !ok {
+		if s.m == nil {
+			s.m = make(map[*interval.Interval]*cacheEntry)
+		}
+		e = &cacheEntry{}
+		s.m[iv] = e
+	}
+	return e
+}
+
+// Cuts returns the condensed cuts of iv, computing them on first use and
+// caching thereafter (Key Idea 1). It panics when iv belongs to a different
+// execution.
+//
+// The slot is reserved under the shard lock (entry), then built by a
+// singleflight outside it — concurrent queries for the same cold interval
+// build its cuts exactly once (CutBuilds counts), and builds of different
+// intervals in the same shard never serialize on each other.
+func (a *Analysis) Cuts(iv *interval.Interval) *IntervalCuts {
+	if !poset.Prefix(iv.Execution(), a.ex) {
+		panic(fmt.Sprintf("core: interval %v belongs to a different execution", iv))
+	}
+	e := a.entry(iv)
 	e.once.Do(func() {
 		sp := a.met.tracer.Begin("core", "cut-build")
 		var t0 time.Time
@@ -327,7 +278,6 @@ func (a *Analysis) Cuts(iv *interval.Interval) *IntervalCuts {
 		sp.End()
 		a.builds.Add(1)
 		a.met.cutBuilds.Add(1)
-		e.done.Store(true)
 	})
 	return e.ic
 }
@@ -363,18 +313,7 @@ func (a *Analysis) ProxyCuts(iv *interval.Interval, kind interval.ProxyKind) *Pr
 	if !poset.Prefix(iv.Execution(), a.ex) {
 		panic(fmt.Sprintf("core: interval %v belongs to a different execution", iv))
 	}
-	s := a.shard(iv)
-	s.mu.RLock()
-	e, ok := s.m[iv]
-	s.mu.RUnlock()
-	if !ok {
-		s.mu.Lock()
-		if e, ok = s.m[iv]; !ok {
-			e = &cacheEntry{}
-			s.m[iv] = e
-		}
-		s.mu.Unlock()
-	}
+	e := a.entry(iv)
 	e.proxyOnce[kind].Do(func() {
 		sp := a.met.tracer.Begin("core", "proxy-cut-build")
 		piv, err := iv.ProxyInterval(kind, interval.DefPerNode, a.clk)
@@ -386,21 +325,12 @@ func (a *Analysis) ProxyCuts(iv *interval.Interval, kind interval.ProxyKind) *Pr
 		// Seed the main cut cache for the proxy interval, so a later
 		// Cuts(piv) — e.g. a per-relation evaluator run on the cached
 		// proxies via EvalRel32 — reuses this build instead of repeating it.
-		ps := a.shard(piv)
-		ps.mu.Lock()
-		pe, ok := ps.m[piv]
-		if !ok {
-			pe = &cacheEntry{}
-			ps.m[piv] = pe
-		}
-		ps.mu.Unlock()
+		pe := a.entry(piv)
 		pe.once.Do(func() { pe.ic = pc.Cuts })
-		pe.done.Store(true)
 		e.proxy[kind] = pc
 		sp.End()
 		a.proxyBuilds.Add(1)
 		a.met.proxyCutBuilds.Add(1)
-		e.proxyDone[kind].Store(true)
 	})
 	return e.proxy[kind]
 }
@@ -431,46 +361,7 @@ func (a *Analysis) buildCuts(iv *interval.Interval) *IntervalCuts {
 	for _, e := range greatest {
 		ic.LastPos[e.Proc] = e.Pos
 	}
-	ic.upStable = a.upCutsStable(least, greatest)
 	return ic
-}
-
-// upCutsStable decides whether the up-cuts built from these extrema are
-// epoch-independent (see IntervalCuts.upStable). cuts.Up maps TR(e)[i] > 0 to
-// the position of e's first causal follower on node i — a fact about the past
-// that never changes — and TR(e)[i] = 0 to TopPos(i), which grows with every
-// append on node i. InterUp[i] folds Up values with min, and a known follower
-// position is always strictly below TopPos, so the component is stable as
-// soon as ANY least event knows a follower on i. UnionUp[i] folds with max,
-// where the TopPos fallback wins, so it is stable only when EVERY greatest
-// event knows a follower on every node.
-func (a *Analysis) upCutsStable(least, greatest []poset.EventID) bool {
-	n := a.ex.NumProcs()
-	for _, e := range greatest {
-		tr := a.clk.TR(e)
-		for i := 0; i < n; i++ {
-			if tr[i] == 0 {
-				return false
-			}
-		}
-	}
-	trs := make([]vclock.VC, len(least))
-	for k, e := range least {
-		trs[k] = a.clk.TR(e)
-	}
-	for i := 0; i < n; i++ {
-		known := false
-		for _, tr := range trs {
-			if tr[i] > 0 {
-				known = true
-				break
-			}
-		}
-		if !known {
-			return false
-		}
-	}
-	return true
 }
 
 // ErrOverlap is returned by EvalChecked for overlapping interval pairs.

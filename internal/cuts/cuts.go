@@ -263,19 +263,19 @@ func Up(c *vclock.Clocks, e poset.EventID) Cut {
 // execution prefix every event of X knows about. X must be non-empty and
 // consist of real events.
 func IntersectDown(c *vclock.Clocks, x []poset.EventID) Cut {
-	return fold(c, x, Down, minOp)
+	return foldDown(c, x, false)
 }
 
 // UnionDown returns C2(X) = ∪⇓X = ⋃_{x∈X} ↓x (Table 2): the maximal prefix
 // the events of X collectively know about.
 func UnionDown(c *vclock.Clocks, x []poset.EventID) Cut {
-	return fold(c, x, Down, maxOp)
+	return foldDown(c, x, true)
 }
 
 // IntersectUp returns C3(X) = ∩⇑X = ⋂_{x∈X} x↑ (Table 2): the minimal prefix
 // whose surface events are each preceded by some event of X.
 func IntersectUp(c *vclock.Clocks, x []poset.EventID) Cut {
-	return fold(c, x, Up, minOp)
+	return foldUp(c, x, false)
 }
 
 // UnionUp returns C4(X) = ∪⇑X = ⋃_{x∈X} x↑ (Table 2): the minimal prefix
@@ -284,26 +284,69 @@ func IntersectUp(c *vclock.Clocks, x []poset.EventID) Cut {
 // Note: ∪⇑X is a componentwise max of the x↑ cuts; as a set it is the union,
 // and Lemma 11 shows the result is again a cut.
 func UnionUp(c *vclock.Clocks, x []poset.EventID) Cut {
-	return fold(c, x, Up, maxOp)
+	return foldUp(c, x, true)
 }
 
-type binOp func(a, b int) int
+// The folds apply Lemma 16's componentwise min/max in place: the result cut
+// is the only allocation of a down fold, which reads the shared forward rows
+// T(x) directly, and an up fold adds one reverse-timestamp scratch row that
+// Clocks.TRInto refills per event. A fold over X therefore allocates the
+// same amount whatever |X|.
 
-func minOp(a, b int) int { return min(a, b) }
-func maxOp(a, b int) int { return max(a, b) }
-
-func fold(c *vclock.Clocks, x []poset.EventID, base func(*vclock.Clocks, poset.EventID) Cut, op binOp) Cut {
-	if len(x) == 0 {
-		panic("cuts: fold over empty nonatomic event")
-	}
-	acc := base(c, x[0])
+func foldDown(c *vclock.Clocks, x []poset.EventID, union bool) Cut {
+	checkFold(c, x, "Down")
+	acc := Cut(c.T(x[0])).Clone()
 	for _, e := range x[1:] {
-		next := base(c, e)
-		for i := range acc {
-			acc[i] = op(acc[i], next[i])
+		merge(acc, c.T(e), union)
+	}
+	return acc
+}
+
+func foldUp(c *vclock.Clocks, x []poset.EventID, union bool) Cut {
+	checkFold(c, x, "Up")
+	ex := c.Execution()
+	acc := make(Cut, ex.NumProcs())
+	up := make(vclock.VC, len(acc))
+	for k, e := range x {
+		c.TRInto(e, up)
+		for i := range up {
+			up[i] = ex.NumReal(i) + 1 - up[i] // e↑ at node i (see Up)
+		}
+		if k == 0 {
+			copy(acc, up)
+		} else {
+			merge(acc, up, union)
 		}
 	}
 	return acc
+}
+
+// merge folds row into acc componentwise: max for a union, min for an
+// intersection (Lemma 16).
+func merge(acc Cut, row []int, union bool) {
+	if union {
+		for i := range acc {
+			acc[i] = max(acc[i], row[i])
+		}
+		return
+	}
+	for i := range acc {
+		acc[i] = min(acc[i], row[i])
+	}
+}
+
+// checkFold enforces the fold precondition: a non-empty set of real events,
+// panicking with the message of the single-event cut it stands in for.
+func checkFold(c *vclock.Clocks, x []poset.EventID, base string) {
+	if len(x) == 0 {
+		panic("cuts: fold over empty nonatomic event")
+	}
+	ex := c.Execution()
+	for _, e := range x {
+		if !ex.IsReal(e) {
+			panic(fmt.Sprintf("cuts: %s of non-real event %v", base, e))
+		}
+	}
 }
 
 // Less reports the ≪ relation of Definition 7 between cuts of the same

@@ -52,6 +52,25 @@ type Condition struct {
 	Name string
 	Src  string
 	Expr Expr
+
+	refs []string // Referenced(Expr), computed once by NewCondition
+}
+
+// NewCondition makes a condition and computes its referenced intervals
+// once, so the readiness, settlement and latency paths that consult them on
+// every verdict share one list instead of rebuilding it per call.
+func NewCondition(name, src string, expr Expr) *Condition {
+	return &Condition{Name: name, Src: src, Expr: expr, refs: Referenced(expr)}
+}
+
+// Refs returns the sorted interval names the condition references. The
+// slice is shared; callers must not modify it. A Condition not made by
+// NewCondition recomputes the list on every call.
+func (c *Condition) Refs() []string {
+	if c.refs == nil {
+		return Referenced(c.Expr)
+	}
+	return c.refs
 }
 
 // Monitor evaluates synchronization conditions over the nonatomic events of
@@ -134,13 +153,13 @@ func (m *Monitor) DefineInterval(name string, iv *interval.Interval) error {
 	return nil
 }
 
-// Undefine removes a registered interval so its memory (and its cut-cache
-// entries in future carried Analyses) can be reclaimed. It is the retention
-// path's release hook: the online monitor calls it once every condition
-// referencing the interval has settled and the interval has aged out of the
-// retention window. Undefining an unknown name is a no-op. Conditions that
-// still reference the name will fail their next evaluation with an undefined
-// reference — callers are responsible for settling them first.
+// Undefine removes a registered interval so its memory can be reclaimed.
+// It is the retention path's release hook: the online monitor calls it once
+// every condition referencing the interval has settled and the interval has
+// aged out of the retention window. Undefining an unknown name is a no-op.
+// Conditions that still reference the name will fail their next evaluation
+// with an undefined reference — callers are responsible for settling them
+// first.
 func (m *Monitor) Undefine(name string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -180,7 +199,7 @@ func (m *Monitor) AddCondition(name, src string) error {
 			return fmt.Errorf("monitor: condition %q already defined", name)
 		}
 	}
-	m.conditions = append(m.conditions, &Condition{Name: name, Src: src, Expr: expr})
+	m.conditions = append(m.conditions, NewCondition(name, src, expr))
 	return nil
 }
 
@@ -221,7 +240,7 @@ func (m *Monitor) Check() []Result {
 }
 
 func (m *Monitor) checkLocked(c *Condition) Result {
-	for _, name := range Referenced(c.Expr) {
+	for _, name := range c.Refs() {
 		if _, ok := m.intervals[name]; !ok {
 			return Result{Name: c.Name, State: Pending}
 		}

@@ -124,6 +124,16 @@ func TestReferenced(t *testing.T) {
 	}
 }
 
+func TestConditionRefs(t *testing.T) {
+	e := MustParse("R1(b, a) && R2(U(a), c)")
+	want := strings.Join(Referenced(e), ",")
+	for _, c := range []*Condition{NewCondition("n", "", e), {Name: "lit", Expr: e}} {
+		if got := strings.Join(c.Refs(), ","); got != want {
+			t.Errorf("%s: Refs = %s, want %s", c.Name, got, want)
+		}
+	}
+}
+
 func TestMonitorEval(t *testing.T) {
 	m := fixture(t)
 	// Consecutive ring rounds: R2, R3', R4 hold; R1 backwards must not.

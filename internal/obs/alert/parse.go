@@ -256,9 +256,9 @@ func MustParseExpr(src string) Expr {
 type tokKind int
 
 const (
-	tokEOF tokKind = iota
-	tokIdent  // series names, function names, "for"
-	tokNumber // thresholds and durations (5, 0.5, 5s, 100ms)
+	tokEOF    tokKind = iota
+	tokIdent          // series names, function names, "for"
+	tokNumber         // thresholds and durations (5, 0.5, 5s, 100ms)
 	tokLParen
 	tokRParen
 	tokComma

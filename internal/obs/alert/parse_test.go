@@ -42,19 +42,19 @@ func TestParseExprShapes(t *testing.T) {
 func TestParseExprErrors(t *testing.T) {
 	for _, src := range []string{
 		"",
-		"rate(violations)",          // no comparison
-		"rate(violations) > ",       // no threshold
-		"bogus(x) > 1",              // unknown function
-		"rate(x, potato) > 1",       // bad window
-		"rate(x) > 1 for",           // for without duration
-		"rate(x) > 1 for -5s",       // negative hold
-		"rate(x) > 1 trailing",      // junk after expr
-		"x > 1 &&",                  // dangling operator
-		"(x > 1",                    // unclosed paren
-		"x = 1",                     // single '='
-		"rate(x 5s) > 1",            // missing comma
-		"x > 1 for 5s extra",        // junk after for
-		"value() > 1",               // empty call
+		"rate(violations)",     // no comparison
+		"rate(violations) > ",  // no threshold
+		"bogus(x) > 1",         // unknown function
+		"rate(x, potato) > 1",  // bad window
+		"rate(x) > 1 for",      // for without duration
+		"rate(x) > 1 for -5s",  // negative hold
+		"rate(x) > 1 trailing", // junk after expr
+		"x > 1 &&",             // dangling operator
+		"(x > 1",               // unclosed paren
+		"x = 1",                // single '='
+		"rate(x 5s) > 1",       // missing comma
+		"x > 1 for 5s extra",   // junk after for
+		"value() > 1",          // empty call
 	} {
 		if _, _, err := ParseExpr(src); err == nil {
 			t.Errorf("ParseExpr(%q) unexpectedly succeeded", src)

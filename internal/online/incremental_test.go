@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"causet/internal/core"
+	"causet/internal/interval"
 	"causet/internal/obs"
 	"causet/internal/poset"
 	"causet/internal/sim"
@@ -222,6 +224,46 @@ func TestStreamAllocsPerEvent(t *testing.T) {
 	}
 }
 
+// TestColdCutBuildAllocs pins the cut fold's allocation budget: a cold
+// Analysis.Cuts build on stream clocks folds the four Table 2 cuts in place
+// (forward rows read shared, reverse timestamps through one scratch row per
+// up fold), so it makes the same fixed number of allocations whatever |P|
+// and |N_X|.
+func TestColdCutBuildAllocs(t *testing.T) {
+	allocs := func(procs int) float64 {
+		s := NewStream(procs)
+		var lap []poset.EventID // the middle of three ring laps: |N_X| = procs
+		for r := 0; r < 3; r++ {
+			for i := 0; i < procs; i++ {
+				send, err := s.Send(i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				recv, err := s.Recv((i+1)%procs, send)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r == 1 {
+					lap = append(lap, send, recv)
+				}
+			}
+		}
+		snap := s.Snapshot()
+		iv := interval.MustNew(snap.Exec, lap)
+		if iv.NodeCount() != procs {
+			t.Fatalf("|N_X| = %d; want %d", iv.NodeCount(), procs)
+		}
+		return testing.AllocsPerRun(20, func() {
+			core.NewAnalysisClocks(snap.Exec, snap.Analysis.Clocks(), nil).Cuts(iv)
+		})
+	}
+	small, large := allocs(8), allocs(32)
+	t.Logf("allocs per cold build: %.0f at |P| = |N_X| = 8, %.0f at 32", small, large)
+	if small != large {
+		t.Errorf("cold cut build allocates %.0f objects at |P| = |N_X| = 8 but %.0f at 32; want a fixed count", small, large)
+	}
+}
+
 // TestSnapshotCounters pins the reuse/rebuild accounting: cached snapshot
 // hits count as reuses, constructions as rebuilds (and, for compatibility,
 // as online.snapshots).
@@ -264,9 +306,11 @@ func TestMonitorCheckWindow(t *testing.T) {
 	}
 }
 
-// TestCacheCarryAcrossEpochs verifies the point of the carry chain: an
-// interval whose cuts stabilized at one epoch is not rebuilt at the next.
-func TestCacheCarryAcrossEpochs(t *testing.T) {
+// TestEpochBuildsOnlySettlingReferences pins what a snapshot epoch costs in
+// cut builds: every snapshot's analysis starts with an empty cut cache, and
+// an epoch builds cuts only for the intervals that its settling conditions
+// reference — never for intervals settled in earlier epochs.
+func TestEpochBuildsOnlySettlingReferences(t *testing.T) {
 	s := NewStream(3)
 	m := NewMonitor(s)
 	res := sim.MustGenerate(sim.Config{Pattern: sim.Ring, Procs: 3, Rounds: 4, Seed: 1})
@@ -278,38 +322,44 @@ func TestCacheCarryAcrossEpochs(t *testing.T) {
 			phaseOf[e] = i
 		}
 	}
+	refs := make(map[string][]string)
 	for i := range res.Phases[:len(res.Phases)-1] {
 		name := fmt.Sprintf("c%d", i)
-		src := fmt.Sprintf("R1(%s, %s)", res.Phases[i].Name, res.Phases[i+1].Name)
-		if err := m.AddCondition(name, src); err != nil {
+		a, b := res.Phases[i].Name, res.Phases[i+1].Name
+		if err := m.AddCondition(name, fmt.Sprintf("R1(%s, %s)", a, b)); err != nil {
 			t.Fatal(err)
 		}
+		refs[name] = []string{a, b}
 	}
-	var builds []int64
+	settled := 0
 	if _, err := ReplayStepsOn(s, res.Exec, func(_ *Stream, e poset.EventID) error {
 		pi := phaseOf[e]
 		if err := m.Observe(res.Phases[pi].Name, e); err != nil {
 			return err
 		}
 		remaining[pi]--
-		if remaining[pi] == 0 {
-			if err := m.Complete(res.Phases[pi].Name); err != nil {
-				return err
+		if remaining[pi] != 0 {
+			return nil
+		}
+		if err := m.Complete(res.Phases[pi].Name); err != nil {
+			return err
+		}
+		want := make(map[string]bool)
+		for _, r := range m.Poll() {
+			settled++
+			for _, ref := range refs[r.Name] {
+				want[ref] = true
 			}
-			m.Check()
-			builds = append(builds, s.Snapshot().Analysis.CutBuilds())
+		}
+		if got := s.Snapshot().Analysis.CutBuilds(); got != int64(len(want)) {
+			t.Errorf("epoch completing %s built %d interval cuts; want %d, one per interval its settling conditions reference",
+				res.Phases[pi].Name, got, len(want))
 		}
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// Every settling check defines at most two fresh intervals; with the
-	// carry chain, the per-epoch build count must not grow with the number
-	// of previously settled intervals. Without carry, epoch k would rebuild
-	// all k+1 intervals it defines, so the last epoch's count would be
-	// len(phases), not O(1).
-	last := builds[len(builds)-1]
-	if last > 4 {
-		t.Errorf("final epoch built %d interval cuts; carry should bound this by the freshly-referenced intervals (<= 4). build counts per epoch: %v", last, builds)
+	if settled != len(refs) {
+		t.Fatalf("%d of %d conditions settled", settled, len(refs))
 	}
 }

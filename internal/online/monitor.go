@@ -247,7 +247,7 @@ func (m *Monitor) settle(c *monitor.Condition, res monitor.Result, ce *explain.C
 	// settlement to let go of an interval restarts its retention window, so
 	// a StrongestBetween query issued when the verdict lands still finds
 	// its operands.
-	for _, ref := range monitor.Referenced(c.Expr) {
+	for _, ref := range c.Refs() {
 		switch n := m.refCount[ref]; {
 		case n > 1:
 			m.refCount[ref] = n - 1
@@ -391,7 +391,7 @@ func (m *Monitor) Complete(name string) error {
 // clock stepping backwards) clamp to zero.
 func (m *Monitor) detectLatency(c *monitor.Condition) (time.Duration, bool) {
 	var decisive time.Time
-	for _, ref := range monitor.Referenced(c.Expr) {
+	for _, ref := range c.Refs() {
 		if t, ok := m.completedAt[ref]; ok && t.After(decisive) {
 			decisive = t
 		}
@@ -425,14 +425,14 @@ func (m *Monitor) AddCondition(name, src string) error {
 	if _, done := m.settled[name]; done {
 		return fmt.Errorf("online: condition %q already defined", name)
 	}
-	c := &monitor.Condition{Name: name, Src: src, Expr: expr}
+	c := monitor.NewCondition(name, src, expr)
 	m.conditions = append(m.conditions, c)
-	for _, ref := range monitor.Referenced(c.Expr) {
+	for _, ref := range c.Refs() {
 		m.refCount[ref]++
 	}
 	// A reference to a retired interval can never be satisfied: settle now
 	// (which also gives the refcounts back) instead of waiting forever.
-	for _, ref := range monitor.Referenced(c.Expr) {
+	for _, ref := range c.Refs() {
 		if why, gone := m.retired[ref]; gone {
 			m.settle(c, monitor.Result{Name: name, State: monitor.Failed, Err: retiredErr(ref, why)}, nil)
 			return nil
@@ -447,7 +447,7 @@ func (m *Monitor) AddCondition(name, src string) error {
 // ready queue when there is nothing to wait for.
 func (m *Monitor) indexLocked(c *monitor.Condition) {
 	pc := &pendingCond{c: c}
-	for _, ref := range monitor.Referenced(c.Expr) {
+	for _, ref := range c.Refs() {
 		if _, done := m.complete[ref]; done {
 			continue
 		}
@@ -549,7 +549,7 @@ func (m *Monitor) checkIncrementalLocked() {
 			continue
 		}
 		var defErr error
-		for _, ref := range monitor.Referenced(c.Expr) {
+		for _, ref := range c.Refs() {
 			if err := m.defineLocked(ref); err != nil {
 				defErr = err
 				break
@@ -584,7 +584,7 @@ func (m *Monitor) explainLocked(c *monitor.Condition) *explain.ConditionExplanat
 	expl := explain.New(m.inner.Analysis())
 	expl.Instrument(m.reg)
 	ivs := make(map[string]*interval.Interval)
-	for _, ref := range monitor.Referenced(c.Expr) {
+	for _, ref := range c.Refs() {
 		if iv, ok := m.inner.Interval(ref); ok {
 			ivs[ref] = iv
 		}
@@ -606,7 +606,7 @@ func (m *Monitor) checkLegacyLocked() {
 			continue
 		}
 		ready := true
-		for _, ref := range monitor.Referenced(c.Expr) {
+		for _, ref := range c.Refs() {
 			if _, ok := m.complete[ref]; !ok {
 				ready = false
 				break
@@ -625,7 +625,7 @@ func (m *Monitor) checkLegacyLocked() {
 	// evaluation proportional to the active conditions.
 	needed := map[string]bool{}
 	for _, c := range todo {
-		for _, ref := range monitor.Referenced(c.Expr) {
+		for _, ref := range c.Refs() {
 			needed[ref] = true
 		}
 	}
@@ -705,7 +705,7 @@ func witnessSummary(ce *explain.ConditionExplanation) string {
 }
 
 func refers(c *monitor.Condition, name string) bool {
-	for _, ref := range monitor.Referenced(c.Expr) {
+	for _, ref := range c.Refs() {
 		if ref == name {
 			return true
 		}

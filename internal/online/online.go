@@ -34,7 +34,6 @@ import (
 	"sync/atomic"
 
 	"causet/internal/core"
-	"causet/internal/interval"
 	"causet/internal/obs"
 	"causet/internal/poset"
 	"causet/internal/vclock"
@@ -92,7 +91,7 @@ type Stream struct {
 	pins map[poset.EventID]int
 
 	legacy   bool           // full-rebuild snapshots (the differential oracle)
-	prev     *core.Analysis // previous incremental snapshot, for cache carry
+	prev     *core.Analysis // previous incremental snapshot; lends its instruments
 	metDirty bool           // Instrument was called since prev was built
 
 	snap *Snapshot // cached; nil when dirty
@@ -133,14 +132,15 @@ func (s *Stream) NumProcs() int { return s.procs }
 // The registry receives online.events (appended events, across all kinds),
 // the online.event_window sliding window (the live events/sec rate), and
 // three snapshot counters: online.snapshots counts snapshot *constructions*
-// (on the default incremental path these are cheap copy-on-grow views with
-// carried caches, so a high snapshots/events ratio is no longer the red
-// flag it was when every construction paid a full reverse-timestamp pass —
-// it now flags cache-carry churn, not rebuild cost), online.snapshot_reuses
-// counts Snapshot calls served from the cache unchanged, and
-// online.snapshot_rebuilds counts the constructions (online.snapshots and
-// online.snapshot_rebuilds agree; the latter exists so dashboards can pair
-// it with reuses). All are also forwarded to each Snapshot's Analysis, so
+// (on the default incremental path these are O(|P|) copy-on-grow views
+// whose analysis starts with an empty cut cache, so a high snapshots/events
+// ratio is no longer the red flag it was when every construction paid a
+// full reverse-timestamp pass — what a construction adds is the cut builds
+// of the conditions it settles, which core.cut_builds counts),
+// online.snapshot_reuses counts Snapshot calls served from the cache
+// unchanged, and online.snapshot_rebuilds counts the constructions
+// (online.snapshots and online.snapshot_rebuilds agree; the latter exists
+// so dashboards can pair it with reuses). All are also forwarded to each Snapshot's Analysis, so
 // cut builds and evaluator comparison counts of monitor checks land in the
 // same registry.
 func (s *Stream) Instrument(reg *obs.Registry, tr *obs.Tracer) {
@@ -164,7 +164,7 @@ func (s *Stream) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 // with its O(|E|·|P|) reverse-timestamp pass per snapshot. The incremental
 // path is the default; the legacy path is kept as the differential oracle
 // the agreement tests and the E14 sweep compare against. Switching resets
-// the snapshot cache and the cache-carry chain.
+// the snapshot cache.
 func (s *Stream) SetLegacySnapshots(on bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -175,7 +175,6 @@ func (s *Stream) SetLegacySnapshots(on bool) {
 	}
 	s.legacy = on
 	s.snap = nil
-	s.prev = nil
 }
 
 // Local records an internal event on proc and returns it.
@@ -358,10 +357,11 @@ type Snapshot struct {
 // Snapshot returns the current frozen view, cached until the next append.
 // On the default incremental path the view is copy-on-grow (the message log
 // is shared with the builder, capacity-clamped), reverse timestamps are
-// derived on demand from the first-follower index, and the analysis carries
-// the epoch-stable cut caches of the previous snapshot forward. On the
-// legacy path (SetLegacySnapshots) every call deep-copies the execution and
-// recomputes both clock tables. Either way the returned snapshot is immune
+// derived on demand from the first-follower index, and the analysis starts
+// with an empty cut cache, so a snapshot builds only the cuts of the
+// intervals its settling conditions reference. On the legacy path
+// (SetLegacySnapshots) every call deep-copies the execution and recomputes
+// both clock tables. Either way the returned snapshot is immune
 // to later appends.
 func (s *Stream) Snapshot() *Snapshot {
 	s.mu.Lock()
@@ -416,7 +416,7 @@ func (s *Stream) incrementalSnapshot() *Snapshot {
 		ffv[p] = s.ff[p][: n*s.procs : n*s.procs]
 	}
 	procs := s.procs
-	revFn := func(e poset.EventID) vclock.VC {
+	revFn := func(e poset.EventID, t vclock.VC) {
 		pos := e.Pos
 		if basev != nil {
 			if pos <= basev[e.Proc] {
@@ -424,39 +424,19 @@ func (s *Stream) incrementalSnapshot() *Snapshot {
 			}
 			pos -= basev[e.Proc]
 		}
-		t := make(vclock.VC, procs)
-		cells := ffv[e.Proc]
-		base := (pos - 1) * procs
-		for i := 0; i < procs; i++ {
-			f := atomic.LoadInt64(&cells[base+i])
+		cells := ffv[e.Proc][(pos-1)*procs : pos*procs]
+		for i := range cells {
 			// A first follower recorded after this snapshot was captured has
 			// a position beyond the prefix; within the prefix the event then
 			// has no follower on i and T^R(e)[i] is 0.
-			if f > 0 && int(f) <= ex.NumReal(i) {
-				t[i] = ex.NumReal(i) - int(f) + 1
+			t[i] = 0
+			if f := int(atomic.LoadInt64(&cells[i])); f > 0 && f <= ex.NumReal(i) {
+				t[i] = ex.NumReal(i) - f + 1
 			}
 		}
-		return t
 	}
 	clk := vclock.NewLazyRebased(ex, fwdv, basev, revFn)
-	// Cache carry across a compaction drops every interval that owns a
-	// compacted event: its cut vectors stay mathematically valid, but
-	// keeping it would pin the interval (and anything its entry references)
-	// beyond the retention window, and no live condition can query it —
-	// the monitor's watermark only passes released intervals.
-	var keep func(*interval.Interval) bool
-	if basev != nil {
-		kb := basev
-		keep = func(iv *interval.Interval) bool {
-			for _, e := range iv.Events() {
-				if e.Pos <= kb[e.Proc] {
-					return false
-				}
-			}
-			return true
-		}
-	}
-	a := core.NewAnalysisCarryFiltered(ex, clk, s.prev, keep)
+	a := core.NewAnalysisClocks(ex, clk, s.prev)
 	if s.prev == nil || s.metDirty {
 		a.Instrument(s.metReg, s.metTracer)
 		s.metDirty = false

@@ -15,7 +15,7 @@ func rebasedFrom(full *Clocks, ex *poset.Execution, base []int) *Clocks {
 	for p := range fwd {
 		fwd[p] = full.fwd[p][base[p]:]
 	}
-	return NewLazyRebased(ex, fwd, base, func(e poset.EventID) VC { return full.TR(e) })
+	return NewLazyRebased(ex, fwd, base, func(e poset.EventID, dst VC) { copy(dst, full.TR(e)) })
 }
 
 func pipeline(t *testing.T) *poset.Execution {
@@ -66,6 +66,31 @@ func TestRebasedClocksAgreeOnRetainedEvents(t *testing.T) {
 						t.Fatalf("Precedes(%v, %v): rebased %v, full %v", a, b, got, want)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestTRIntoMatchesTR checks the allocation-free reverse timestamp against
+// TR on materialized and lazy clocks, dummies included, writing into a
+// scratch row that still holds another event's garbage.
+func TestTRIntoMatchesTR(t *testing.T) {
+	ex := pipeline(t)
+	full := New(ex)
+	base := []int{2, 2, 1}
+	for _, c := range []*Clocks{full, rebasedFrom(full, ex, base)} {
+		events := []poset.EventID{}
+		for p := 0; p < ex.NumProcs(); p++ {
+			events = append(events, ex.Bottom(p), ex.Top(p))
+			for pos := base[p] + 1; pos <= ex.NumReal(p); pos++ {
+				events = append(events, poset.EventID{Proc: p, Pos: pos})
+			}
+		}
+		dst := VC{-1, -1, -1}
+		for _, e := range events {
+			c.TRInto(e, dst)
+			if want := c.TR(e); !dst.Equal(want) {
+				t.Fatalf("TRInto(%v) = %v; TR = %v", e, dst, want)
 			}
 		}
 	}

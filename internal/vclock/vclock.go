@@ -124,9 +124,9 @@ func Compare(v, w VC) Ordering {
 
 // Clocks holds the forward and reverse vector timestamps of every real event
 // of an execution. Construct with New (which materializes both tables) or
-// NewLazy (forward table supplied by the caller, reverse timestamps computed
-// on demand by a callback); either way the structure is immutable afterwards
-// and safe for concurrent readers.
+// NewLazyRebased (forward table supplied by the caller, reverse timestamps
+// filled in on demand by a callback); either way the structure is immutable
+// afterwards and safe for concurrent readers.
 type Clocks struct {
 	ex  *poset.Execution
 	fwd [][]VC // fwd[p][pos-1-base[p]] = T(e) for real event (p,pos)
@@ -138,10 +138,9 @@ type Clocks struct {
 	// stay absolute; only the storage is rebased.
 	base []int
 
-	// revFn computes T^R(e) for a real event in lazy mode. It must be safe
-	// for concurrent calls and must return a vector the caller may retain
-	// (but not modify).
-	revFn func(poset.EventID) VC
+	// revFn writes T^R(e) of a real event into dst (length NumProcs) in lazy
+	// mode. It must be safe for concurrent calls.
+	revFn func(e poset.EventID, dst VC)
 }
 
 // New computes forward and reverse timestamps for all real events of ex in
@@ -191,28 +190,23 @@ func New(ex *poset.Execution) *Clocks {
 	return c
 }
 
-// NewLazy returns Clocks over ex whose forward table is supplied by the
-// caller and whose reverse timestamps are produced on demand by revFn.
-// fwd must follow the fwd[p][pos-1] layout of New and cover every real event
-// of ex; revFn must return T^R(e) (Definition 14, real-event count
-// convention) for any real event of ex and be safe for concurrent calls.
+// NewLazyRebased returns Clocks over ex whose forward table is supplied by
+// the caller and whose reverse timestamps are filled in on demand by revFn,
+// for a stream whose compaction dropped the first base[p] rows of each
+// process: fwd[p] holds rows only for positions base[p]+1 .. NumReal(p).
+// Positions remain absolute — callers keep addressing events by their
+// external EventIDs — and asking for the timestamp of a dropped (compacted)
+// event panics rather than reading a wrong row. A nil base means nothing was
+// dropped (the fwd[p][pos-1] layout of New); base must not be mutated
+// afterwards. revFn must write T^R(e) (Definition 14, real-event count
+// convention) of any retained real event of ex into dst and be safe for
+// concurrent calls.
 //
 // This is the streaming hot path's constructor: a Stream maintains forward
 // clocks incrementally as events arrive and derives reverse timestamps from
 // its first-follower index, so taking a snapshot no longer pays the
 // O(|E|·|P|) two-pass rebuild of New.
-func NewLazy(ex *poset.Execution, fwd [][]VC, revFn func(poset.EventID) VC) *Clocks {
-	return &Clocks{ex: ex, fwd: fwd, revFn: revFn}
-}
-
-// NewLazyRebased is NewLazy for a compacted stream: fwd[p] holds rows only
-// for positions base[p]+1 .. NumReal(p), i.e. the retained tail after
-// compaction dropped the first base[p] rows of each process. Positions remain
-// absolute — callers keep addressing events by their external EventIDs — and
-// asking for the timestamp of a dropped (compacted) event panics rather than
-// reading a wrong row. base must not be mutated afterwards; nil base is
-// exactly NewLazy.
-func NewLazyRebased(ex *poset.Execution, fwd [][]VC, base []int, revFn func(poset.EventID) VC) *Clocks {
+func NewLazyRebased(ex *poset.Execution, fwd [][]VC, base []int, revFn func(e poset.EventID, dst VC)) *Clocks {
 	return &Clocks{ex: ex, fwd: fwd, base: base, revFn: revFn}
 }
 
@@ -255,24 +249,37 @@ func (c *Clocks) T(e poset.EventID) VC {
 // TR returns the reverse timestamp of e (Definition 14, real-event count
 // convention). Dummy events are supported: T^R(⊤_i) is the zero vector and
 // T^R(⊥_i)[j] = NumReal(j) for every j. The returned vector is shared for
-// real events; callers must not modify it.
+// real events of clocks built by New, and fresh otherwise; callers must not
+// modify it.
 func (c *Clocks) TR(e poset.EventID) VC {
+	if c.ex.IsReal(e) && c.rev != nil {
+		return c.rev[e.Proc][e.Pos-1]
+	}
+	t := make(VC, c.ex.NumProcs())
+	c.TRInto(e, t)
+	return t
+}
+
+// TRInto writes the reverse timestamp of e into dst, which must have one
+// component per process. It is TR without the allocation, for folds that
+// consume one reverse timestamp at a time.
+func (c *Clocks) TRInto(e poset.EventID, dst VC) {
 	switch {
 	case c.ex.IsReal(e):
 		if c.rev == nil {
-			return c.revFn(e)
+			c.revFn(e, dst)
+			return
 		}
-		return c.rev[e.Proc][e.Pos-1]
+		copy(dst, c.rev[e.Proc][e.Pos-1])
 	case c.ex.IsTop(e):
-		return make(VC, c.ex.NumProcs())
+		clear(dst)
 	case c.ex.IsBottom(e):
-		t := make(VC, c.ex.NumProcs())
-		for j := range t {
-			t[j] = c.ex.NumReal(j)
+		for j := range dst {
+			dst[j] = c.ex.NumReal(j)
 		}
-		return t
+	default:
+		panic(fmt.Sprintf("vclock: TR of invalid event %v", e))
 	}
-	panic(fmt.Sprintf("vclock: TR of invalid event %v", e))
 }
 
 // Precedes reports a ≺ b using timestamps: for distinct real events,
