@@ -76,6 +76,7 @@ fuzz:
 	$(GO) test -fuzz FuzzConditionParser -fuzztime $(FUZZTIME) ./internal/monitor/
 	$(GO) test -fuzz FuzzEvaluatorAgreement -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -fuzz FuzzProfileKernelAgreement -fuzztime $(FUZZTIME) ./internal/core/
+	$(GO) test -fuzz FuzzOverlapsAgreement -fuzztime $(FUZZTIME) ./internal/interval/
 	$(GO) test -fuzz FuzzTraceDecode -fuzztime $(FUZZTIME) ./internal/trace/
 	$(GO) test -fuzz FuzzIncrementalSnapshotAgreement -fuzztime $(FUZZTIME) ./internal/online/
 	$(GO) test -fuzz FuzzCompactionAgreement -fuzztime $(FUZZTIME) ./internal/online/

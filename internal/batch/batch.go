@@ -17,6 +17,7 @@ package batch
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -53,7 +54,7 @@ type Options struct {
 	Metrics *obs.Registry
 	// Tracer, when non-nil, records one "batch" span per batch run plus one
 	// span per worker goroutine (tid = worker index + 1), in Chrome
-	// trace_event form.
+	// trace_event form. Matrix's cut pre-pass records worker spans only.
 	Tracer *obs.Tracer
 	// LegacyScan forces the per-relation scan paths: 32 independent
 	// EvalCount calls per Profiles pair and 8 per Matrix cell, instead of
@@ -344,14 +345,28 @@ func (e *Engine) Profiles(pairs []Pair) ([]Profile, Stats) {
 // Matrix computes the strongest-relation pair matrix over the named
 // intervals — the parallel counterpart of hierarchy.Summarize, cell-for-cell
 // identical to it. names and ivs run in parallel; all intervals must belong
-// to the engine's execution. By default each cell is decided by one fused
-// Table 1 pass (core.EvalTable1) instead of six per-relation scans; see
-// Options.LegacyScan.
+// to the engine's execution, and the first that does not is named in the
+// error. By default each cell is decided by one fused Table 1 pass
+// (core.Analysis.EvalTable1Cuts) over cuts resolved once per interval, in a
+// parallel pre-pass on the worker pool, instead of six per-relation scans;
+// see Options.LegacyScan. Either way each cell is finalized through
+// hierarchy.StrongestOf, so cells share its interned slices.
 func (e *Engine) Matrix(names []string, ivs []*interval.Interval) (*hierarchy.PairMatrix, Stats, error) {
 	if len(names) != len(ivs) {
 		return nil, Stats{}, fmt.Errorf("batch: %d names for %d intervals", len(names), len(ivs))
 	}
+	for i, iv := range ivs {
+		if iv.Execution() != e.a.Execution() {
+			return nil, Stats{}, fmt.Errorf("batch: interval %q from a different execution", names[i])
+		}
+	}
 	n := len(ivs)
+	var ics []*core.IntervalCuts
+	if e.fused {
+		// Not a batch: the pre-pass feeds no batch.* metric.
+		ics = make([]*core.IntervalCuts, n)
+		e.runPool(n, func(_ core.Evaluator, i int, _ *Stats) { ics[i] = e.a.Cuts(ivs[i]) })
+	}
 	pm := &hierarchy.PairMatrix{
 		Names: append([]string(nil), names...),
 		Cells: make([][]hierarchy.Cell, n),
@@ -359,8 +374,6 @@ func (e *Engine) Matrix(names []string, ivs []*interval.Interval) (*hierarchy.Pa
 	for i := range pm.Cells {
 		pm.Cells[i] = make([]hierarchy.Cell, n)
 	}
-	errs := make([]error, n*n)
-	canonical := hierarchy.Canonical()
 	stats := e.run(n*n, func(ev core.Evaluator, k int, st *Stats) {
 		i, j := k/n, k%n
 		if i == j {
@@ -368,42 +381,40 @@ func (e *Engine) Matrix(names []string, ivs []*interval.Interval) (*hierarchy.Pa
 		}
 		x, y := ivs[i], ivs[j]
 		st.Queries++
-		if x.Execution() != e.a.Execution() || y.Execution() != e.a.Execution() {
-			errs[k] = fmt.Errorf("batch: interval %q from a different execution", names[i])
-			st.Errors++
-			return
-		}
 		if x.Overlaps(y) {
 			pm.Cells[i][j] = hierarchy.Cell{Overlap: true}
 			return
 		}
-		var held []core.Relation
+		var verdicts uint8
 		if e.fused {
-			verdicts, cmp := e.a.EvalTable1(x, y)
+			var cmp int64
+			verdicts, cmp = e.a.EvalTable1Cuts(ics[i], ics[j])
+			verdicts &= canonicalBits
 			st.Comparisons += cmp
-			for _, rel := range canonical {
-				if verdicts&(1<<uint(rel)) != 0 {
-					held = append(held, rel)
-					st.Held++
-				}
-			}
 		} else {
 			for _, rel := range canonical {
 				ok, cmp := ev.EvalCount(rel, x, y)
 				st.Comparisons += cmp
 				if ok {
-					held = append(held, rel)
-					st.Held++
+					verdicts |= 1 << uint(rel)
 				}
 			}
 		}
-		pm.Cells[i][j] = hierarchy.Cell{Strongest: hierarchy.Strongest(held)}
+		st.Held += int64(bits.OnesCount8(verdicts))
+		pm.Cells[i][j] = hierarchy.Cell{Strongest: hierarchy.StrongestOf(verdicts)}
 	})
-	// First error in cell order, so failures are deterministic too.
-	for _, err := range errs {
-		if err != nil {
-			return nil, stats, err
-		}
-	}
 	return pm, stats, nil
 }
+
+// canonical lists the relations a matrix cell reports, and canonicalBits
+// masks a Table 1 verdict set down to them: R1 and R4, never their
+// equivalent primes.
+var (
+	canonical     = hierarchy.Canonical()
+	canonicalBits = func() (m uint8) {
+		for _, r := range canonical {
+			m |= 1 << uint(r)
+		}
+		return m
+	}()
+)

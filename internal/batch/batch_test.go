@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -13,6 +14,7 @@ import (
 	"causet/internal/interval"
 	"causet/internal/poset"
 	"causet/internal/poset/posettest"
+	"causet/internal/sim"
 )
 
 // evaluators are the three differential peers; every batch verdict must be
@@ -296,6 +298,62 @@ func TestMatrixMatchesSummarize(t *testing.T) {
 	}
 	if _, _, err := New(core.NewAnalysis(posettest.Random(r, 2, 4, 0.3)), Options{}).Matrix([]string{"a"}, nil); err == nil {
 		t.Fatalf("mismatched names/intervals accepted")
+	}
+}
+
+// TestMatrixNamesForeignInterval: an interval of another execution is
+// reported under its own name wherever it sits, not under its row's.
+func TestMatrixNamesForeignInterval(t *testing.T) {
+	r := rand.New(rand.NewSource(89))
+	a, ivs, _ := randomWorkload(r)
+	_, others, _ := randomWorkload(r)
+	for _, at := range []int{1, 2, 4} {
+		mixed := slices.Insert(slices.Clone(ivs), at, others[0])
+		names := slices.Insert([]string{"a", "b", "c", "d"}, at, "foreign")
+		for _, workers := range []int{1, 4} {
+			_, _, err := New(a, Options{Workers: workers}).Matrix(names, mixed)
+			want := `batch: interval "foreign" from a different execution`
+			if err == nil || err.Error() != want {
+				t.Errorf("foreign interval at %d, workers=%d: err = %v, want %q", at, workers, err, want)
+			}
+		}
+	}
+}
+
+// TestMatrixAllocs pins the fused matrix to its kernel: on a warm cut cache
+// a call allocates the matrix rows and a fixed handful of values, nothing
+// per cell. The matrix must still equal hierarchy.Summarize.
+func TestMatrixAllocs(t *testing.T) {
+	res := sim.MustGenerate(sim.Config{Pattern: sim.Gossip, Procs: 8, Rounds: 64, Seed: 5})
+	names := make([]string, len(res.Phases))
+	ivs := make([]*interval.Interval, len(res.Phases))
+	for i, ph := range res.Phases {
+		names[i] = ph.Name
+		ivs[i] = interval.MustNew(res.Exec, ph.Events)
+	}
+	a := core.NewAnalysis(res.Exec)
+	want, err := hierarchy.Summarize(a, core.NewFast(a), names, ivs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := float64(len(ivs) * (len(ivs) - 1))
+	for _, workers := range []int{1, 2} {
+		eng := New(core.NewAnalysis(res.Exec), Options{Workers: workers})
+		got, _, err := eng.Matrix(names, ivs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: matrix differs from Summarize:\n%s\nwant:\n%s", workers, got, want)
+		}
+		perCell := testing.AllocsPerRun(5, func() {
+			if _, _, err := eng.Matrix(names, ivs); err != nil {
+				t.Fatal(err)
+			}
+		}) / cells
+		if perCell > 0.05 {
+			t.Errorf("workers=%d: %.3f allocations per cell, want ≤ 0.05", workers, perCell)
+		}
 	}
 }
 

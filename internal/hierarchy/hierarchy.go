@@ -179,3 +179,29 @@ func Strongest(held []core.Relation) []core.Relation {
 func Canonical() []core.Relation {
 	return []core.Relation{core.R1, core.R2Prime, core.R3, core.R2, core.R3Prime, core.R4}
 }
+
+// strongestOf[m] is Strongest of the canonical relations whose bits are set
+// in m, taken in Canonical() order, with capacity capped at length.
+var strongestOf = func() (t [256][]core.Relation) {
+	for m := range t {
+		var held []core.Relation
+		for _, r := range Canonical() {
+			if m&(1<<uint(r)) != 0 {
+				held = append(held, r)
+			}
+		}
+		if s := Strongest(held); s != nil {
+			t[m] = s[:len(s):len(s)]
+		}
+	}
+	return t
+}()
+
+// StrongestOf is Strongest for a verdict mask in the layout of
+// core.Analysis.EvalTable1 (bit int(r) set iff relation r holds). Only the
+// canonical relations' bits are read, and the result equals Strongest of
+// those relations listed in Canonical() order, the order Summarize
+// evaluates them in. It is a table lookup and allocates nothing: the
+// returned slice is shared by every caller, so callers must not modify its
+// elements. Its capacity equals its length, so appending to it copies.
+func StrongestOf(verdicts uint8) []core.Relation { return strongestOf[verdicts] }

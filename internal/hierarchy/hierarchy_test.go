@@ -2,6 +2,7 @@ package hierarchy
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"causet/internal/core"
@@ -305,6 +306,46 @@ func TestStrongest(t *testing.T) {
 	got = Strongest([]core.Relation{core.R1, core.R1Prime})
 	if len(got) != 1 || got[0] != core.R1 {
 		t.Errorf("Strongest with equivalents = %v", got)
+	}
+}
+
+// TestStrongestOfMatchesStrongest checks the table against its definition
+// for every mask: Strongest of the canonical relations set in the mask, in
+// Canonical() order, element for element and nil for nil.
+func TestStrongestOfMatchesStrongest(t *testing.T) {
+	for m := 0; m < 256; m++ {
+		var held []core.Relation
+		for _, r := range Canonical() {
+			if m&(1<<uint(r)) != 0 {
+				held = append(held, r)
+			}
+		}
+		want := Strongest(held)
+		if got := StrongestOf(uint8(m)); !reflect.DeepEqual(got, want) {
+			t.Errorf("StrongestOf(%08b) = %#v, want %#v", m, got, want)
+		}
+	}
+}
+
+// TestStrongestOfAppendCopies: the returned slices are shared, so appending
+// to one must reallocate rather than write into the table.
+func TestStrongestOfAppendCopies(t *testing.T) {
+	var before [256][]core.Relation
+	for m := range before {
+		before[m] = append([]core.Relation(nil), StrongestOf(uint8(m))...)
+	}
+	for m := 0; m < 256; m++ {
+		s := StrongestOf(uint8(m))
+		if cap(s) != len(s) {
+			t.Errorf("StrongestOf(%08b): cap %d > len %d", m, cap(s), len(s))
+		}
+		grown := append(s, core.R4Prime)
+		grown[0] = core.R4Prime
+	}
+	for m := range before {
+		if got := StrongestOf(uint8(m)); !reflect.DeepEqual(append([]core.Relation(nil), got...), before[m]) {
+			t.Errorf("StrongestOf(%08b) = %v after appends, was %v", m, got, before[m])
+		}
 	}
 }
 

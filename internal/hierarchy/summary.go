@@ -12,7 +12,9 @@ import (
 // hold from the row interval to the column interval.
 type Cell struct {
 	// Strongest holds the maximal relations under Implies; empty when no
-	// relation (not even R4) holds.
+	// relation (not even R4) holds. The slice may be shared with other
+	// cells (batch.Engine.Matrix fills cells from StrongestOf's table), so
+	// callers must not modify it.
 	Strongest []core.Relation
 	// Overlap marks pairs that share atomic events, for which the
 	// evaluation conditions are not defined (see DESIGN.md); Strongest is

@@ -148,14 +148,35 @@ func (iv *Interval) PerNodeGreatest() []poset.EventID {
 
 // Overlaps reports whether the two intervals share any atomic event. The
 // relation evaluators require disjoint pairs (see DESIGN.md on strictness).
+//
+// Only nodes in both node sets can hold a shared event. On each such node
+// the two intervals' position ranges are compared first, and only when they
+// intersect are the two Pos-sorted runs merged, so the cost is linear in
+// the operands' sizes and O(min(|N_X|, |N_Y|)) when every shared node
+// separates them.
 func (iv *Interval) Overlaps(other *Interval) bool {
 	a, b := iv, other
-	if a.Size() > b.Size() {
+	if len(a.nodes) > len(b.nodes) {
 		a, b = b, a
 	}
-	for _, e := range a.events {
-		if b.Contains(e) {
-			return true
+	for _, p := range a.nodes {
+		if p >= len(b.first) || b.first[p] == -1 {
+			continue
+		}
+		ra := a.events[a.first[p] : a.last[p]+1]
+		rb := b.events[b.first[p] : b.last[p]+1]
+		if ra[len(ra)-1].Pos < rb[0].Pos || rb[len(rb)-1].Pos < ra[0].Pos {
+			continue
+		}
+		for i, j := 0, 0; i < len(ra) && j < len(rb); {
+			switch {
+			case ra[i].Pos < rb[j].Pos:
+				i++
+			case ra[i].Pos > rb[j].Pos:
+				j++
+			default:
+				return true
+			}
 		}
 	}
 	return false
