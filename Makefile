@@ -57,9 +57,9 @@ profile:
 	$(GO) run ./cmd/benchtab -table e10 -reps 3 -cpuprofile cpu.pprof -memprofile mem.pprof
 	@echo "profiles written: cpu.pprof mem.pprof (inspect with 'go tool pprof <file>')"
 
-# Streaming-throughput sweep (E14): the online monitor loop on the
-# incremental snapshot path vs the legacy full-rebuild path, plus the
-# differential agreement suite that proves the verdicts identical.
+# Streaming-throughput sweep (E14): the online monitor loop vs a cold
+# recompute of the prefix at every settlement, plus the differential suite
+# that checks the online verdicts and clocks against the offline monitor.
 stream:
 	$(GO) test -run 'TestIncrementalSnapshotAgreement|TestStreamAllocsPerEvent' ./internal/online
 	$(GO) run ./cmd/benchtab -table e14 -reps 5

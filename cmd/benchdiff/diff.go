@@ -282,7 +282,7 @@ func diffReports(oldPath, newPath string, oldRep, newRep report, opt options) re
 		}
 	}
 
-	// E10: fused/legacy mask agreement is correctness; the per-profile
+	// E10: fused/scan mask agreement is correctness; the per-profile
 	// comparison counts are deterministic for a fixed seed and gate at
 	// -threshold; ns/op follows the ns gate and allocs/bytes per op follow
 	// the alloc gate (both report-only when their threshold is 0). Old
@@ -299,7 +299,7 @@ func diffReports(oldPath, newPath string, oldRep, newRep report, opt options) re
 	}
 	for _, r := range newRep.E10 {
 		if !r.Agree {
-			regress("e10 n=%d: fused profiles disagree with legacy scan", r.N)
+			regress("e10 n=%d: fused profiles disagree with the 32-relation scan baseline", r.N)
 		}
 		prev, ok := oldE10[r.N]
 		if !ok {
@@ -339,7 +339,7 @@ func diffReports(oldPath, newPath string, oldRep, newRep report, opt options) re
 		}
 	}
 
-	// E14: incremental/legacy verdict agreement is correctness; ns/event and
+	// E14: online/cold-recompute verdict agreement is correctness; ns/event and
 	// check ns/event follow the ns gate, allocs/event the alloc gate, and the
 	// incremental speedup drops at -ns-threshold — all timing, no
 	// deterministic columns. Rows match on (procs, rounds); old reports
@@ -355,7 +355,7 @@ func diffReports(oldPath, newPath string, oldRep, newRep report, opt options) re
 	}
 	for _, r := range newRep.E14 {
 		if !r.Agree {
-			regress("e14 procs=%d/rounds=%d: incremental verdicts disagree with legacy", r.Procs, r.Rounds)
+			regress("e14 procs=%d/rounds=%d: online verdicts disagree with the cold-recompute baseline", r.Procs, r.Rounds)
 		}
 		prev, ok := oldE14[e14key{r.Procs, r.Rounds}]
 		if !ok {

@@ -21,13 +21,13 @@
 //     is a regression, threshold-independent (rates normalize out differing
 //     -trials between the two runs).
 //   - E5 and E10 comparison-count columns (naive/proxy/fast cmp per op,
-//     fused/legacy cmp per profile) are deterministic for a fixed seed, so
-//     they gate at -threshold percent. E10 fused/legacy mask agreement is
+//     fused/scan cmp per profile) are deterministic for a fixed seed, so
+//     they gate at -threshold percent. E10 fused/scan mask agreement is
 //     correctness, like E1/E4 rates.
 //   - ns/op columns and E7/E10/E14 speedups are wall-clock noise across
 //     machines; they are reported but gate only when -ns-threshold is set
 //     (> 0). The same applies to the E14 ns/event and check-ns/event
-//     columns. E14 incremental/legacy verdict agreement is correctness,
+//     columns. E14 online/cold-recompute verdict agreement is correctness,
 //     like E1/E4 rates.
 //   - E10 allocs/op and bytes/op columns and E14 allocs/event are
 //     deterministic in steady state but sensitive to Go-version and GC

@@ -395,7 +395,7 @@ func TestAllocGateOptIn(t *testing.T) {
 		t.Errorf("+122%% fused_cmp at threshold 10: exit %d\n%s", code, buf.String())
 	}
 
-	// A fused/legacy mask disagreement is correctness: gates at any threshold.
+	// A fused/scan mask disagreement is correctness: gates at any threshold.
 	broken := baseReport()
 	rows = e10Rows()
 	rows[0]["agree"] = false
@@ -407,7 +407,7 @@ func TestAllocGateOptIn(t *testing.T) {
 		t.Fatal(err)
 	}
 	if code != exitRegression {
-		t.Errorf("fused/legacy disagreement should gate at any threshold: exit %d\n%s", code, buf.String())
+		t.Errorf("fused/scan disagreement should gate at any threshold: exit %d\n%s", code, buf.String())
 	}
 }
 

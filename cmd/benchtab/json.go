@@ -34,12 +34,14 @@ type jsonReport struct {
 	E5 []jsonSweepRow `json:"e5_sweep"`
 	// E7: serial vs parallel batch timing.
 	E7 []jsonParallelRow `json:"e7_parallel"`
-	// E10: fused profile kernel vs legacy 32-scan, with allocation columns.
+	// E10: fused profile kernel vs the per-relation 32-scan (the legacy_*
+	// columns), with allocation columns.
 	// Absent from reports written before the fused kernel existed — decoders
 	// (cmd/benchdiff) must treat a missing or empty list as "not measured",
 	// which omitempty preserves on the write side too.
 	E10 []jsonProfileRow `json:"e10_profile,omitempty"`
-	// E14: online streaming throughput, incremental vs legacy snapshot path.
+	// E14: online streaming throughput, online monitor vs the cold recompute
+	// per settlement (the leg_* columns).
 	// Absent from reports written before the incremental hot path existed —
 	// like E10, decoders must treat a missing or empty list as "not measured".
 	E14 []jsonStreamRow `json:"e14_stream,omitempty"`

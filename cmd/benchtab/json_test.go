@@ -53,10 +53,10 @@ func checkReport(t *testing.T, rep jsonReport) {
 	}
 	for _, r := range rep.E10 {
 		if !r.Agree {
-			t.Errorf("E10 n=%d: fused profiles disagreed with legacy scan", r.N)
+			t.Errorf("E10 n=%d: fused profiles disagreed with the per-relation scan", r.N)
 		}
 		if r.FusedCmp >= r.LegacyCmp {
-			t.Errorf("E10 n=%d: fused %.1f cmp/profile, legacy %.1f — no fusion win",
+			t.Errorf("E10 n=%d: fused %.1f cmp/profile, scan %.1f — no fusion win",
 				r.N, r.FusedCmp, r.LegacyCmp)
 		}
 	}

@@ -7,8 +7,8 @@
 //	benchtab -table e5      linear vs polynomial evaluation sweep
 //	benchtab -table e6      one-time setup amortization (Key Idea 1)
 //	benchtab -table e7      serial vs parallel batch evaluation sweep
-//	benchtab -table e10     fused 32-relation profile kernel vs legacy scan
-//	benchtab -table e14     streaming-throughput sweep: incremental vs legacy snapshots
+//	benchtab -table e10     fused 32-relation profile kernel vs per-relation scan
+//	benchtab -table e14     streaming-throughput sweep: online monitor vs cold recompute
 //	benchtab -table e15     long-horizon soak: retention/compaction vs unbounded monitor
 //	benchtab -table alg     relation algebra: hierarchy + composition table
 //	benchtab -table all     everything
@@ -367,7 +367,7 @@ func e7(out io.Writer, workers, reps int, seed int64, reg *obs.Registry, tr *obs
 }
 
 func e10(out io.Writer, reps int, seed int64, reg *obs.Registry, tr *obs.Tracer) {
-	fmt.Fprintln(out, "E10 — fused 32-relation profile kernel vs legacy per-relation scan (per profile = 1 pair × ℛ)")
+	fmt.Fprintln(out, "E10 — fused 32-relation profile kernel vs per-relation scan (per profile = 1 pair × ℛ)")
 	fmt.Fprintln(out)
 	rows := bench.ProfileSweepObs([]int{8, 32, 128}, reps, seed, reg, tr)
 	var cells [][]string
@@ -385,12 +385,12 @@ func e10(out io.Writer, reps int, seed int64, reg *obs.Registry, tr *obs.Tracer)
 		})
 	}
 	fmt.Fprintln(out, bench.FormatTable(
-		[]string{"N", "pairs", "fused cmp", "legacy cmp", "fused ns", "legacy ns",
-			"fused allocs", "legacy allocs", "speedup", "masks"}, cells))
+		[]string{"N", "pairs", "fused cmp", "scan cmp", "fused ns", "scan ns",
+			"fused allocs", "scan allocs", "speedup", "masks"}, cells))
 }
 
 func e14(out io.Writer, reps int, seed int64, reg *obs.Registry, tr *obs.Tracer) error {
-	fmt.Fprintln(out, "E14 — streaming throughput: incremental vs legacy online snapshots (ring workload, Check per event)")
+	fmt.Fprintln(out, "E14 — streaming throughput: online monitor vs cold recompute per settlement (ring workload, Check per event)")
 	fmt.Fprintln(out)
 	rows, err := bench.StreamSweepObs(bench.DefaultStreamConfigs(), reps, seed, reg, tr)
 	if err != nil {
@@ -412,9 +412,9 @@ func e14(out io.Writer, reps int, seed int64, reg *obs.Registry, tr *obs.Tracer)
 		})
 	}
 	fmt.Fprintln(out, bench.FormatTable(
-		[]string{"procs", "rounds", "events", "inc ns/ev", "leg ns/ev",
-			"inc ev/s", "leg ev/s", "inc allocs/ev", "leg allocs/ev",
-			"inc check ns", "leg check ns", "speedup", "verdicts"}, cells))
+		[]string{"procs", "rounds", "events", "inc ns/ev", "cold ns/ev",
+			"inc ev/s", "cold ev/s", "inc allocs/ev", "cold allocs/ev",
+			"inc check ns", "cold check ns", "speedup", "verdicts"}, cells))
 	return nil
 }
 

@@ -110,7 +110,7 @@ func TestRunE7ParallelSweep(t *testing.T) {
 	}
 }
 
-// TestRunE10FusedSweep: the fused-vs-legacy profile table verifies mask
+// TestRunE10FusedSweep: the fused-vs-scan profile table verifies mask
 // agreement at every size and reports the kernel's comparison win.
 func TestRunE10FusedSweep(t *testing.T) {
 	var buf bytes.Buffer
@@ -122,7 +122,7 @@ func TestRunE10FusedSweep(t *testing.T) {
 		t.Errorf("missing e10 header:\n%s", out)
 	}
 	if strings.Contains(out, "MISMATCH") {
-		t.Errorf("fused profiles disagreed with the legacy scan:\n%s", out)
+		t.Errorf("fused profiles disagreed with the per-relation scan:\n%s", out)
 	}
 	if got := strings.Count(out, "identical"); got != 3 {
 		t.Errorf("%d of 3 sweep sizes verified:\n%s", got, out)

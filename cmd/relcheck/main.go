@@ -85,7 +85,6 @@ func run(args []string, out io.Writer) error {
 	all32 := fs.Bool("all32", false, "evaluate all 32 relations of ℛ (proxy combinations)")
 	explainFlag := fs.Bool("explain", false, "print the witness cuts and critical path behind each verdict (pair modes: -rel, the 8-relation listing, -all32; needs -evaluator fast or proxy)")
 	version := fs.Bool("version", false, "print build information and exit")
-	legacy32 := fs.Bool("legacy32", false, "force the per-relation 32-scan for -all32/-matrix instead of the fused profile kernel (differential debugging; fast evaluator only — naive/proxy always scan)")
 	evalName := fs.String("evaluator", "fast", "evaluator: fast|proxy|naive")
 	count := fs.Bool("count", false, "also print integer-comparison counts")
 	list := fs.Bool("list", false, "list the trace's interval names and exit")
@@ -182,8 +181,7 @@ func run(args []string, out io.Writer) error {
 	// any worker count.
 	var eng *batch.Engine
 	if *parallel != 0 {
-		eng = batch.New(a, batch.Options{Workers: workerCount(*parallel), NewEvaluator: newEval,
-			LegacyScan: *legacy32, Metrics: reg, Tracer: tr})
+		eng = batch.New(a, batch.Options{Workers: workerCount(*parallel), NewEvaluator: newEval, Metrics: reg, Tracer: tr})
 	}
 
 	// -explain derives witness/critical-path evidence through the cold
@@ -205,7 +203,7 @@ func run(args []string, out io.Writer) error {
 		logx.F("workers", workerCount(*parallel)))
 	err = evalMain(out, f, ex, a, eval, eng, expl, tr, modeFlags{
 		xName: *xName, yName: *yName, relName: *relName,
-		all32: *all32, legacy32: *legacy32, count: *count, strongest: *strongest, matrix: *matrix,
+		all32: *all32, count: *count, strongest: *strongest, matrix: *matrix,
 		evalName: *evalName,
 	})
 	if err != nil {
@@ -228,8 +226,8 @@ func run(args []string, out io.Writer) error {
 
 // modeFlags carries the evaluation-mode flags into evalMain.
 type modeFlags struct {
-	xName, yName, relName, evalName           string
-	all32, legacy32, count, strongest, matrix bool
+	xName, yName, relName, evalName string
+	all32, count, strongest, matrix bool
 }
 
 // evalMain is the evaluation body of run, split out so the observability
@@ -268,9 +266,9 @@ func evalMain(out io.Writer, f *trace.File, ex *poset.Execution, a *core.Analysi
 				return profiles[0].Err
 			}
 			holding = profiles[0].Holding
-		} else if _, isFast := eval.(*core.FastEvaluator); isFast && !m.legacy32 {
+		} else if _, isFast := eval.(*core.FastEvaluator); isFast {
 			// Serial fast path: the fused kernel decides all 32 relations in
-			// four shared passes; -legacy32 restores the per-relation scan.
+			// four shared passes.
 			if x.Overlaps(y) {
 				return &core.ErrOverlap{X: x, Y: y}
 			}

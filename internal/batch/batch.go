@@ -56,17 +56,6 @@ type Options struct {
 	// span per worker goroutine (tid = worker index + 1), in Chrome
 	// trace_event form. Matrix's cut pre-pass records worker spans only.
 	Tracer *obs.Tracer
-	// LegacyScan forces the per-relation scan paths: 32 independent
-	// EvalCount calls per Profiles pair and 8 per Matrix cell, instead of
-	// the fused profile kernel (core.EvalProfile / core.EvalTable1). The
-	// results are identical either way — this exists for differential
-	// testing and for measuring the fusion win (EXPERIMENTS.md E10).
-	//
-	// The fused kernel implements the fast evaluation conditions, so it is
-	// only substituted when the engine's evaluator is core.FastEvaluator;
-	// engines built over the naive or proxy evaluator always use the
-	// per-relation path with that evaluator's cost model.
-	LegacyScan bool
 }
 
 // engineObs holds the engine's pre-interned instruments; all nil when no
@@ -86,12 +75,16 @@ type Engine struct {
 	a       *core.Analysis
 	workers int
 	newEval func(*core.Analysis) core.Evaluator
-	fused   bool // Profiles/Matrix use the fused kernel (see Options.LegacyScan)
+	fused   bool // Profiles/Matrix use the fused kernel (see New)
 	met     engineObs
 	tr      *obs.Tracer
 }
 
-// New returns an engine over a with the given options.
+// New returns an engine over a with the given options. Profiles and Matrix
+// use the fused profile kernel (core.EvalProfile / core.EvalTable1Cuts)
+// when the evaluator is a *core.FastEvaluator, whose evaluation conditions
+// the kernel implements; engines over the naive or proxy evaluator run one
+// EvalCount per relation, keeping that evaluator's cost model.
 func New(a *core.Analysis, opts Options) *Engine {
 	w := opts.Workers
 	if w < 1 {
@@ -101,11 +94,8 @@ func New(a *core.Analysis, opts Options) *Engine {
 	if ne == nil {
 		ne = func(a *core.Analysis) core.Evaluator { return core.NewFast(a) }
 	}
-	e := &Engine{a: a, workers: w, newEval: ne, tr: opts.Tracer}
-	if !opts.LegacyScan {
-		_, isFast := ne(a).(*core.FastEvaluator)
-		e.fused = isFast
-	}
+	_, fused := ne(a).(*core.FastEvaluator)
+	e := &Engine{a: a, workers: w, newEval: ne, fused: fused, tr: opts.Tracer}
 	if reg := opts.Metrics; reg != nil {
 		e.met = engineObs{
 			batches:      reg.Counter("batch.batches"),
@@ -295,11 +285,11 @@ type Profile struct {
 // Profiles evaluates the full relation set ℛ for every pair. Profile order
 // matches pair order.
 //
-// By default (fast evaluator, no Options.LegacyScan) each pair runs through
-// the fused profile kernel: one shared pass per proxy pairing over cuts
-// cached once per interval (core.EvalProfile), instead of 32 independent
-// scans — same verdicts, a fraction of the comparisons, zero allocations
-// per pair beyond the Holding slice.
+// With the fast evaluator each pair runs through the fused profile kernel:
+// one shared pass per proxy pairing over cuts cached once per interval
+// (core.EvalProfile), instead of 32 independent scans — same verdicts, a
+// fraction of the comparisons, zero allocations per pair beyond the Holding
+// slice. Other evaluators scan the 32 relations one by one.
 func (e *Engine) Profiles(pairs []Pair) ([]Profile, Stats) {
 	out := make([]Profile, len(pairs))
 	all := core.AllRel32()
@@ -346,10 +336,10 @@ func (e *Engine) Profiles(pairs []Pair) ([]Profile, Stats) {
 // intervals — the parallel counterpart of hierarchy.Summarize, cell-for-cell
 // identical to it. names and ivs run in parallel; all intervals must belong
 // to the engine's execution, and the first that does not is named in the
-// error. By default each cell is decided by one fused Table 1 pass
-// (core.Analysis.EvalTable1Cuts) over cuts resolved once per interval, in a
-// parallel pre-pass on the worker pool, instead of six per-relation scans;
-// see Options.LegacyScan. Either way each cell is finalized through
+// error. With the fast evaluator each cell is decided by one fused Table 1
+// pass (core.Analysis.EvalTable1Cuts) over cuts resolved once per interval,
+// in a parallel pre-pass on the worker pool; other evaluators scan the six
+// canonical relations one by one. Either way each cell is finalized through
 // hierarchy.StrongestOf, so cells share its interned slices.
 func (e *Engine) Matrix(names []string, ivs []*interval.Interval) (*hierarchy.PairMatrix, Stats, error) {
 	if len(names) != len(ivs) {

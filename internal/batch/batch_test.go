@@ -406,12 +406,13 @@ func TestSharedAnalysisStress(t *testing.T) {
 }
 
 // TestFusedMatchesLegacyScan is the engine-level differential for the fused
-// profile kernel: Profiles and Matrix under the default fused path must be
-// result-identical to the forced per-relation scans (Options.LegacyScan) and
-// to scans under the naive evaluator, while spending strictly fewer
-// comparisons than the legacy fast scan.
+// profile kernel: Profiles and Matrix on the default (fast-evaluator, fused)
+// engine must be result-identical to engines over the naive and proxy
+// evaluators, which scan relation by relation, while spending fewer
+// comparisons than the same per-relation scans under the fast evaluator.
 func TestFusedMatchesLegacyScan(t *testing.T) {
 	r := rand.New(rand.NewSource(61))
+	names := []string{"a", "b", "c", "d"}
 	for trial := 0; trial < 10; trial++ {
 		a, ivs, _ := randomWorkload(r)
 		var pairs []Pair
@@ -423,53 +424,72 @@ func TestFusedMatchesLegacyScan(t *testing.T) {
 			}
 		}
 		fused := New(a, Options{Workers: 4})
-		legacy := New(a, Options{Workers: 4, LegacyScan: true})
-		naive := New(a, Options{Workers: 4, LegacyScan: true, NewEvaluator: evaluators["naive"]})
-
 		fp, fs := fused.Profiles(pairs)
-		lp, ls := legacy.Profiles(pairs)
-		np, _ := naive.Profiles(pairs)
-		for i := range pairs {
-			if fp[i].Bits != lp[i].Bits || fp[i].Bits != np[i].Bits {
-				t.Fatalf("trial %d pair %d: masks differ: fused=%032b legacy=%032b naive=%032b",
-					trial, i, fp[i].Bits, lp[i].Bits, np[i].Bits)
-			}
-			if !reflect.DeepEqual(fp[i].Holding, lp[i].Holding) {
-				t.Fatalf("trial %d pair %d: holding differs: fused=%v legacy=%v",
-					trial, i, fp[i].Holding, lp[i].Holding)
-			}
-		}
-		if fs.Held != ls.Held || fs.Queries != ls.Queries {
-			t.Fatalf("trial %d: stats differ: fused=%+v legacy=%+v", trial, fs, ls)
-		}
-		if fs.Comparisons >= ls.Comparisons {
-			t.Fatalf("trial %d: fused profiles spent %d comparisons, legacy %d — no win",
-				trial, fs.Comparisons, ls.Comparisons)
-		}
-
-		names := []string{"a", "b", "c", "d"}
 		fm, fms, err := fused.Matrix(names, ivs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lm, lms, err := legacy.Matrix(names, ivs)
-		if err != nil {
-			t.Fatal(err)
+		for _, name := range []string{"naive", "proxy"} {
+			scan := New(a, Options{Workers: 4, NewEvaluator: evaluators[name]})
+			sp, ss := scan.Profiles(pairs)
+			for i := range pairs {
+				if fp[i].Bits != sp[i].Bits {
+					t.Fatalf("trial %d pair %d: masks differ: fused=%032b %s=%032b",
+						trial, i, fp[i].Bits, name, sp[i].Bits)
+				}
+				if !reflect.DeepEqual(fp[i].Holding, sp[i].Holding) {
+					t.Fatalf("trial %d pair %d: holding differs: fused=%v %s=%v",
+						trial, i, fp[i].Holding, name, sp[i].Holding)
+				}
+			}
+			if fs.Held != ss.Held || fs.Queries != ss.Queries {
+				t.Fatalf("trial %d: stats differ: fused=%+v %s=%+v", trial, fs, name, ss)
+			}
+			sm, sms, err := scan.Matrix(names, ivs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fm.String() != sm.String() {
+				t.Fatalf("trial %d: fused matrix differs from %s:\n%s\nwant:\n%s",
+					trial, name, fm.String(), sm.String())
+			}
+			if fms.Held != sms.Held {
+				t.Fatalf("trial %d: matrix held tallies differ: fused=%d %s=%d",
+					trial, fms.Held, name, sms.Held)
+			}
 		}
-		if fm.String() != lm.String() {
-			t.Fatalf("trial %d: fused matrix differs from legacy:\n%s\nwant:\n%s",
-				trial, fm.String(), lm.String())
+
+		// The comparison budgets of the per-relation scans the kernel
+		// replaces: 32 EvalRel32Count calls per profile pair and one
+		// EvalCount per canonical relation per matrix cell.
+		ev := core.NewFast(a)
+		var scanCmp, cellCmp int64
+		for _, p := range pairs {
+			if p.X.Overlaps(p.Y) {
+				continue
+			}
+			for _, rel := range core.AllRel32() {
+				_, checks, err := a.EvalRel32Count(ev, rel, p.X, p.Y, interval.DefPerNode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				scanCmp += checks
+			}
+			for _, rel := range hierarchy.Canonical() {
+				_, checks := ev.EvalCount(rel, p.X, p.Y)
+				cellCmp += checks
+			}
 		}
-		if fms.Held != lms.Held {
-			t.Fatalf("trial %d: matrix held tallies differ: fused=%d legacy=%d",
-				trial, fms.Held, lms.Held)
+		if fs.Comparisons >= scanCmp {
+			t.Fatalf("trial %d: fused profiles spent %d comparisons, the scan %d — no win",
+				trial, fs.Comparisons, scanCmp)
 		}
-		// The legacy matrix scans only the six canonical relations while the
-		// fused kernel decides all eight, so tiny workloads can tie; the
-		// fused path must simply never spend more.
-		if fms.Comparisons > lms.Comparisons {
-			t.Fatalf("trial %d: fused matrix spent %d comparisons, legacy %d — regression",
-				trial, fms.Comparisons, lms.Comparisons)
+		// The scan decides only the six canonical relations while the fused
+		// kernel decides all eight, so tiny workloads can tie; the fused
+		// path must simply never spend more.
+		if fms.Comparisons > cellCmp {
+			t.Fatalf("trial %d: fused matrix spent %d comparisons, the scan %d — regression",
+				trial, fms.Comparisons, cellCmp)
 		}
 	}
 }

@@ -9,15 +9,16 @@ import (
 )
 
 // TestProfileSweepAgreesAndWins runs a small E10 sweep and asserts the
-// experiment's two claims at every size: both paths produce identical masks,
-// and the fused kernel spends strictly fewer comparisons per profile.
+// experiment's two claims at every size: the fused kernel and the scan
+// produce identical masks, and the fused kernel spends strictly fewer
+// comparisons per profile.
 func TestProfileSweepAgreesAndWins(t *testing.T) {
 	for _, row := range ProfileSweep([]int{8, 32}, 2, 7) {
 		if !row.Agree {
-			t.Fatalf("n=%d: fused and legacy profiles disagree", row.N)
+			t.Fatalf("n=%d: fused and scanned profiles disagree", row.N)
 		}
 		if row.FusedCmp >= row.LegacyCmp {
-			t.Fatalf("n=%d: fused %.1f cmp/profile, legacy %.1f — no win",
+			t.Fatalf("n=%d: fused %.1f cmp/profile, scan %.1f — no win",
 				row.N, row.FusedCmp, row.LegacyCmp)
 		}
 		if row.Pairs != 8*7 {
@@ -29,23 +30,32 @@ func TestProfileSweepAgreesAndWins(t *testing.T) {
 	}
 }
 
-// profileBench benchmarks Profiles over the E7 sweep sizes on one warm
-// serial engine, reporting comparisons per profile alongside the allocation
-// columns (-benchmem or b.ReportAllocs).
-func profileBench(b *testing.B, legacy bool) {
+// profileBench benchmarks one profile pass over the E7 sweep sizes on warm
+// caches — the serial engine's Profiles, or scanProfiles when scan is set —
+// reporting comparisons per profile alongside the allocation columns
+// (-benchmem or b.ReportAllocs).
+func profileBench(b *testing.B, scan bool) {
 	for _, n := range []int{8, 32, 128} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			res, pairs := profilePairs(n, 1)
 			a := core.NewAnalysis(res.Exec)
-			eng := batch.New(a, batch.Options{Workers: 1, LegacyScan: legacy})
-			eng.Profiles(pairs) // warm the cut and proxy-cut caches
+			eng := batch.New(a, batch.Options{Workers: 1})
+			masks := make([]uint32, len(pairs))
+			pass := func() (held, cmp int64) {
+				if scan {
+					return scanProfiles(a, pairs, masks)
+				}
+				_, st := eng.Profiles(pairs)
+				return st.Held, st.Comparisons
+			}
+			pass() // warm the cut and proxy-cut caches
 			b.ReportAllocs()
 			b.ResetTimer()
 			var cmp, held int64
 			for i := 0; i < b.N; i++ {
-				_, st := eng.Profiles(pairs)
-				cmp += st.Comparisons
-				held += st.Held
+				h, c := pass()
+				cmp += c
+				held += h
 			}
 			b.StopTimer()
 			if held == 0 {
@@ -63,6 +73,6 @@ func profileBench(b *testing.B, legacy bool) {
 // (lower ns/profile and cmp/profile at every size).
 func BenchmarkProfileFused(b *testing.B) { profileBench(b, false) }
 
-// BenchmarkProfileLegacy measures the forced per-relation 32-scan path on
-// the same workload — the baseline BenchmarkProfileFused beats.
+// BenchmarkProfileLegacy measures the per-relation 32-scan (scanProfiles)
+// on the same workload — the baseline BenchmarkProfileFused beats.
 func BenchmarkProfileLegacy(b *testing.B) { profileBench(b, true) }

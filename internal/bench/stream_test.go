@@ -2,11 +2,14 @@ package bench
 
 import (
 	"testing"
+
+	"causet/internal/sim"
 )
 
 // TestStreamSweepAgreesAndSpeedsUp runs a small E14 grid and asserts the
-// correctness half of the experiment: both paths settle every condition
-// with identical verdicts, and the measured quantities are sane.
+// correctness half of the experiment: the online monitor and the cold
+// recompute settle every condition with identical verdicts, and the
+// measured quantities are sane.
 func TestStreamSweepAgreesAndSpeedsUp(t *testing.T) {
 	rows, err := StreamSweep([]StreamConfig{{Procs: 4, Rounds: 2}, {Procs: 4, Rounds: 8}}, 1, 1)
 	if err != nil {
@@ -17,7 +20,7 @@ func TestStreamSweepAgreesAndSpeedsUp(t *testing.T) {
 	}
 	for _, r := range rows {
 		if !r.Agree {
-			t.Errorf("procs=%d rounds=%d: verdict vectors diverge between incremental and legacy", r.Procs, r.Rounds)
+			t.Errorf("procs=%d rounds=%d: verdict vectors diverge between the online monitor and the cold recompute", r.Procs, r.Rounds)
 		}
 		if r.Events != r.Procs*r.Rounds*2 {
 			t.Errorf("procs=%d rounds=%d: %d events; want %d", r.Procs, r.Rounds, r.Events, r.Procs*r.Rounds*2)
@@ -29,24 +32,26 @@ func TestStreamSweepAgreesAndSpeedsUp(t *testing.T) {
 }
 
 // BenchmarkStreamIncremental measures the full online monitor loop (append
-// + Observe/Complete + Check per event) on the incremental snapshot path;
-// one op is one monitored replay of the 4×8 ring workload.
+// + Observe/Complete + Check per event); one op is one monitored replay of
+// the 4×8 ring workload.
 func BenchmarkStreamIncremental(b *testing.B) {
-	benchmarkStream(b, false)
+	benchmarkStream(b, func(res *sim.Result, conds [][2]string) (streamRun, error) {
+		return runStream(res, conds, nil, nil)
+	})
 }
 
-// BenchmarkStreamLegacy is the same loop on the legacy full-rebuild path —
-// the E14 baseline.
+// BenchmarkStreamLegacy is the same replay through the cold-recompute
+// baseline (runCold) — the E14 baseline.
 func BenchmarkStreamLegacy(b *testing.B) {
-	benchmarkStream(b, true)
+	benchmarkStream(b, runCold)
 }
 
-func benchmarkStream(b *testing.B, legacy bool) {
+func benchmarkStream(b *testing.B, run func(*sim.Result, [][2]string) (streamRun, error)) {
 	res, conds := streamWorkload(StreamConfig{Procs: 4, Rounds: 8}, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, _, err := runStream(res, conds, legacy, nil, nil); err != nil {
+		if _, err := run(res, conds); err != nil {
 			b.Fatal(err)
 		}
 	}

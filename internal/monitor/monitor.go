@@ -203,23 +203,6 @@ func (m *Monitor) AddCondition(name, src string) error {
 	return nil
 }
 
-// AddConditionParsed registers an already-compiled condition, sharing the
-// parsed expression instead of re-parsing its source. Expr must be non-nil.
-func (m *Monitor) AddConditionParsed(c *Condition) error {
-	if c == nil || c.Expr == nil {
-		return errors.New("monitor: AddConditionParsed requires a compiled condition")
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, have := range m.conditions {
-		if have.Name == c.Name {
-			return fmt.Errorf("monitor: condition %q already defined", c.Name)
-		}
-	}
-	m.conditions = append(m.conditions, c)
-	return nil
-}
-
 // Conditions returns the registered conditions in registration order.
 func (m *Monitor) Conditions() []*Condition {
 	m.mu.RLock()

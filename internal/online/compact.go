@@ -1,7 +1,6 @@
 package online
 
 import (
-	"errors"
 	"fmt"
 
 	"causet/internal/poset"
@@ -108,17 +107,13 @@ func (s *Stream) compactedAny() bool {
 //
 // The applied watermark and the number of newly compacted events are
 // returned; a request the clamps reduce to a no-op returns (applied, 0, nil)
-// without touching anything. Compaction is unavailable on the legacy
-// snapshot path (the differential oracle deep-copies via Build, which
-// compacted builders refuse).
+// without touching anything. A watermark with the wrong number of
+// components is an error.
 func (s *Stream) Compact(w []int) (applied []int, dropped int, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(w) != s.procs {
 		return nil, 0, fmt.Errorf("online: Compact watermark has %d components for %d processes", len(w), s.procs)
-	}
-	if s.legacy {
-		return nil, 0, errors.New("online: compaction is unavailable on the legacy snapshot path")
 	}
 	nw := make([]int, s.procs)
 	for p := 0; p < s.procs; p++ {

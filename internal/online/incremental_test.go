@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"causet/internal/core"
+	"causet/internal/hierarchy"
 	"causet/internal/interval"
+	"causet/internal/monitor"
 	"causet/internal/obs"
 	"causet/internal/poset"
 	"causet/internal/sim"
@@ -32,19 +34,16 @@ func phaseConditions(phases []sim.Phase) [][2]string {
 }
 
 // driveMonitored replays a generated workload event by event onto a fresh
-// stream + online monitor (legacy or incremental), observing every event
-// into its phase interval, completing each phase as its last event arrives,
-// and calling Check after every event. It returns the per-event verdict
-// trace (one rendered line per appended event), a rendering of every real
-// event's forward and reverse timestamps at the final snapshot, and the
-// rendered StrongestBetween answer for every consecutive phase pair.
-func driveMonitored(t testing.TB, res *sim.Result, conds [][2]string, legacy bool) (trace []string, clocks string, strongest []string) {
+// stream + online monitor, observing every event into its phase interval,
+// completing each phase as its last event arrives, and calling Check after
+// every event. It returns the per-event verdict trace (one rendered line per
+// appended event), a rendering of every real event's forward and reverse
+// timestamps at the final snapshot, and the rendered StrongestBetween answer
+// for every consecutive phase pair.
+func driveMonitored(t testing.TB, res *sim.Result, conds [][2]string) (trace []string, clocks string, strongest []string) {
 	t.Helper()
 	s := NewStream(res.Exec.NumProcs())
 	m := NewMonitor(s)
-	if legacy {
-		m.SetLegacy(true)
-	}
 	for _, c := range conds {
 		if err := m.AddCondition(c[0], c[1]); err != nil {
 			t.Fatalf("AddCondition(%q): %v", c[0], err)
@@ -70,17 +69,10 @@ func driveMonitored(t testing.TB, res *sim.Result, conds [][2]string, legacy boo
 				}
 			}
 		}
-		var line strings.Builder
-		for _, r := range m.Check() {
-			fmt.Fprintf(&line, "%s=%s;", r.Name, r.State)
-			if r.Err != nil {
-				fmt.Fprintf(&line, "err=%v;", r.Err)
-			}
-		}
-		trace = append(trace, line.String())
+		trace = append(trace, renderResults(m.Check()))
 		return nil
 	}); err != nil {
-		t.Fatalf("replay (legacy=%v): %v", legacy, err)
+		t.Fatalf("replay: %v", err)
 	}
 
 	snap := s.Snapshot()
@@ -97,52 +89,103 @@ func driveMonitored(t testing.TB, res *sim.Result, conds [][2]string, legacy boo
 	return trace, clocks, strongest
 }
 
-// diffRuns drives one workload through the legacy and incremental paths and
-// fails on any divergence: per-event verdict traces, final clock tables,
-// and StrongestBetween answers must be byte-identical.
+// referenceRun derives what driveMonitored must report, cold from the
+// finished execution and independent of the online code: verdicts from the
+// offline monitor over every phase, each shown as Pending until the replay
+// (the same linear extension) has completed every phase the condition
+// references; clocks from vclock.New; StrongestBetween from offline
+// HeldTable1 followed by hierarchy.Strongest. By verdict stability an online
+// verdict, once reached, equals the offline one.
+func referenceRun(t testing.TB, res *sim.Result, conds [][2]string) (trace []string, clocks string, strongest []string) {
+	t.Helper()
+	off := monitor.New(res.Exec)
+	remaining := make(map[string]int, len(res.Phases))
+	phaseOf := make(map[poset.EventID]string)
+	for _, ph := range res.Phases {
+		if err := off.Define(ph.Name, ph.Events); err != nil {
+			t.Fatalf("offline Define(%q): %v", ph.Name, err)
+		}
+		remaining[ph.Name] = len(ph.Events)
+		for _, e := range ph.Events {
+			phaseOf[e] = ph.Name
+		}
+	}
+	for _, c := range conds {
+		if err := off.AddCondition(c[0], c[1]); err != nil {
+			t.Fatalf("offline AddCondition(%q): %v", c[0], err)
+		}
+	}
+	final := off.Check()
+	conditions := off.Conditions()
+	line := make([]monitor.Result, len(final))
+	for _, e := range res.Exec.LinearExtension() {
+		if name, ok := phaseOf[e]; ok {
+			remaining[name]--
+		}
+		for i, c := range conditions {
+			line[i] = final[i]
+			for _, ref := range c.Refs() {
+				if remaining[ref] > 0 {
+					line[i] = monitor.Result{Name: c.Name, State: monitor.Pending}
+					break
+				}
+			}
+		}
+		trace = append(trace, renderResults(line))
+	}
+
+	cold := vclock.New(res.Exec)
+	var cl strings.Builder
+	for _, e := range res.Exec.RealEvents() {
+		fmt.Fprintf(&cl, "%v T=%v TR=%v\n", e, cold.T(e), cold.TR(e))
+	}
+	clocks = cl.String()
+
+	for i := 0; i+1 < len(res.Phases); i++ {
+		held, err := off.HeldTable1(res.Phases[i].Name, res.Phases[i+1].Name)
+		var rels []core.Relation
+		if err == nil {
+			rels = hierarchy.Strongest(held)
+		}
+		strongest = append(strongest, fmt.Sprintf("%v/%v", rels, err))
+	}
+	return trace, clocks, strongest
+}
+
+// diffRuns drives one workload through the online monitor and fails on any
+// divergence from referenceRun: per-event verdict traces, final clock
+// tables, and StrongestBetween answers must be byte-identical.
 func diffRuns(t testing.TB, res *sim.Result, label string) {
 	t.Helper()
 	if len(res.Phases) < 2 {
 		t.Fatalf("%s: workload has %d phases; need at least 2", label, len(res.Phases))
 	}
 	conds := phaseConditions(res.Phases)
-	incTrace, incClocks, incStrong := driveMonitored(t, res, conds, false)
-	legTrace, legClocks, legStrong := driveMonitored(t, res, conds, true)
-	if len(incTrace) != len(legTrace) {
-		t.Fatalf("%s: trace lengths differ: incremental %d, legacy %d", label, len(incTrace), len(legTrace))
+	incTrace, incClocks, incStrong := driveMonitored(t, res, conds)
+	refTrace, refClocks, refStrong := referenceRun(t, res, conds)
+	if len(incTrace) != len(refTrace) {
+		t.Fatalf("%s: trace lengths differ: online %d, reference %d", label, len(incTrace), len(refTrace))
 	}
 	for i := range incTrace {
-		if incTrace[i] != legTrace[i] {
-			t.Fatalf("%s: verdicts diverge at event %d:\nincremental: %s\nlegacy:      %s", label, i, incTrace[i], legTrace[i])
+		if incTrace[i] != refTrace[i] {
+			t.Fatalf("%s: verdicts diverge at event %d:\nonline:    %s\nreference: %s", label, i, incTrace[i], refTrace[i])
 		}
 	}
-	if incClocks != legClocks {
-		t.Errorf("%s: final clock tables diverge:\nincremental:\n%s\nlegacy:\n%s", label, incClocks, legClocks)
+	if incClocks != refClocks {
+		t.Errorf("%s: final clock tables diverge from vclock.New:\nonline:\n%s\noffline:\n%s", label, incClocks, refClocks)
 	}
 	for i := range incStrong {
-		if incStrong[i] != legStrong[i] {
-			t.Errorf("%s: StrongestBetween(%d) diverges: incremental %s, legacy %s", label, i, incStrong[i], legStrong[i])
+		if incStrong[i] != refStrong[i] {
+			t.Errorf("%s: StrongestBetween(%d) diverges: online %s, reference %s", label, i, incStrong[i], refStrong[i])
 		}
-	}
-
-	// The incremental clocks must also agree with a cold offline rebuild of
-	// the original execution — the legacy path is itself under test here, so
-	// anchor both to the independent vclock.New ground truth.
-	cold := vclock.New(res.Exec)
-	var want strings.Builder
-	for _, e := range res.Exec.RealEvents() {
-		fmt.Fprintf(&want, "%v T=%v TR=%v\n", e, cold.T(e), cold.TR(e))
-	}
-	if incClocks != want.String() {
-		t.Errorf("%s: incremental clocks disagree with offline vclock.New:\nincremental:\n%s\noffline:\n%s", label, incClocks, want.String())
 	}
 }
 
 // TestIncrementalSnapshotAgreement is the differential anchor of the
 // incremental hot path: across every structured workload pattern and a
-// spread of seeds, the incremental monitor must produce byte-identical
-// verdict traces, clock tables, and StrongestBetween answers to the legacy
-// full-rebuild path (and to an offline clock rebuild).
+// spread of seeds, the online monitor must produce byte-identical verdict
+// traces, clock tables, and StrongestBetween answers to a cold offline
+// reference over the finished execution (referenceRun).
 func TestIncrementalSnapshotAgreement(t *testing.T) {
 	for _, pat := range sim.Patterns() {
 		if pat == sim.Random {
@@ -162,8 +205,8 @@ func TestIncrementalSnapshotAgreement(t *testing.T) {
 }
 
 // FuzzIncrementalSnapshotAgreement lets the fuzzer search the workload
-// space (pattern × size × seed) for any divergence between the incremental
-// and legacy paths.
+// space (pattern × size × seed) for any divergence between the online
+// monitor and the offline reference.
 func FuzzIncrementalSnapshotAgreement(f *testing.F) {
 	f.Add(int64(1), uint8(1), uint8(4), uint8(3))
 	f.Add(int64(7), uint8(5), uint8(3), uint8(2))
@@ -264,9 +307,8 @@ func TestColdCutBuildAllocs(t *testing.T) {
 	}
 }
 
-// TestSnapshotCounters pins the reuse/rebuild accounting: cached snapshot
-// hits count as reuses, constructions as rebuilds (and, for compatibility,
-// as online.snapshots).
+// TestSnapshotCounters pins the snapshot accounting: constructions count as
+// online.snapshots, cached hits as online.snapshot_reuses.
 func TestSnapshotCounters(t *testing.T) {
 	reg := obs.New()
 	s := NewStream(2)
@@ -280,11 +322,10 @@ func TestSnapshotCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Snapshot()
-	rebuilds := reg.Counter("online.snapshot_rebuilds").Value()
 	reuses := reg.Counter("online.snapshot_reuses").Value()
 	snaps := reg.Counter("online.snapshots").Value()
-	if rebuilds != 2 || reuses != 1 || snaps != 2 {
-		t.Errorf("got rebuilds=%d reuses=%d snapshots=%d; want 2/1/2", rebuilds, reuses, snaps)
+	if reuses != 1 || snaps != 2 {
+		t.Errorf("got reuses=%d snapshots=%d; want 1/2", reuses, snaps)
 	}
 }
 

@@ -7,9 +7,7 @@ import (
 	"time"
 
 	"causet/internal/core"
-	"causet/internal/explain"
 	"causet/internal/hierarchy"
-	"causet/internal/interval"
 	"causet/internal/monitor"
 	"causet/internal/obs"
 	"causet/internal/obs/logx"
@@ -35,9 +33,9 @@ type pendingCond struct {
 // The check loop is indexed: Complete promotes exactly the conditions it
 // unblocked onto a ready queue, and Check drains that queue against one
 // persistent inner monitor that is rebased onto each new snapshot epoch —
-// conditions are compiled once, intervals are defined once, and cut caches
-// survive across checks. The pre-index full-scan path is retained behind
-// SetLegacy as the differential oracle.
+// conditions are compiled once and intervals are defined once. The offline
+// monitor over the finished execution is the differential reference for
+// every verdict (see TestIncrementalSnapshotAgreement).
 type Monitor struct {
 	stream *Stream
 
@@ -47,25 +45,17 @@ type Monitor struct {
 	conditions []*monitor.Condition
 	settled    map[string]monitor.Result
 
-	// Readiness index (incremental mode).
+	// Readiness index.
 	waiting map[string][]*pendingCond // interval name → conditions blocked on it
 	ready   []*monitor.Condition      // unblocked, not yet evaluated
 
-	// Persistent inner monitor (incremental mode). defined marks interval
-	// names already registered with it; badIv poisons interval names whose
-	// Define failed (e.g. bogus event IDs) so every condition that ever
-	// references them settles Failed.
+	// Persistent inner monitor. defined marks interval names already
+	// registered with it; badIv poisons interval names whose Define failed
+	// (e.g. bogus event IDs) so every condition that ever references them
+	// settles Failed.
 	inner   *monitor.Monitor
 	defined map[string]bool
 	badIv   map[string]error
-
-	legacy bool
-
-	// Explanation capture (EnableExplanations): settled holds/violated
-	// conditions retain a witness + critical-path explanation derived over
-	// the settling snapshot.
-	explainOn    bool
-	explanations map[string]*explain.ConditionExplanation
 
 	// Detection latency: Complete stamps each interval with nowFn; settle
 	// reports now − max(stamp of referenced intervals) — the lag from the
@@ -126,8 +116,6 @@ func NewMonitor(s *Stream) *Monitor {
 		defined: make(map[string]bool),
 		badIv:   make(map[string]error),
 
-		explanations: make(map[string]*explain.ConditionExplanation),
-
 		nowFn:       time.Now,
 		completedAt: make(map[string]time.Time),
 
@@ -140,48 +128,6 @@ func NewMonitor(s *Stream) *Monitor {
 		settleAt:     make(map[string]time.Time),
 		retired:      make(map[string]string),
 	}
-}
-
-// SetLegacy switches the monitor (and its stream) to the legacy check loop:
-// every Check re-scans all conditions for readiness and evaluates the ready
-// ones against a fresh throwaway inner monitor over a full-rebuild
-// snapshot. Kept as the differential oracle for the indexed incremental
-// loop; verdicts are identical by construction, which the agreement tests
-// and the E14 sweep verify. Switching resets the persistent inner monitor.
-func (m *Monitor) SetLegacy(on bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if on && m.retainOn {
-		panic("online: the legacy check loop is unavailable with retention enabled")
-	}
-	m.legacy = on
-	m.inner = nil
-	m.defined = make(map[string]bool)
-	m.stream.SetLegacySnapshots(on)
-}
-
-// EnableExplanations switches causal explanation capture on or off: when
-// on, every condition that settles as holds or violated also gets a
-// witness/critical-path explanation (see internal/explain) retained for
-// Explanation. Off by default — capture costs one witness extraction per
-// condition atom at settlement, nothing on the evaluation hot path.
-func (m *Monitor) EnableExplanations(on bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if on && m.retainOn {
-		panic("online: explanation capture is unavailable with retention enabled")
-	}
-	m.explainOn = on
-}
-
-// Explanation returns the retained explanation of a settled condition
-// (holds/violated only; pending, failed, and unexplained conditions report
-// false).
-func (m *Monitor) Explanation(name string) (*explain.ConditionExplanation, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ce, ok := m.explanations[name]
-	return ce, ok
 }
 
 // SetLogger attaches a structured event log (may be nil). The monitor
@@ -202,9 +148,9 @@ func (m *Monitor) SetLogger(lg *logx.Logger) {
 // latency lands in the online.detect_latency_ns window (recent quantiles),
 // the online.detect_latency_hist_ns histogram (full distribution), and a
 // per-condition online.detect_latency.cond.<name> gauge, and every Check
-// call records its wall-clock cost in the monitor.check_ns window — on the
-// incremental path the steady-state cost is the index drain, so this is the
-// series that shows the amortization working.
+// or Poll call records its wall-clock cost in the monitor.check_ns window —
+// the steady-state cost is the index drain, so this is the series that
+// shows the amortization working.
 func (m *Monitor) Instrument(reg *obs.Registry) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -234,7 +180,7 @@ func (m *Monitor) SetNow(now func() time.Time) {
 // and guarantees the name is not yet settled. This is the single point
 // every verdict passes through, so the settlement log event fires exactly
 // once per condition.
-func (m *Monitor) settle(c *monitor.Condition, res monitor.Result, ce *explain.ConditionExplanation) {
+func (m *Monitor) settle(c *monitor.Condition, res monitor.Result) {
 	m.settled[c.Name] = res
 	m.newResults = append(m.newResults, res)
 	var total int
@@ -258,10 +204,6 @@ func (m *Monitor) settle(c *monitor.Condition, res monitor.Result, ce *explain.C
 				m.lastUseAt[ref] = m.nowFn()
 			}
 		}
-	}
-	if ce != nil {
-		ce.State = res.State.String()
-		m.explanations[c.Name] = ce
 	}
 	m.metSettlements.Inc()
 	if res.State == monitor.Violated {
@@ -294,9 +236,6 @@ func (m *Monitor) settle(c *monitor.Condition, res monitor.Result, ce *explain.C
 	}
 	if res.Err != nil {
 		fields = append(fields, logx.F("err", res.Err))
-	}
-	if ce != nil {
-		fields = append(fields, logx.F("witness", witnessSummary(ce)))
 	}
 	switch res.State {
 	case monitor.Violated:
@@ -434,7 +373,7 @@ func (m *Monitor) AddCondition(name, src string) error {
 	// (which also gives the refcounts back) instead of waiting forever.
 	for _, ref := range c.Refs() {
 		if why, gone := m.retired[ref]; gone {
-			m.settle(c, monitor.Result{Name: name, State: monitor.Failed, Err: retiredErr(ref, why)}, nil)
+			m.settle(c, monitor.Result{Name: name, State: monitor.Failed, Err: retiredErr(ref, why)})
 			return nil
 		}
 	}
@@ -462,25 +401,13 @@ func (m *Monitor) indexLocked(c *monitor.Condition) {
 // Check evaluates all conditions against the current stream prefix and
 // returns one result per condition in registration order. Conditions whose
 // referenced intervals are not all complete report Pending; every other
-// verdict is final and memoized. On the default incremental path only the
-// conditions unblocked since the previous Check are evaluated, against a
-// persistent inner monitor rebased onto the current snapshot epoch.
+// verdict is final and memoized. Only the conditions unblocked since the
+// previous Check are evaluated, against a persistent inner monitor rebased
+// onto the current snapshot epoch.
 func (m *Monitor) Check() []monitor.Result {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var t0 time.Time
-	if m.checkWin != nil {
-		t0 = time.Now()
-	}
-	if m.legacy {
-		m.checkLegacyLocked()
-	} else {
-		m.checkIncrementalLocked()
-	}
-	if m.checkWin != nil {
-		m.checkWin.Observe(time.Since(t0).Nanoseconds())
-	}
-	m.maybeRetainLocked()
+	m.drainLocked()
 	out := make([]monitor.Result, 0, len(m.conditions))
 	for _, c := range m.conditions {
 		if res, done := m.settled[c.Name]; done {
@@ -493,11 +420,28 @@ func (m *Monitor) Check() []monitor.Result {
 	return out
 }
 
+// drainLocked is the body Check and Poll share: it evaluates the ready
+// queue, records the pass in monitor.check_ns, and runs a retention
+// appraisal when the cadence says so. Caller holds m.mu.
+func (m *Monitor) drainLocked() {
+	var t0 time.Time
+	if m.checkWin != nil {
+		t0 = time.Now()
+	}
+	m.checkIncrementalLocked()
+	if m.checkWin != nil {
+		m.checkWin.Observe(time.Since(t0).Nanoseconds())
+	}
+	m.maybeRetainLocked()
+}
+
 // ensureInnerLocked points the persistent inner monitor at the current
 // snapshot epoch, creating or rebasing it as needed. Rebasing preserves
-// defined intervals and their cut caches; a rebase failure (only possible
-// if the stream's snapshot lineage was reset, e.g. by toggling legacy mode
-// underneath us) falls back to a fresh inner monitor, which re-defines
+// defined intervals. Rebase returns an error when some defined interval's
+// execution is not a prefix of the new snapshot's. Every snapshot is a
+// later view of the stream's one builder, which poset.Prefix accepts even
+// across compaction, so no path is known to trigger it; should it happen,
+// the monitor falls back to a fresh inner monitor, which re-defines
 // intervals on demand.
 func (m *Monitor) ensureInnerLocked() {
 	snap := m.stream.Snapshot()
@@ -556,7 +500,7 @@ func (m *Monitor) checkIncrementalLocked() {
 			}
 		}
 		if defErr != nil {
-			m.settle(c, monitor.Result{Name: c.Name, State: monitor.Failed, Err: defErr}, nil)
+			m.settle(c, monitor.Result{Name: c.Name, State: monitor.Failed, Err: defErr})
 			continue
 		}
 		res := m.inner.CheckCondition(c)
@@ -567,150 +511,8 @@ func (m *Monitor) checkIncrementalLocked() {
 			m.ready = append(m.ready, c)
 			continue
 		}
-		var ce *explain.ConditionExplanation
-		if m.explainOn && (res.State == monitor.Holds || res.State == monitor.Violated) {
-			// Best-effort: a condition that evaluated cleanly explains
-			// cleanly too; if not, settle without evidence rather than
-			// failing the verdict.
-			ce = m.explainLocked(c)
-		}
-		m.settle(c, res, ce)
+		m.settle(c, res)
 	}
-}
-
-// explainLocked derives a witness/critical-path explanation for a condition
-// over the persistent inner monitor's current analysis. Caller holds m.mu.
-func (m *Monitor) explainLocked(c *monitor.Condition) *explain.ConditionExplanation {
-	expl := explain.New(m.inner.Analysis())
-	expl.Instrument(m.reg)
-	ivs := make(map[string]*interval.Interval)
-	for _, ref := range c.Refs() {
-		if iv, ok := m.inner.Interval(ref); ok {
-			ivs[ref] = iv
-		}
-	}
-	ce, _ := expl.Condition(c, ivs)
-	return ce
-}
-
-// checkLegacyLocked is the pre-index check loop, kept verbatim as the
-// differential oracle: scan every condition for readiness, then evaluate
-// the ready ones against a fresh throwaway monitor over the current
-// snapshot. Its one departure from history is sharing the compiled
-// expression instead of re-parsing the DSL source per check.
-func (m *Monitor) checkLegacyLocked() {
-	// Which conditions still need evaluation?
-	var todo []*monitor.Condition
-	for _, c := range m.conditions {
-		if _, done := m.settled[c.Name]; done {
-			continue
-		}
-		ready := true
-		for _, ref := range c.Refs() {
-			if _, ok := m.complete[ref]; !ok {
-				ready = false
-				break
-			}
-		}
-		if ready {
-			todo = append(todo, c)
-		}
-	}
-	if len(todo) == 0 {
-		return
-	}
-	snap := m.stream.Snapshot()
-	inner := monitor.New(snap.Exec)
-	// Define only what the ready conditions need, to keep the snapshot
-	// evaluation proportional to the active conditions.
-	needed := map[string]bool{}
-	for _, c := range todo {
-		for _, ref := range c.Refs() {
-			needed[ref] = true
-		}
-	}
-	names := make([]string, 0, len(needed))
-	for n := range needed {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		if err := inner.Define(n, m.complete[n]); err != nil {
-			// A completed interval that the snapshot rejects (e.g. its
-			// events were reported with bogus IDs) fails every condition
-			// that references it.
-			for _, c := range todo {
-				if _, done := m.settled[c.Name]; !done && refers(c, n) {
-					m.settle(c, monitor.Result{Name: c.Name, State: monitor.Failed, Err: err}, nil)
-				}
-			}
-			continue
-		}
-	}
-	for _, c := range todo {
-		if _, done := m.settled[c.Name]; done {
-			continue
-		}
-		if err := inner.AddConditionParsed(c); err != nil {
-			m.settle(c, monitor.Result{Name: c.Name, State: monitor.Failed, Err: err}, nil)
-		}
-	}
-	byName := make(map[string]*monitor.Condition, len(todo))
-	for _, c := range todo {
-		byName[c.Name] = c
-	}
-	var expl *explain.Explainer
-	var ivs map[string]*interval.Interval
-	if m.explainOn {
-		expl = explain.New(inner.Analysis())
-		expl.Instrument(m.reg)
-		ivs = make(map[string]*interval.Interval, len(names))
-		for _, n := range names {
-			if iv, ok := inner.Interval(n); ok {
-				ivs[n] = iv
-			}
-		}
-	}
-	for _, res := range inner.Check() {
-		if _, done := m.settled[res.Name]; done {
-			continue
-		}
-		c := byName[res.Name]
-		var ce *explain.ConditionExplanation
-		if expl != nil && (res.State == monitor.Holds || res.State == monitor.Violated) {
-			// Best-effort: a condition that evaluated cleanly explains
-			// cleanly too; if not, settle without evidence rather than
-			// failing the verdict.
-			ce, _ = expl.Condition(c, ivs)
-		}
-		m.settle(c, res, ce)
-	}
-}
-
-// witnessSummary compresses a condition explanation into one log field:
-// each atom's verdict with its decisive event pair.
-func witnessSummary(ce *explain.ConditionExplanation) string {
-	out := ""
-	for i, at := range ce.Atoms {
-		if i > 0 {
-			out += "; "
-		}
-		rel := "≺"
-		if !at.Witness.PairPrecedes {
-			rel = "⊀"
-		}
-		out += fmt.Sprintf("%s=%t [%v %s %v]", at.Expr, at.Held, at.Witness.XEvent, rel, at.Witness.YEvent)
-	}
-	return out
-}
-
-func refers(c *monitor.Condition, name string) bool {
-	for _, ref := range c.Refs() {
-		if ref == name {
-			return true
-		}
-	}
-	return false
 }
 
 // CompletedIntervals returns the names of the completed intervals, sorted.
@@ -728,9 +530,9 @@ func (m *Monitor) CompletedIntervals() []string {
 // StrongestBetween reports the maximal relations (under the hierarchy's
 // implication order) holding between two completed intervals at the current
 // prefix — the compact online answer to Problem 4(ii). By verdict stability
-// the answer is final once both intervals are complete. On the incremental
-// path the query runs against the persistent inner monitor, sharing its
-// interval definitions and cut caches with the check loop.
+// the answer is final once both intervals are complete. The query runs
+// against the persistent inner monitor, sharing its interval definitions
+// with the check loop.
 func (m *Monitor) StrongestBetween(xName, yName string) ([]core.Relation, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -740,42 +542,22 @@ func (m *Monitor) StrongestBetween(xName, yName string) ([]core.Relation, error)
 	if why, gone := m.retired[yName]; gone {
 		return nil, retiredErr(yName, why)
 	}
-	xe, okX := m.complete[xName]
-	ye, okY := m.complete[yName]
-	if !okX {
+	if _, ok := m.complete[xName]; !ok {
 		return nil, fmt.Errorf("online: interval %q is not complete", xName)
 	}
-	if !okY {
+	if _, ok := m.complete[yName]; !ok {
 		return nil, fmt.Errorf("online: interval %q is not complete", yName)
 	}
-	var held []core.Relation
-	if m.legacy {
-		snap := m.stream.Snapshot()
-		inner := monitor.New(snap.Exec)
-		if err := inner.Define(xName, xe); err != nil {
-			return nil, err
-		}
-		if err := inner.Define(yName, ye); err != nil {
-			return nil, err
-		}
-		var err error
-		held, err = inner.HeldTable1(xName, yName)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		m.ensureInnerLocked()
-		if err := m.defineLocked(xName); err != nil {
-			return nil, err
-		}
-		if err := m.defineLocked(yName); err != nil {
-			return nil, err
-		}
-		var err error
-		held, err = m.inner.HeldTable1(xName, yName)
-		if err != nil {
-			return nil, err
-		}
+	m.ensureInnerLocked()
+	if err := m.defineLocked(xName); err != nil {
+		return nil, err
+	}
+	if err := m.defineLocked(yName); err != nil {
+		return nil, err
+	}
+	held, err := m.inner.HeldTable1(xName, yName)
+	if err != nil {
+		return nil, err
 	}
 	return hierarchy.Strongest(held), nil
 }

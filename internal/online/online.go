@@ -22,9 +22,9 @@
 // NumReal(i) − firstFollower + 1 for any snapshot whose prefix contains the
 // follower, so snapshots derive reverse timestamps on demand instead of
 // paying the O(|E|·|P|) two-pass rebuild of vclock.New — the amortized
-// snapshot cost is O(|P|) per appended event (DESIGN.md S25). The legacy
-// full-rebuild path is retained behind SetLegacySnapshots as the
-// differential oracle.
+// snapshot cost is O(|P|) per appended event (DESIGN.md S25). The tests
+// check the final snapshot's clocks against vclock.New over the finished
+// execution, and every verdict against the offline monitor.
 package online
 
 import (
@@ -90,22 +90,20 @@ type Stream struct {
 	base []int
 	pins map[poset.EventID]int
 
-	legacy   bool           // full-rebuild snapshots (the differential oracle)
-	prev     *core.Analysis // previous incremental snapshot; lends its instruments
+	prev     *core.Analysis // previous snapshot; lends its instruments
 	metDirty bool           // Instrument was called since prev was built
 
 	snap *Snapshot // cached; nil when dirty
 
-	metEvents       *obs.Counter
-	metEventsWin    *obs.Window
-	metSnapshots    *obs.Counter
-	metSnapReuses   *obs.Counter
-	metSnapRebuilds *obs.Counter
-	metCompactions  *obs.Counter
-	metCompacted    *obs.Counter
-	metRetained     *obs.Gauge
-	metReg          *obs.Registry
-	metTracer       *obs.Tracer
+	metEvents      *obs.Counter
+	metEventsWin   *obs.Window
+	metSnapshots   *obs.Counter
+	metSnapReuses  *obs.Counter
+	metCompactions *obs.Counter
+	metCompacted   *obs.Counter
+	metRetained    *obs.Gauge
+	metReg         *obs.Registry
+	metTracer      *obs.Tracer
 }
 
 // NewStream starts an empty execution over procs processes.
@@ -131,18 +129,14 @@ func (s *Stream) NumProcs() int { return s.procs }
 // Instrument attaches a metrics registry and/or tracer; either may be nil.
 // The registry receives online.events (appended events, across all kinds),
 // the online.event_window sliding window (the live events/sec rate), and
-// three snapshot counters: online.snapshots counts snapshot *constructions*
-// (on the default incremental path these are O(|P|) copy-on-grow views
-// whose analysis starts with an empty cut cache, so a high snapshots/events
-// ratio is no longer the red flag it was when every construction paid a
-// full reverse-timestamp pass — what a construction adds is the cut builds
-// of the conditions it settles, which core.cut_builds counts),
-// online.snapshot_reuses counts Snapshot calls served from the cache
-// unchanged, and online.snapshot_rebuilds counts the constructions
-// (online.snapshots and online.snapshot_rebuilds agree; the latter exists
-// so dashboards can pair it with reuses). All are also forwarded to each Snapshot's Analysis, so
-// cut builds and evaluator comparison counts of monitor checks land in the
-// same registry.
+// two snapshot counters: online.snapshots counts snapshot *constructions*
+// (O(|P|) copy-on-grow views whose analysis starts with an empty cut cache,
+// so a high snapshots/events ratio is no red flag — what a construction
+// adds is the cut builds of the conditions it settles, which
+// core.cut_builds counts), and online.snapshot_reuses counts Snapshot calls
+// served from the cache unchanged. Both are also forwarded to each
+// Snapshot's Analysis, so cut builds and evaluator comparison counts of
+// monitor checks land in the same registry.
 func (s *Stream) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -152,29 +146,10 @@ func (s *Stream) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	s.metEventsWin = reg.Window("online.event_window", 1024)
 	s.metSnapshots = reg.Counter("online.snapshots")
 	s.metSnapReuses = reg.Counter("online.snapshot_reuses")
-	s.metSnapRebuilds = reg.Counter("online.snapshot_rebuilds")
 	s.metCompactions = reg.Counter("online.compactions")
 	s.metCompacted = reg.Counter("online.compacted_events")
 	s.metRetained = reg.Gauge("online.retained_events")
 	s.metDirty = true
-}
-
-// SetLegacySnapshots switches the stream to (or back from) the legacy
-// snapshot path: a full Builder.Build deep copy plus a cold core.NewAnalysis
-// with its O(|E|·|P|) reverse-timestamp pass per snapshot. The incremental
-// path is the default; the legacy path is kept as the differential oracle
-// the agreement tests and the E14 sweep compare against. Switching resets
-// the snapshot cache.
-func (s *Stream) SetLegacySnapshots(on bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if on && s.compactedAny() {
-		// The legacy path deep-copies via Builder.Build, which a compacted
-		// builder refuses; switching after compaction is a programming error.
-		panic("online: legacy snapshots are unavailable after compaction")
-	}
-	s.legacy = on
-	s.snap = nil
 }
 
 // Local records an internal event on proc and returns it.
@@ -355,14 +330,11 @@ type Snapshot struct {
 }
 
 // Snapshot returns the current frozen view, cached until the next append.
-// On the default incremental path the view is copy-on-grow (the message log
-// is shared with the builder, capacity-clamped), reverse timestamps are
-// derived on demand from the first-follower index, and the analysis starts
-// with an empty cut cache, so a snapshot builds only the cuts of the
-// intervals its settling conditions reference. On the legacy path
-// (SetLegacySnapshots) every call deep-copies the execution and recomputes
-// both clock tables. Either way the returned snapshot is immune
-// to later appends.
+// The view is copy-on-grow (the message log is shared with the builder,
+// capacity-clamped), reverse timestamps are derived on demand from the
+// first-follower index, and the analysis starts with an empty cut cache,
+// so a snapshot builds only the cuts of the intervals its settling
+// conditions reference. The returned snapshot is immune to later appends.
 func (s *Stream) Snapshot() *Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -370,21 +342,8 @@ func (s *Stream) Snapshot() *Snapshot {
 		s.metSnapReuses.Add(1)
 		return s.snap
 	}
-	if s.legacy {
-		ex, err := s.b.Build()
-		if err != nil {
-			// Stream appends cannot create cycles (edges only target fresh
-			// events); reaching here indicates corruption.
-			panic(err)
-		}
-		a := core.NewAnalysis(ex)
-		a.Instrument(s.metReg, s.metTracer)
-		s.snap = &Snapshot{Exec: ex, Analysis: a}
-	} else {
-		s.snap = s.incrementalSnapshot()
-	}
+	s.snap = s.incrementalSnapshot()
 	s.metSnapshots.Add(1)
-	s.metSnapRebuilds.Add(1)
 	return s.snap
 }
 
@@ -468,9 +427,8 @@ func ReplaySteps(ex *poset.Execution, step func(s *Stream, e poset.EventID) erro
 }
 
 // ReplayStepsOn is ReplaySteps onto a caller-supplied empty stream, so the
-// stream can be configured (instrumented, switched to legacy snapshots)
-// before the replay starts — the differential tests replay one execution
-// onto an incremental and a legacy stream and require identical verdicts.
+// stream can be configured (instrumented, shared with a monitor) before the
+// replay starts.
 func ReplayStepsOn(s *Stream, ex *poset.Execution, step func(s *Stream, e poset.EventID) error) (*Stream, error) {
 	return replayOn(s, ex, step, false)
 }

@@ -40,7 +40,7 @@ type RetentionPolicy struct {
 	AbandonAfter int
 
 	// DropSettled additionally releases the per-condition state (compiled
-	// expression, explanation) of settled conditions once they age out of
+	// expression, latency gauge) of settled conditions once they age out of
 	// the same window. Final verdicts remain queryable forever through the
 	// settled map, but Check stops listing dropped conditions — use Poll,
 	// which reports each verdict exactly once, as the delivery path.
@@ -51,20 +51,11 @@ type RetentionPolicy struct {
 	Every int
 }
 
-// SetRetention enables retention under the given policy. It is incompatible
-// with the legacy check loop (whose snapshots deep-copy via Build, which
-// compacted builders refuse) and with explanation capture (critical-path
-// walks revisit history the watermark may have dropped). At least one of
+// SetRetention enables retention under the given policy. At least one of
 // MaxEvents / MaxAge must be positive.
 func (m *Monitor) SetRetention(p RetentionPolicy) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.legacy {
-		return errors.New("online: retention is incompatible with the legacy check loop")
-	}
-	if m.explainOn {
-		return errors.New("online: retention is incompatible with explanation capture")
-	}
 	if p.MaxEvents <= 0 && p.MaxAge <= 0 {
 		return errors.New("online: retention policy must set MaxEvents or MaxAge")
 	}
@@ -134,19 +125,7 @@ func (m *Monitor) RetentionStats() RetentionStats {
 func (m *Monitor) Poll() []monitor.Result {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var t0 time.Time
-	if m.checkWin != nil {
-		t0 = time.Now()
-	}
-	if m.legacy {
-		m.checkLegacyLocked()
-	} else {
-		m.checkIncrementalLocked()
-	}
-	if m.checkWin != nil {
-		m.checkWin.Observe(time.Since(t0).Nanoseconds())
-	}
-	m.maybeRetainLocked()
+	m.drainLocked()
 	out := m.newResults
 	m.newResults = nil
 	return out
@@ -224,7 +203,7 @@ func (m *Monitor) appraiseLocked(total int) {
 			err := retiredErr(name, retiredAbandoned)
 			for _, pc := range m.waiting[name] {
 				if _, done := m.settled[pc.c.Name]; !done {
-					m.settle(pc.c, monitor.Result{Name: pc.c.Name, State: monitor.Failed, Err: err}, nil)
+					m.settle(pc.c, monitor.Result{Name: pc.c.Name, State: monitor.Failed, Err: err})
 				}
 			}
 			delete(m.waiting, name)
@@ -277,7 +256,6 @@ func (m *Monitor) appraiseLocked(total int) {
 			if settled && m.outOfWindowLocked(total, now, seq, m.settleAt[c.Name]) {
 				delete(m.settleSeq, c.Name)
 				delete(m.settleAt, c.Name)
-				delete(m.explanations, c.Name)
 				// The per-condition latency gauge is minted from the condition
 				// name — unbounded input on a long stream — so it retires with
 				// the condition state, keeping registry (and sampler/tsdb)
@@ -316,8 +294,9 @@ func (m *Monitor) appraiseLocked(total int) {
 	}
 	applied, _, err := m.stream.Compact(w)
 	if err != nil {
-		// Only reachable by switching the stream to legacy snapshots after
-		// enabling retention; surface it rather than wedge the monitor.
+		// Compact rejects only a watermark of the wrong length, and w is
+		// sized from the stream itself; should it ever fail, surface the
+		// error rather than wedge the monitor.
 		m.lg.Error("compaction_failed", logx.F("err", err))
 		return
 	}

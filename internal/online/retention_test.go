@@ -378,46 +378,15 @@ func TestRetentionBoundsMemory(t *testing.T) {
 		maxRetained, st.Retained, int64(m1.HeapAlloc)-int64(m0.HeapAlloc), st)
 }
 
-// TestRetentionModeConflicts pins the mutual exclusions: retention refuses
-// to coexist with the legacy oracle and with explanation capture, in both
-// enabling orders, and an all-zero policy is rejected.
+// TestRetentionModeConflicts pins SetRetention's one rejection: a policy
+// with neither window set.
 func TestRetentionModeConflicts(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		f()
-	}
-
 	m := NewMonitor(NewStream(2))
 	if err := m.SetRetention(RetentionPolicy{}); err == nil {
 		t.Error("SetRetention with no window succeeded")
 	}
-	m.SetLegacy(true)
-	if err := m.SetRetention(RetentionPolicy{MaxEvents: 8}); err == nil {
-		t.Error("SetRetention on a legacy monitor succeeded")
-	}
-	m.SetLegacy(false)
-	m.EnableExplanations(true)
-	if err := m.SetRetention(RetentionPolicy{MaxEvents: 8}); err == nil {
-		t.Error("SetRetention with explanations on succeeded")
-	}
-	m.EnableExplanations(false)
 	if err := m.SetRetention(RetentionPolicy{MaxEvents: 8}); err != nil {
 		t.Fatalf("SetRetention: %v", err)
-	}
-	mustPanic("SetLegacy(true) under retention", func() { m.SetLegacy(true) })
-	mustPanic("EnableExplanations(true) under retention", func() { m.EnableExplanations(true) })
-
-	// Stream level: the legacy snapshot path and compaction exclude each
-	// other in both orders too.
-	s := NewStream(2)
-	s.SetLegacySnapshots(true)
-	if _, _, err := s.Compact([]int{0, 0}); err == nil {
-		t.Error("Compact on a legacy stream succeeded")
 	}
 }
 
