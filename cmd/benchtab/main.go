@@ -390,7 +390,7 @@ func e10(out io.Writer, reps int, seed int64, reg *obs.Registry, tr *obs.Tracer)
 }
 
 func e14(out io.Writer, reps int, seed int64, reg *obs.Registry, tr *obs.Tracer) error {
-	fmt.Fprintln(out, "E14 — streaming throughput: online monitor vs cold recompute per settlement (ring workload, Check per event)")
+	fmt.Fprintln(out, "E14 — streaming throughput: online monitor vs cold recompute per settlement (ring workload, Poll per event)")
 	fmt.Fprintln(out)
 	rows, err := bench.StreamSweepObs(bench.DefaultStreamConfigs(), reps, seed, reg, tr)
 	if err != nil {

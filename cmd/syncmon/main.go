@@ -53,15 +53,14 @@
 // policy window instead of growing with the stream. The spec is a
 // comma-separated knob list — "events=N" (release settled intervals N events
 // after completion), "age=DUR" (the duration analogue, e.g. age=30s),
-// "every=N" (appraisal cadence), "drop" (also drop settled condition state),
-// "abandon=N" (fail conditions waiting on intervals idle for N events;
-// opt-in because it changes verdicts). At least one of events/age is
-// required. Verdicts and the exit-status contract are identical to the
-// offline path — the retention subsystem's differential tests pin that —
-// and /debug/monitor gains a retention panel (watermark, working set,
-// released/abandoned counts) plus runtime heap gauges in the sampled
-// time-series store. Incompatible with -explain, whose critical-path walks
-// revisit history the watermark may have dropped.
+// "every=N" (appraisal cadence), "abandon=N" (fail conditions waiting on
+// intervals idle for N events; opt-in because it changes verdicts). At
+// least one of events/age is required. Verdicts and the exit-status
+// contract are identical to the offline path — the retention subsystem's
+// differential tests pin that — and /debug/monitor gains a retention panel
+// (watermark, working set, released/abandoned counts) plus runtime heap
+// gauges in the sampled time-series store. Incompatible with -explain,
+// whose critical-path walks revisit history the watermark may have dropped.
 //
 // -explain prints, under each settled condition, the witness cuts and
 // critical path behind every atom (internal/explain) and adds an
@@ -157,7 +156,7 @@ func run(args []string, out io.Writer) (int, error) {
 	fs.Var(&conds, "cond", "condition \"name: expression\" (repeatable)")
 	condFile := fs.String("conds", "", "file with one \"name: expression\" per line")
 	explainFlag := fs.Bool("explain", false, "print, under each settled condition, the witness cuts and critical path behind every atom (internal/explain); the /debug/monitor dashboard gains an explanations panel")
-	retention := fs.String("retention", "", "stream the trace through the online monitor under this retention policy instead of the one-shot offline check: \"events=N,age=DUR,every=N,drop,abandon=N\" (at least one of events/age); bounds memory for long-running sessions, incompatible with -explain")
+	retention := fs.String("retention", "", "stream the trace through the online monitor under this retention policy instead of the one-shot offline check: \"events=N,age=DUR,every=N,abandon=N\" (at least one of events/age); bounds memory for long-running sessions, incompatible with -explain")
 	flightOut := fs.String("flight-out", "", "write a flight-recorder bundle (last-K events with live vector clocks, final clocks, metrics snapshot) as JSON to this file when a condition is violated or the run panics")
 	version := fs.Bool("version", false, "print build information and exit")
 	metricsOut := fs.String("metrics", "", "write a metrics-registry snapshot as JSON to this file (- = stderr)")
@@ -487,7 +486,7 @@ func run(args []string, out io.Writer) (int, error) {
 }
 
 // parseRetention parses the -retention spec, a comma-separated knob list:
-// "events=N,age=DUR,every=N,drop,abandon=N". SetRetention enforces the
+// "events=N,age=DUR,every=N,abandon=N". SetRetention enforces the
 // window requirement (at least one of events/age), so this only maps knobs.
 func parseRetention(spec string) (online.RetentionPolicy, error) {
 	var p online.RetentionPolicy
@@ -523,13 +522,8 @@ func parseRetention(spec string) (online.RetentionPolicy, error) {
 				return p, fmt.Errorf("-retention: age=%q: want a positive duration", val)
 			}
 			p.MaxAge = d
-		case "drop":
-			if hasVal {
-				return p, fmt.Errorf("-retention: \"drop\" takes no value")
-			}
-			p.DropSettled = true
 		default:
-			return p, fmt.Errorf("-retention: unknown knob %q (want events/age/every/drop/abandon)", key)
+			return p, fmt.Errorf("-retention: unknown knob %q (want events/age/every/abandon)", key)
 		}
 	}
 	return p, nil
@@ -538,13 +532,12 @@ func parseRetention(spec string) (online.RetentionPolicy, error) {
 // streamVerdicts replays the recorded execution event by event through the
 // online monitor, observing each event into the named intervals that contain
 // it and completing an interval once its last member has streamed past.
-// Settled verdicts are collected via Poll (the only reliable delivery path
-// under DropSettled, where Check's listing legitimately shrinks); conditions
-// that never settle — they reference intervals the trace does not define —
-// come back Pending, which the caller prints as SKIP with exit 2, exactly as
-// the offline path does. The replay pins sends until their receives land, so
-// retention appraisals firing mid-stream can never compact an in-flight
-// message edge.
+// Settled verdicts are collected via Poll, the monitor's one delivery path;
+// conditions that never settle — they reference intervals the trace does
+// not define — come back Pending, which the caller prints as SKIP with exit
+// 2, exactly as the offline path does. The replay pins sends until their
+// receives land, so retention appraisals firing mid-stream can never
+// compact an in-flight message edge.
 func streamVerdicts(stream *online.Stream, om *online.Monitor, ex *poset.Execution, ivs map[string]*interval.Interval, condPairs [][2]string) ([]monitor.Result, error) {
 	memberOf := make(map[poset.EventID][]string)
 	remaining := make(map[string]int, len(ivs))

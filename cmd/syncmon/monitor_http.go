@@ -164,7 +164,6 @@ type retentionState struct {
 	MaxEvents    int    `json:"max_events"`
 	MaxAge       string `json:"max_age,omitempty"`
 	AbandonAfter int    `json:"abandon_after,omitempty"`
-	DropSettled  bool   `json:"drop_settled"`
 	Every        int    `json:"every"`
 	Watermark    []int  `json:"watermark,omitempty"`
 	Released     int    `json:"released"`
@@ -333,7 +332,6 @@ func (v *monitorView) state() monitorState {
 		ret := &retentionState{
 			MaxEvents:    rs.Policy.MaxEvents,
 			AbandonAfter: rs.Policy.AbandonAfter,
-			DropSettled:  rs.Policy.DropSettled,
 			Every:        rs.Policy.Every,
 			Watermark:    rs.Watermark,
 			Released:     rs.Released,
@@ -427,8 +425,8 @@ svg.spark { background: #181818; display: block; }
 {{end}}</table>
 
 {{if .Retention}}<h2>Retention <span class="muted">(streaming mode)</span></h2>
-<table><tr><th>window events</th><th>window age</th><th>appraise every</th><th>drop settled</th><th>abandon after</th></tr>
-<tr><td>{{.Retention.MaxEvents}}</td><td>{{if .Retention.MaxAge}}{{.Retention.MaxAge}}{{else}}–{{end}}</td><td>{{.Retention.Every}}</td><td>{{.Retention.DropSettled}}</td><td>{{if .Retention.AbandonAfter}}{{.Retention.AbandonAfter}}{{else}}never{{end}}</td></tr></table>
+<table><tr><th>window events</th><th>window age</th><th>appraise every</th><th>abandon after</th></tr>
+<tr><td>{{.Retention.MaxEvents}}</td><td>{{if .Retention.MaxAge}}{{.Retention.MaxAge}}{{else}}–{{end}}</td><td>{{.Retention.Every}}</td><td>{{if .Retention.AbandonAfter}}{{.Retention.AbandonAfter}}{{else}}never{{end}}</td></tr></table>
 <table><tr><th>retained events</th><th>held</th><th>growing</th><th>released</th><th>abandoned</th><th>watermark</th></tr>
 <tr><td>{{.Retention.Retained}}</td><td>{{.Retention.Held}}</td><td>{{.Retention.Growing}}</td><td>{{.Retention.Released}}</td><td>{{.Retention.Abandoned}}</td><td>{{if .Retention.Watermark}}{{.Retention.Watermark}}{{else}}–{{end}}</td></tr></table>{{end}}
 

@@ -33,13 +33,16 @@ func writeLongTrace(t *testing.T, rounds int) string {
 }
 
 func TestParseRetention(t *testing.T) {
-	p, err := parseRetention("events=100, age=30s, every=16, drop, abandon=500")
+	p, err := parseRetention("events=100, age=30s, every=16, abandon=500")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.MaxEvents != 100 || p.MaxAge != 30*time.Second || p.Every != 16 ||
-		!p.DropSettled || p.AbandonAfter != 500 {
+	if p.MaxEvents != 100 || p.MaxAge != 30*time.Second || p.Every != 16 || p.AbandonAfter != 500 {
 		t.Errorf("parsed policy = %+v", p)
+	}
+	// Settled condition state is always dropped, so the old knob is gone.
+	if _, err := parseRetention("events=8,drop"); err == nil || !strings.Contains(err.Error(), "want events/age/every/abandon") {
+		t.Errorf("parseRetention with drop: err = %v; want the unknown-knob error", err)
 	}
 	for _, bad := range []string{
 		"events",         // missing value
@@ -47,7 +50,6 @@ func TestParseRetention(t *testing.T) {
 		"events=ten",     // not an integer
 		"age=fast",       // not a duration
 		"age=-1s",        // non-positive duration
-		"drop=yes",       // drop takes no value
 		"window=5",       // unknown knob
 		"events=8,foo=1", // unknown knob after a valid one
 	} {
@@ -93,7 +95,7 @@ func TestRunRetentionStreaming(t *testing.T) {
 		t.Fatal(err)
 	}
 	var streamed bytes.Buffer
-	stCode, err := run(append([]string{"-trace", path, "-retention", "events=8,every=4,drop"}, args...), &streamed)
+	stCode, err := run(append([]string{"-trace", path, "-retention", "events=8,every=4"}, args...), &streamed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +150,7 @@ func TestRetentionDashboardJSON(t *testing.T) {
 
 	var buf bytes.Buffer
 	code, err := run([]string{"-trace", path, "-debug-addr", "127.0.0.1:0",
-		"-retention", "events=16,every=8,drop",
+		"-retention", "events=16,every=8,abandon=64",
 		"-cond", "ordered: R1(ring-round-0, ring-round-1)"}, &buf)
 	if err != nil {
 		t.Fatal(err)
@@ -161,9 +163,9 @@ func TestRetentionDashboardJSON(t *testing.T) {
 			Name string `json:"name"`
 		} `json:"intervals"`
 		Retention *struct {
-			MaxEvents   int  `json:"max_events"`
-			Every       int  `json:"every"`
-			DropSettled bool `json:"drop_settled"`
+			MaxEvents    int `json:"max_events"`
+			Every        int `json:"every"`
+			AbandonAfter int `json:"abandon_after"`
 		} `json:"retention"`
 	}
 	if err := json.Unmarshal(body, &st); err != nil {
@@ -172,7 +174,7 @@ func TestRetentionDashboardJSON(t *testing.T) {
 	if st.Retention == nil {
 		t.Fatalf("dashboard JSON lacks retention section:\n%s", body)
 	}
-	if st.Retention.MaxEvents != 16 || st.Retention.Every != 8 || !st.Retention.DropSettled {
+	if st.Retention.MaxEvents != 16 || st.Retention.Every != 8 || st.Retention.AbandonAfter != 64 {
 		t.Errorf("retention policy in dashboard = %+v", *st.Retention)
 	}
 	if len(st.Intervals) == 0 {

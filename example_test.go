@@ -67,8 +67,8 @@ func ExampleCompose() {
 	// false
 }
 
-// ExampleNewStream demonstrates online detection: verdicts are available —
-// and final — as soon as the involved intervals complete.
+// ExampleNewStream demonstrates online detection: Poll delivers each verdict
+// — final — once, as soon as the involved intervals complete.
 func ExampleNewStream() {
 	s := causet.NewStream(2)
 	m := causet.NewOnlineMonitor(s)
@@ -77,15 +77,17 @@ func ExampleNewStream() {
 	send, _ := s.Send(0)
 	_ = m.Observe("produce", send)
 	_ = m.Complete("produce")
-	fmt.Println(m.Check()[0].State) // consume not complete yet
+	fmt.Println(len(m.Poll())) // consume not complete yet
 
 	recv, _ := s.Recv(1, send)
 	_ = m.Observe("consume", recv)
 	_ = m.Complete("consume")
-	fmt.Println(m.Check()[0].State)
+	for _, res := range m.Poll() {
+		fmt.Println(res.Name, res.State)
+	}
 	// Output:
-	// pending
-	// holds
+	// 0
+	// handoff holds
 }
 
 // ExampleRelation_ComplexityBound shows Theorem 20's comparison budget per

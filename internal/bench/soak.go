@@ -14,8 +14,8 @@ import (
 // SoakConfig is one point of the E15 long-horizon soak: a causal ring chain
 // of Rounds rounds over Procs processes driven through the online monitor
 // twice — once under a retention policy (MaxEvents=Window, appraisal every
-// Every events, DropSettled on) and once unbounded — comparing verdict
-// traces, peak heap, and retained-event counts between the legs.
+// Every events) and once unbounded — comparing verdict traces, peak heap,
+// and retained-event counts between the legs.
 type SoakConfig struct {
 	Procs  int
 	Rounds int
@@ -201,21 +201,13 @@ func SoakSweepObs(cfgs []SoakConfig, reg *obs.Registry, tr *obs.Tracer) ([]SoakR
 		if cfg.Procs < 1 || cfg.Rounds < 1 {
 			return nil, fmt.Errorf("bench: soak config %+v invalid", cfg)
 		}
-		policy := &online.RetentionPolicy{
-			MaxEvents:   cfg.Window,
-			Every:       cfg.Every,
-			DropSettled: true,
-		}
+		policy := &online.RetentionPolicy{MaxEvents: cfg.Window, Every: cfg.Every}
 		// A second schedule with a wider window and coarser cadence: settled
 		// intervals age out at different stream positions and the watermark
 		// advances in different steps, so the two legs agreeing pins verdict
 		// preservation across compaction schedules even when the unbounded
 		// leg is too expensive to run.
-		altPolicy := &online.RetentionPolicy{
-			MaxEvents:   4*cfg.Window + 32,
-			Every:       2*cfg.Every + 16,
-			DropSettled: true,
-		}
+		altPolicy := &online.RetentionPolicy{MaxEvents: 4*cfg.Window + 32, Every: 2*cfg.Every + 16}
 		ret, err := runSoak(cfg, policy, reg, tr)
 		if err != nil {
 			return nil, fmt.Errorf("bench: soak %dx%d retained: %w", cfg.Procs, cfg.Rounds, err)

@@ -16,7 +16,7 @@ import (
 // StreamConfig is one point of the E14 sweep: a ring workload of Rounds
 // rounds over Procs processes, with one R1 condition per consecutive round
 // pair, driven through the online monitor loop (append + Observe/Complete +
-// Check after every event).
+// Poll after every event).
 type StreamConfig struct {
 	Procs  int
 	Rounds int
@@ -28,14 +28,14 @@ type StreamConfig struct {
 // O(|E|·|P|) clock passes) for each one, so its total cost grows
 // quadratically in rounds while the incremental path stays linear.
 func DefaultStreamConfigs() []StreamConfig {
-	return []StreamConfig{{Procs: 8, Rounds: 4}, {Procs: 8, Rounds: 16}, {Procs: 8, Rounds: 64}}
+	return []StreamConfig{{Procs: 8, Rounds: 4}, {Procs: 8, Rounds: 16}, {Procs: 8, Rounds: 64}, {Procs: 8, Rounds: 256}}
 }
 
 // StreamRow is one measured point of experiment E14: the steady-state online
 // monitor loop against the cold-recompute baseline (runCold). Per-event
 // costs cover the whole loop (append + interval bookkeeping + check); the
-// Check columns isolate the amortized check cost. The Leg columns are the
-// baseline's.
+// Check columns isolate the amortized check cost (Poll, online). The Leg
+// columns are the baseline's.
 type StreamRow struct {
 	Procs     int
 	Rounds    int
@@ -46,7 +46,7 @@ type StreamRow struct {
 	LegEvSec  float64 // events per second, cold recompute
 	IncAllocs float64 // heap allocations per event, online monitor
 	LegAllocs float64 // heap allocations per event, cold recompute
-	IncCheck  float64 // amortized Check ns per event, online monitor
+	IncCheck  float64 // amortized Poll ns per event, online monitor
 	LegCheck  float64 // amortized recompute ns per event, cold recompute
 	Speedup   float64 // LegNs / IncNs
 	Agree     bool    // identical final verdict vectors, none pending
@@ -105,7 +105,8 @@ func timedRun(r *streamRun, loop func() error) error {
 }
 
 // runStream drives one full monitored replay through the online monitor,
-// calling Check after every event.
+// calling Poll after every event. The final verdict vector lists every
+// condition in registration order, Pending where Poll never delivered one.
 func runStream(res *sim.Result, conds [][2]string, reg *obs.Registry, tr *obs.Tracer) (streamRun, error) {
 	s := online.NewStream(res.Exec.NumProcs())
 	s.Instrument(reg, tr)
@@ -117,6 +118,7 @@ func runStream(res *sim.Result, conds [][2]string, reg *obs.Registry, tr *obs.Tr
 		}
 	}
 	phaseOf, remaining := phaseIndex(res)
+	settled := make(map[string]monitor.State, len(conds))
 	var r streamRun
 	err := timedRun(&r, func() error {
 		_, err := online.ReplayStepsOn(s, res.Exec, func(_ *online.Stream, e poset.EventID) error {
@@ -131,7 +133,9 @@ func runStream(res *sim.Result, conds [][2]string, reg *obs.Registry, tr *obs.Tr
 				}
 			}
 			c0 := time.Now()
-			m.Check()
+			for _, out := range m.Poll() {
+				settled[out.Name] = out.State
+			}
 			r.checkNs += time.Since(c0).Nanoseconds()
 			return nil
 		})
@@ -141,8 +145,8 @@ func runStream(res *sim.Result, conds [][2]string, reg *obs.Registry, tr *obs.Tr
 		return streamRun{}, err
 	}
 	var v strings.Builder
-	for _, out := range m.Check() {
-		fmt.Fprintf(&v, "%s=%s;", out.Name, out.State)
+	for _, c := range conds {
+		fmt.Fprintf(&v, "%s=%s;", c[0], settled[c[0]])
 	}
 	r.verdicts = v.String()
 	return r, nil

@@ -32,7 +32,7 @@ func TestStreamSweepAgreesAndSpeedsUp(t *testing.T) {
 }
 
 // BenchmarkStreamIncremental measures the full online monitor loop (append
-// + Observe/Complete + Check per event); one op is one monitored replay of
+// + Observe/Complete + Poll per event); one op is one monitored replay of
 // the 4×8 ring workload.
 func BenchmarkStreamIncremental(b *testing.B) {
 	benchmarkStream(b, func(res *sim.Result, conds [][2]string) (streamRun, error) {

@@ -213,14 +213,17 @@ func (o CheckOptions) checkEvaluators(ex *poset.Execution, pairs []ivPair) error
 	return nil
 }
 
-// checkOnline replays the trace into an online Stream while driving an
-// online Monitor, then compares every settled verdict with the offline
-// monitor's verdict on the full execution. Under the (test-only) injected
-// duplicate-clock-merge bug the replay records duplicated deliveries without
-// their causal edges, which is exactly the divergence this check catches.
 // olCond is one named DSL condition shared by the online checks.
 type olCond struct{ name, src string }
 
+// checkOnline compares the online monitor's verdicts with the offline
+// monitor's on the full execution, twice: unbounded, then under an
+// aggressive retention policy — settled intervals released almost
+// immediately, the stream compacted every few events — which is the
+// chaos-side leg of the compaction-agreement differential. Under the
+// (test-only) injected duplicate-clock-merge bug the replay records
+// duplicated deliveries without their causal edges, which is exactly the
+// divergence the unbounded leg catches.
 func (o CheckOptions) checkOnline(ex *poset.Execution, pairs []ivPair) error {
 	if len(pairs) == 0 {
 		return nil
@@ -256,80 +259,45 @@ func (o CheckOptions) checkOnline(ex *poset.Execution, pairs []ivPair) error {
 		offline[r.Name] = r.State
 	}
 
-	// Online: membership index so the replay hook can grow/complete the
-	// monitor's intervals in lockstep with the stream.
-	memberOf := make(map[poset.EventID][]string)
-	remaining := make(map[string]int, 2*len(pairs))
-	for i, pr := range pairs {
-		for _, e := range pr.xe {
-			memberOf[e] = append(memberOf[e], fmt.Sprintf("x%d", i))
-		}
-		for _, e := range pr.ye {
-			memberOf[e] = append(memberOf[e], fmt.Sprintf("y%d", i))
-		}
-		remaining[fmt.Sprintf("x%d", i)] = len(pr.xe)
-		remaining[fmt.Sprintf("y%d", i)] = len(pr.ye)
-	}
-
-	var mon *online.Monitor
-	feed := func(s *online.Stream, e poset.EventID) error {
-		if mon == nil {
-			mon = online.NewMonitor(s)
-			for _, c := range conds {
-				if err := mon.AddCondition(c.name, c.src); err != nil {
-					return fmt.Errorf("online condition %s: %w", c.name, err)
-				}
-			}
-		}
-		for _, name := range memberOf[e] {
-			if err := mon.Observe(name, e); err != nil {
-				return fmt.Errorf("online observe %s: %w", name, err)
-			}
-			remaining[name]--
-			if remaining[name] == 0 {
-				if err := mon.Complete(name); err != nil {
-					return fmt.Errorf("online complete %s: %w", name, err)
-				}
-				mon.Check() // settle whatever just became evaluable
-			}
-		}
-		return nil
-	}
-
-	var err error
+	policies := []*online.RetentionPolicy{nil, {MaxEvents: 16, Every: 4}}
 	if o.buggyDupClockMerge {
-		err = o.replayBuggy(ex, feed)
-	} else {
-		_, err = online.ReplaySteps(ex, feed)
+		// The seeded bug's replay does not pin in-flight sends, so it runs
+		// the unbounded leg only.
+		policies = policies[:1]
 	}
-	if err != nil {
-		return fmt.Errorf("online replay: %w", err)
-	}
-	if mon == nil {
-		return fmt.Errorf("online replay fed no events")
-	}
-	for _, r := range mon.Check() {
-		want, ok := offline[r.Name]
-		if !ok {
-			return fmt.Errorf("online settled unknown condition %s", r.Name)
+	for _, policy := range policies {
+		leg := "online"
+		if policy != nil {
+			leg = "retained online"
 		}
-		if r.State != want {
-			return fmt.Errorf("verdict divergence on %s: online=%s offline=%s", r.Name, r.State, want)
+		settled, err := o.runOnline(ex, pairs, conds, policy)
+		if err != nil {
+			return fmt.Errorf("%s: %w", leg, err)
+		}
+		if len(settled) != len(conds) {
+			return fmt.Errorf("%s settled %d of %d conditions", leg, len(settled), len(conds))
+		}
+		for name, st := range settled {
+			want, ok := offline[name]
+			if !ok {
+				return fmt.Errorf("%s settled unknown condition %s", leg, name)
+			}
+			if st != want {
+				return fmt.Errorf("%s verdict divergence on %s: online=%s offline=%s", leg, name, st, want)
+			}
 		}
 	}
-	if o.buggyDupClockMerge {
-		return nil
-	}
-	return checkOnlineRetained(ex, pairs, conds, offline)
+	return nil
 }
 
-// checkOnlineRetained re-runs the online check under an aggressive retention
-// policy — settled intervals released almost immediately, the stream
-// compacted every few events — and demands the same verdicts as the offline
-// oracle. Fault plans reorder and duplicate deliveries, so the replay pins
-// in-flight sends; this is the chaos-side leg of the compaction-agreement
-// differential.
-func checkOnlineRetained(ex *poset.Execution, pairs []ivPair, conds []olCond, offline map[string]monitor.State) error {
+// runOnline replays the trace into an online Stream while driving an online
+// Monitor under policy (nil: unbounded), growing and completing the
+// monitor's intervals in lockstep with the stream and polling after every
+// event. It returns each delivered verdict and fails when Poll delivers a
+// name twice. Outside the seeded bug the replay pins in-flight sends,
+// because fault plans reorder and duplicate deliveries and a retention
+// appraisal must never compact a send whose receive is still to come.
+func (o CheckOptions) runOnline(ex *poset.Execution, pairs []ivPair, conds []olCond, policy *online.RetentionPolicy) (map[string]monitor.State, error) {
 	memberOf := make(map[poset.EventID][]string)
 	remaining := make(map[string]int, 2*len(pairs))
 	for i, pr := range pairs {
@@ -344,60 +312,58 @@ func checkOnlineRetained(ex *poset.Execution, pairs []ivPair, conds []olCond, of
 	}
 	s := online.NewStream(ex.NumProcs())
 	mon := online.NewMonitor(s)
-	if err := mon.SetRetention(online.RetentionPolicy{MaxEvents: 16, Every: 4, DropSettled: true}); err != nil {
-		return fmt.Errorf("retained online: %w", err)
+	if policy != nil {
+		if err := mon.SetRetention(*policy); err != nil {
+			return nil, err
+		}
 	}
 	for _, c := range conds {
 		if err := mon.AddCondition(c.name, c.src); err != nil {
-			return fmt.Errorf("retained online condition %s: %w", c.name, err)
+			return nil, fmt.Errorf("condition %s: %w", c.name, err)
 		}
 	}
 	settled := make(map[string]monitor.State, len(conds))
-	drain := func() {
+	drain := func() error {
 		for _, r := range mon.Poll() {
+			if prev, dup := settled[r.Name]; dup {
+				return fmt.Errorf("%s delivered twice: %s then %s", r.Name, prev, r.State)
+			}
 			settled[r.Name] = r.State
 		}
+		return nil
 	}
-	if _, err := online.ReplayStepsPinned(s, ex, func(_ *online.Stream, e poset.EventID) error {
+	feed := func(_ *online.Stream, e poset.EventID) error {
 		for _, name := range memberOf[e] {
 			if err := mon.Observe(name, e); err != nil {
-				return fmt.Errorf("retained observe %s: %w", name, err)
+				return fmt.Errorf("observe %s: %w", name, err)
 			}
 			remaining[name]--
 			if remaining[name] == 0 {
 				if err := mon.Complete(name); err != nil {
-					return fmt.Errorf("retained complete %s: %w", name, err)
+					return fmt.Errorf("complete %s: %w", name, err)
 				}
 			}
 		}
-		drain()
-		return nil
-	}); err != nil {
-		return fmt.Errorf("retained online replay: %w", err)
+		return drain()
 	}
-	drain()
-	if len(settled) != len(conds) {
-		return fmt.Errorf("retained online settled %d of %d conditions", len(settled), len(conds))
+	var err error
+	if o.buggyDupClockMerge {
+		err = o.replayBuggy(s, ex, feed)
+	} else {
+		_, err = online.ReplayStepsPinned(s, ex, feed)
 	}
-	for name, st := range settled {
-		want, ok := offline[name]
-		if !ok {
-			return fmt.Errorf("retained online settled unknown condition %s", name)
-		}
-		if st != want {
-			return fmt.Errorf("retained verdict divergence on %s: online=%s offline=%s", name, st, want)
-		}
+	if err != nil {
+		return nil, fmt.Errorf("replay: %w", err)
 	}
-	return nil
+	return settled, drain()
 }
 
-// replayBuggy mirrors online.ReplaySteps except for the seeded bug: every
+// replayBuggy mirrors online.ReplayStepsOn except for the seeded bug: every
 // delivery of a message that was delivered more than once (a duplicated
 // send) is recorded as a local event — the causal edge and the clock merge
 // silently vanish, as they would under dedup logic that swallows duplicated
 // messages before the monitor records them.
-func (o CheckOptions) replayBuggy(ex *poset.Execution, feed func(*online.Stream, poset.EventID) error) error {
-	s := online.NewStream(ex.NumProcs())
+func (o CheckOptions) replayBuggy(s *online.Stream, ex *poset.Execution, feed func(*online.Stream, poset.EventID) error) error {
 	sendFor := make(map[poset.EventID]poset.EventID, len(ex.Messages()))
 	copies := make(map[poset.EventID]int)
 	for _, m := range ex.Messages() {

@@ -168,23 +168,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// RemoveGauge unregisters the named gauge: it disappears from snapshots and
-// exports, and a later Gauge call with the same name starts a fresh one.
-// Callers that mint gauge names from unbounded input (one per condition, one
-// per session) must remove them when the named thing is retired, or the
-// registry itself becomes the memory leak the rest of the system avoids —
-// the online monitor's retention appraisal does exactly this for its
-// per-condition detection-latency gauges. Holders of the old *Gauge keep a
-// working but orphaned instrument. No-op on a nil registry.
-func (r *Registry) RemoveGauge(name string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.gauges, name)
-}
-
 // Histogram returns the named histogram, creating it with the given bucket
 // bounds on first use (later bounds are ignored — the first registration
 // wins). Returns nil on a nil registry.

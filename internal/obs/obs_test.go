@@ -151,27 +151,3 @@ func TestRegistryConcurrentGetOrCreate(t *testing.T) {
 		t.Errorf("shared histogram count = %d, want 16", got)
 	}
 }
-
-func TestRemoveGauge(t *testing.T) {
-	var nilReg *Registry
-	nilReg.RemoveGauge("x") // no-op, must not panic
-
-	r := New()
-	g := r.Gauge("doomed")
-	g.Set(7)
-	r.Gauge("kept").Set(1)
-	r.RemoveGauge("doomed")
-	r.RemoveGauge("never-existed") // removing an unknown name is fine
-	snap := r.Snapshot()
-	if _, ok := snap.Gauges["doomed"]; ok {
-		t.Error("removed gauge still in snapshot")
-	}
-	if snap.Gauges["kept"] != 1 {
-		t.Error("unrelated gauge disturbed by removal")
-	}
-	// The orphaned handle keeps working; a re-registration starts fresh.
-	g.Set(9)
-	if got := r.Gauge("doomed").Value(); got != 0 {
-		t.Errorf("re-registered gauge starts at %d, want 0", got)
-	}
-}

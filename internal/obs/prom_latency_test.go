@@ -25,8 +25,6 @@ func latencyRegistry() *Registry {
 	for _, v := range []int64{1500, 2500, 4000, 8000, 12000, 50000} {
 		h.Observe(v)
 	}
-	reg.Gauge("online.detect_latency.cond.ordered").Set(4000)
-	reg.Gauge("online.detect_latency.cond.no-overlap").Set(50000)
 	reg.Counter("online.settled").Add(6)
 	reg.Gauge("runtime.queue_depth.node0").Set(3)
 	reg.Gauge("runtime.recv_wait_ns.node0").Set(2500)
@@ -64,7 +62,7 @@ func TestPrometheusLatencyGolden(t *testing.T) {
 
 // TestPrometheusLatencyShape asserts the structural requirements directly,
 // independent of golden bytes: summary quantiles, rate gauge, sanitized
-// per-condition gauges, and the cumulative-bucket invariant for the
+// per-node gauges, and the cumulative-bucket invariant for the
 // DurationBuckets histogram.
 func TestPrometheusLatencyShape(t *testing.T) {
 	var buf bytes.Buffer
@@ -82,8 +80,6 @@ func TestPrometheusLatencyShape(t *testing.T) {
 		"# TYPE online_detect_latency_ns summary",
 		"# TYPE online_detect_latency_hist_ns histogram",
 		`online_detect_latency_hist_ns_bucket{le="+Inf"} 6`,
-		"online_detect_latency_cond_ordered 4000",
-		"online_detect_latency_cond_no_overlap 50000",
 		"runtime_queue_depth_node0 3",
 		"# TYPE runtime_recv_wait_ns summary",
 	} {

@@ -35,11 +35,13 @@ func phaseConditions(phases []sim.Phase) [][2]string {
 
 // driveMonitored replays a generated workload event by event onto a fresh
 // stream + online monitor, observing every event into its phase interval,
-// completing each phase as its last event arrives, and calling Check after
+// completing each phase as its last event arrives, and calling Poll after
 // every event. It returns the per-event verdict trace (one rendered line per
-// appended event), a rendering of every real event's forward and reverse
-// timestamps at the final snapshot, and the rendered StrongestBetween answer
-// for every consecutive phase pair.
+// appended event, listing every condition in registration order with the
+// verdict Poll delivered for it, Pending until then), a rendering of every
+// real event's forward and reverse timestamps at the final snapshot, and the
+// rendered StrongestBetween answer for every consecutive phase pair. A second
+// delivery of a name fails the replay.
 func driveMonitored(t testing.TB, res *sim.Result, conds [][2]string) (trace []string, clocks string, strongest []string) {
 	t.Helper()
 	s := NewStream(res.Exec.NumProcs())
@@ -57,6 +59,8 @@ func driveMonitored(t testing.TB, res *sim.Result, conds [][2]string) (trace []s
 			phaseOf[e] = i
 		}
 	}
+	delivered := make(map[string]monitor.Result, len(conds))
+	line := make([]monitor.Result, len(conds))
 	if _, err := ReplayStepsOn(s, res.Exec, func(_ *Stream, e poset.EventID) error {
 		if pi, ok := phaseOf[e]; ok {
 			if err := m.Observe(res.Phases[pi].Name, e); err != nil {
@@ -69,7 +73,20 @@ func driveMonitored(t testing.TB, res *sim.Result, conds [][2]string) (trace []s
 				}
 			}
 		}
-		trace = append(trace, renderResults(m.Check()))
+		for _, r := range m.Poll() {
+			if _, dup := delivered[r.Name]; dup {
+				return fmt.Errorf("condition %s delivered twice", r.Name)
+			}
+			delivered[r.Name] = r
+		}
+		for i, c := range conds {
+			r, ok := delivered[c[0]]
+			if !ok {
+				r = monitor.Result{Name: c[0], State: monitor.Pending}
+			}
+			line[i] = r
+		}
+		trace = append(trace, renderResults(line))
 		return nil
 	}); err != nil {
 		t.Fatalf("replay: %v", err)
@@ -330,7 +347,7 @@ func TestSnapshotCounters(t *testing.T) {
 }
 
 // TestMonitorCheckWindow verifies the monitor.check_ns window records one
-// sample per Check call.
+// sample per Poll call.
 func TestMonitorCheckWindow(t *testing.T) {
 	reg := obs.New()
 	s := NewStream(2)
@@ -339,8 +356,8 @@ func TestMonitorCheckWindow(t *testing.T) {
 	if err := m.AddCondition("c", "R1(A, B)"); err != nil {
 		t.Fatal(err)
 	}
-	m.Check()
-	m.Check()
+	m.Poll()
+	m.Poll()
 	snap := reg.Snapshot()
 	if got := snap.Windows["monitor.check_ns"].Count; got != 2 {
 		t.Errorf("monitor.check_ns window count = %d; want 2", got)

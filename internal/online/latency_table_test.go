@@ -7,26 +7,29 @@
 package online_test
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/json"
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
 	"causet/internal/faultsim"
 	"causet/internal/monitor"
 	"causet/internal/obs"
+	"causet/internal/obs/logx"
 	"causet/internal/online"
 	"causet/internal/poset"
 	"causet/internal/sim"
 )
 
 // replayLatency feeds ex through the online monitor with a virtual clock
-// advancing 1ms per event and a detector that polls (Check) every poll
-// events plus once at the end — the model behind the E13 table: detection
-// latency is the lag from the decisive interval completion to the poll
-// that settles the condition. Returns settled-condition count and the
-// recorded latency window.
-func replayLatency(t *testing.T, ex *poset.Execution, members map[string][]poset.EventID, conds [][2]string, poll int, policy *online.RetentionPolicy) (int, obs.WindowSnapshot, *online.Monitor, *obs.Registry) {
+// advancing 1ms per event and a detector that polls every poll events plus
+// once at the end — the model behind the E13 table: detection latency is
+// the lag from the decisive interval completion to the poll that settles
+// the condition. Returns the settled-condition count, the recorded latency
+// window, and the monitor with its registry and JSONL log.
+func replayLatency(t *testing.T, ex *poset.Execution, members map[string][]poset.EventID, conds [][2]string, poll int, policy *online.RetentionPolicy) (int, obs.WindowSnapshot, *online.Monitor, *obs.Registry, *bytes.Buffer) {
 	t.Helper()
 	memberOf := make(map[poset.EventID][]string)
 	remaining := make(map[string]int, len(members))
@@ -38,14 +41,16 @@ func replayLatency(t *testing.T, ex *poset.Execution, members map[string][]poset
 	}
 
 	reg := obs.New()
+	var logBuf bytes.Buffer
 	base := time.Unix(1_700_000_000, 0)
 	vnow := base
 	var mon *online.Monitor
-	step := 0
+	step, settled := 0, 0
 	feed := func(s *online.Stream, e poset.EventID) error {
 		if mon == nil {
 			mon = online.NewMonitor(s)
 			mon.Instrument(reg)
+			mon.SetLogger(logx.New(&logBuf, logx.Info))
 			mon.SetNow(func() time.Time { return vnow })
 			if policy != nil {
 				if err := mon.SetRetention(*policy); err != nil {
@@ -72,7 +77,7 @@ func replayLatency(t *testing.T, ex *poset.Execution, members map[string][]poset
 			}
 		}
 		if step%poll == 0 {
-			mon.Check()
+			settled += len(mon.Poll())
 		}
 		return nil
 	}
@@ -82,13 +87,31 @@ func replayLatency(t *testing.T, ex *poset.Execution, members map[string][]poset
 	if mon == nil {
 		t.Fatal("replay fed no events")
 	}
-	settled := 0
-	for _, r := range mon.Check() {
-		if r.State != monitor.Pending {
-			settled++
+	settled += len(mon.Poll())
+	return settled, reg.Snapshot().Windows["online.detect_latency_ns"], mon, reg, &logBuf
+}
+
+// settledLatencies reads the condition_settled events of a JSONL monitor
+// log: condition name → detect_latency_ns, for the settlements that carry
+// one.
+func settledLatencies(t *testing.T, log *bytes.Buffer) map[string]int64 {
+	t.Helper()
+	out := map[string]int64{}
+	sc := bufio.NewScanner(bytes.NewReader(log.Bytes()))
+	for sc.Scan() {
+		var line struct {
+			Event     string `json:"event"`
+			Condition string `json:"condition"`
+			Latency   *int64 `json:"detect_latency_ns"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+			t.Fatalf("log line not valid JSON: %v\n%s", err, sc.Text())
+		}
+		if line.Event == "condition_settled" && line.Latency != nil {
+			out[line.Condition] = *line.Latency
 		}
 	}
-	return settled, reg.Snapshot().Windows["online.detect_latency_ns"], mon, reg
+	return out
 }
 
 // TestDetectionLatencyTable generates the table EXPERIMENTS.md E13 quotes:
@@ -167,7 +190,7 @@ func TestDetectionLatencyTable(t *testing.T) {
 
 	t.Logf("%-10s %8s %8s %8s %8s %8s", "workload", "settled", "samples", "p50 ms", "p99 ms", "mean ms")
 	for _, w := range ws {
-		settled, win, _, _ := replayLatency(t, w.ex, w.ivs, w.conds, poll, nil)
+		settled, win, _, _, _ := replayLatency(t, w.ex, w.ivs, w.conds, poll, nil)
 		if settled == 0 {
 			t.Errorf("%s: no condition settled", w.name)
 			continue
@@ -194,10 +217,11 @@ func TestDetectionLatencyTable(t *testing.T) {
 // TestDetectionLatencyUnderRetention extends the E13 table to retention
 // mode: conditions settling during compaction epochs must record exactly
 // the latency the unbounded monitor records — identical windows and
-// identical per-condition gauges, no fake zeros and no stale carryover. A
-// condition added after its referenced intervals were released settles
-// Failed and must leave no latency gauge at all (released intervals carry
-// no completion stamps, so a gauge there could only be a fabricated zero).
+// identical per-condition latencies in the condition_settled log, no fake
+// zeros and no stale carryover. A condition added after its referenced
+// intervals were released settles Failed and must record no latency at all
+// (released intervals carry no completion stamps, so a latency there could
+// only be a fabricated zero).
 func TestDetectionLatencyUnderRetention(t *testing.T) {
 	const poll = 8
 	res := sim.MustGenerate(sim.Config{Pattern: sim.Ring, Procs: 6, Rounds: 4, Seed: 1})
@@ -210,11 +234,9 @@ func TestDetectionLatencyUnderRetention(t *testing.T) {
 		{"span", "R1(ring-round-0, ring-round-3)"},
 		{"backflow", "R1(ring-round-3, ring-round-0)"},
 	}
-	// DropSettled stays off: the final settled count is read back through
-	// Check, whose listing DropSettled would legitimately shrink.
 	policy := &online.RetentionPolicy{MaxEvents: 16, Every: 4}
-	baseSettled, baseWin, _, baseReg := replayLatency(t, res.Exec, ivs, conds, poll, nil)
-	retSettled, retWin, retMon, retReg := replayLatency(t, res.Exec, ivs, conds, poll, policy)
+	baseSettled, baseWin, _, _, baseLog := replayLatency(t, res.Exec, ivs, conds, poll, nil)
+	retSettled, retWin, retMon, retReg, retLog := replayLatency(t, res.Exec, ivs, conds, poll, policy)
 
 	if baseSettled != retSettled {
 		t.Fatalf("settled counts diverge: baseline %d, retained %d", baseSettled, retSettled)
@@ -222,28 +244,16 @@ func TestDetectionLatencyUnderRetention(t *testing.T) {
 	if baseWin.Count != retWin.Count || baseWin.Sum != retWin.Sum || baseWin.P50 != retWin.P50 || baseWin.P99 != retWin.P99 {
 		t.Errorf("latency windows diverge:\nbaseline %+v\nretained %+v", baseWin, retWin)
 	}
-	const prefix = "online.detect_latency.cond."
-	baseGauges := map[string]int64{}
-	for name, v := range baseReg.Snapshot().Gauges {
-		if strings.HasPrefix(name, prefix) {
-			baseGauges[name] = v
-		}
+	baseLat, retLat := settledLatencies(t, baseLog), settledLatencies(t, retLog)
+	if len(baseLat) == 0 {
+		t.Fatal("baseline run logged no per-condition latency")
 	}
-	retGauges := map[string]int64{}
-	for name, v := range retReg.Snapshot().Gauges {
-		if strings.HasPrefix(name, prefix) {
-			retGauges[name] = v
-		}
+	if len(baseLat) != len(retLat) {
+		t.Errorf("latency sets diverge: baseline %v, retained %v", baseLat, retLat)
 	}
-	if len(baseGauges) == 0 {
-		t.Fatal("baseline run recorded no per-condition latency gauges")
-	}
-	if len(baseGauges) != len(retGauges) {
-		t.Errorf("gauge sets diverge: baseline %v, retained %v", baseGauges, retGauges)
-	}
-	for name, want := range baseGauges {
-		if got, ok := retGauges[name]; !ok || got != want {
-			t.Errorf("gauge %s: retained %d (present=%t), baseline %d", name, got, ok, want)
+	for name, want := range baseLat {
+		if got, ok := retLat[name]; !ok || got != want {
+			t.Errorf("latency of %s: retained %d (present=%t), baseline %d", name, got, ok, want)
 		}
 	}
 
@@ -269,8 +279,8 @@ func TestDetectionLatencyUnderRetention(t *testing.T) {
 		}
 		t.Error("late condition did not settle")
 	}
-	if _, ok := retReg.Snapshot().Gauges[prefix+"late"]; ok {
-		t.Error("late condition recorded a latency gauge; released intervals have no completion stamps, so this value is fabricated")
+	if _, ok := settledLatencies(t, retLog)["late"]; ok {
+		t.Error("late condition logged a latency; released intervals have no completion stamps, so this value is fabricated")
 	}
 	if after := retReg.Snapshot().Windows["online.detect_latency_ns"]; after.Count != retWin.Count {
 		t.Errorf("late settlement added a latency sample: window count %d -> %d", retWin.Count, after.Count)

@@ -1,24 +1,31 @@
 package online
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/json"
 	"testing"
 	"time"
 
 	"causet/internal/monitor"
 	"causet/internal/obs"
+	"causet/internal/obs/logx"
 	"causet/internal/obs/tsdb"
 )
 
 // TestDetectionLatencyEndToEnd drives the full telemetry chain on a timed
 // trace with a known decisive-event→settlement lag: interval A completes at
-// t0+10ms, B (the decisive completion) at t0+50ms, and Check runs at
+// t0+10ms, B (the decisive completion) at t0+50ms, and Poll runs at
 // t0+60ms — so detection latency is exactly 10ms — then verifies that the
-// tsdb query API reports that lag after one sampler tick.
+// condition_settled log event carries that lag and the tsdb query API
+// reports it after one sampler tick.
 func TestDetectionLatencyEndToEnd(t *testing.T) {
 	s := NewStream(2)
 	m := NewMonitor(s)
 	reg := obs.New()
 	m.Instrument(reg)
+	var logBuf bytes.Buffer
+	m.SetLogger(logx.New(&logBuf, logx.Info))
 
 	base := time.Unix(1_700_000_000, 0)
 	vnow := base
@@ -51,7 +58,7 @@ func TestDetectionLatencyEndToEnd(t *testing.T) {
 	}
 
 	vnow = base.Add(60 * time.Millisecond)
-	res := m.Check()
+	res := m.Poll()
 	if len(res) != 1 || res[0].State != monitor.Holds {
 		t.Fatalf("results = %+v", res)
 	}
@@ -64,18 +71,32 @@ func TestDetectionLatencyEndToEnd(t *testing.T) {
 	if h := snap.Histograms["online.detect_latency_hist_ns"]; h.Count != 1 || h.Sum != want {
 		t.Fatalf("latency histogram = %+v, want count 1 sum %d", h, want)
 	}
-	if g := snap.Gauges["online.detect_latency.cond.ordered"]; g != want {
-		t.Fatalf("per-condition gauge = %d, want %d", g, want)
+	settled := 0
+	sc := bufio.NewScanner(&logBuf)
+	for sc.Scan() {
+		var line struct {
+			Event     string `json:"event"`
+			Condition string `json:"condition"`
+			Latency   int64  `json:"detect_latency_ns"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+			t.Fatalf("log line not valid JSON: %v\n%s", err, sc.Text())
+		}
+		if line.Event == "condition_settled" {
+			settled++
+			if line.Condition != "ordered" || line.Latency != want {
+				t.Fatalf("condition_settled = %s with latency %d, want ordered with %d", line.Condition, line.Latency, want)
+			}
+		}
+	}
+	if settled != 1 {
+		t.Fatalf("%d condition_settled events, want 1", settled)
 	}
 
 	// One sampler tick later the lag is answerable from the tsdb query API.
 	st := tsdb.NewStore(tsdb.Options{})
 	smp := tsdb.NewSampler(reg, st, time.Second)
 	smp.SampleOnce(vnow)
-	p, ok := st.Latest("online.detect_latency.cond.ordered")
-	if !ok || p.V != want {
-		t.Fatalf("tsdb per-condition latency = %v ok=%v, want %d", p, ok, want)
-	}
 	if p, ok := st.Latest("online.detect_latency_ns.p50"); !ok || p.V != want {
 		t.Fatalf("tsdb p50 series = %v ok=%v, want %d", p, ok, want)
 	}
@@ -117,7 +138,7 @@ func TestDetectionLatencyWallClock(t *testing.T) {
 	if err := m.Complete("B"); err != nil {
 		t.Fatal(err)
 	}
-	m.Check()
+	m.Poll()
 	snap := reg.Snapshot()
 	w := snap.Windows["online.detect_latency_ns"]
 	if w.Count != 1 || w.Sum < 0 {
@@ -134,7 +155,7 @@ func TestDetectionLatencySkipsUnstamped(t *testing.T) {
 	reg := obs.New()
 	m.Instrument(reg)
 	// Condition over an interval completed with an unrecorded event ID: the
-	// snapshot rejects it and the condition fails at Check.
+	// snapshot rejects it and the condition fails at Poll.
 	if err := m.AddCondition("c", "R1(A, A)"); err != nil {
 		t.Fatal(err)
 	}
@@ -148,14 +169,14 @@ func TestDetectionLatencySkipsUnstamped(t *testing.T) {
 	if err := m.Complete("A"); err != nil {
 		t.Fatal(err)
 	}
-	m.Check()
+	m.Poll()
 	// A completed and was stamped, so this settlement does carry a latency;
 	// the unstamped path needs a condition with no completed references,
 	// which settle() can only reach via a define failure. Exercise it
 	// directly instead: detectLatency over a condition referencing nothing
 	// stamped.
 	m.mu.Lock()
-	lat, ok := m.detectLatency(&monitor.Condition{Name: "ghost", Src: "R1(x, y)", Expr: monitor.MustParse("R1(x, y)")})
+	lat, ok := m.detectLatency(&monitor.Condition{Name: "ghost", Src: "R1(x, y)", Expr: monitor.MustParse("R1(x, y)")}, time.Now())
 	m.mu.Unlock()
 	if ok || lat != 0 {
 		t.Fatalf("detectLatency of unstamped refs = %v ok=%v, want 0 false", lat, ok)

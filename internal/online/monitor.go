@@ -14,24 +14,46 @@ import (
 	"causet/internal/poset"
 )
 
-// pendingCond tracks one condition through the interval→conditions readiness
-// index: missing counts the referenced intervals not yet complete; when it
-// reaches zero the condition moves to the ready queue and is evaluated at
-// the next Check.
-type pendingCond struct {
-	c       *monitor.Condition
-	missing int
+// ivState is one interval name's record, from its first Observe or
+// condition reference until release or abandonment frees it whole. A name
+// only conditions reference (never observed) is freed with its last
+// reference.
+type ivState struct {
+	events   []poset.EventID
+	observed bool
+	complete bool
+	waiters  []*condState // conditions blocked on the interval until it completes
+	refs     int          // unsettled conditions referencing the interval
+	doneAt   time.Time    // completion stamp on the monitor clock
+
+	// Retention window start. While growing, seq is the stream position of
+	// the last Observe (abandonment); once complete, seq and at mark the
+	// completion or the last referencing settlement, whichever is later
+	// (release).
+	seq int
+	at  time.Time
+
+	inner  *monitor.Monitor // inner monitor the interval is defined in
+	defErr error            // a failed Define poisons the name
+}
+
+// condState is one condition name's record. Settlement drops the compiled
+// condition; the record stays behind as the name's tombstone, so the name
+// cannot be registered and settled twice.
+type condState struct {
+	c       *monitor.Condition // nil once settled
+	missing int                // referenced intervals not yet complete
 }
 
 // Monitor detects synchronization conditions online: nonatomic events grow
 // via Observe as their member events occur, become immutable via Complete,
 // and each condition is evaluated as soon as every interval it references
 // is complete. By verdict stability (see the package comment) the first
-// non-pending result of a condition is also its final one; Check memoizes
-// it and never re-evaluates.
+// non-pending result of a condition is also its final one, so Poll delivers
+// each verdict exactly once and the condition is never re-evaluated.
 //
 // The check loop is indexed: Complete promotes exactly the conditions it
-// unblocked onto a ready queue, and Check drains that queue against one
+// unblocked onto a ready queue, and Poll drains that queue against one
 // persistent inner monitor that is rebased onto each new snapshot epoch —
 // conditions are compiled once and intervals are defined once. The offline
 // monitor over the finished execution is the differential reference for
@@ -39,23 +61,14 @@ type pendingCond struct {
 type Monitor struct {
 	stream *Stream
 
-	mu         sync.Mutex
-	growing    map[string][]poset.EventID
-	complete   map[string][]poset.EventID
-	conditions []*monitor.Condition
-	settled    map[string]monitor.Result
+	mu    sync.Mutex
+	ivs   map[string]*ivState
+	conds map[string]*condState
+	ready []*condState // unblocked, not yet evaluated
 
-	// Readiness index.
-	waiting map[string][]*pendingCond // interval name → conditions blocked on it
-	ready   []*monitor.Condition      // unblocked, not yet evaluated
-
-	// Persistent inner monitor. defined marks interval names already
-	// registered with it; badIv poisons interval names whose Define failed
-	// (e.g. bogus event IDs) so every condition that ever references them
-	// settles Failed.
-	inner   *monitor.Monitor
-	defined map[string]bool
-	badIv   map[string]error
+	// Persistent inner monitor; an interval record is defined with it when
+	// the record's inner pointer equals it.
+	inner *monitor.Monitor
 
 	// Detection latency: Complete stamps each interval with nowFn; settle
 	// reports now − max(stamp of referenced intervals) — the lag from the
@@ -63,11 +76,9 @@ type Monitor struct {
 	// the verdict. nowFn is injectable, so timed-trace replays measure in
 	// trace time; the default time.Now carries Go's monotonic reading, the
 	// wall-clock fallback.
-	nowFn       func() time.Time
-	completedAt map[string]time.Time
+	nowFn func() time.Time
 
 	lg             *logx.Logger
-	reg            *obs.Registry
 	metSettlements *obs.Counter
 	violWin        *obs.Window
 	detectWin      *obs.Window
@@ -77,64 +88,38 @@ type Monitor struct {
 	metAbandoned   *obs.Counter
 
 	// Retention (SetRetention; retention.go): bounded-memory mode for
-	// long-running streams. refCount tracks, per interval, how many
-	// unsettled conditions still reference it — maintained even with
-	// retention off so enabling it later starts from accurate counts. The
-	// seq maps stamp stream positions (SetRetention backfills stamps for
-	// state that predates it), retired remembers why a name was released or
-	// abandoned so later operations fail with a clear error, and watermark
-	// caches the last applied compaction cut so Observe can reject
-	// already-compacted positions without taking the stream lock. Lock
-	// order is m.mu then stream.mu, never the reverse.
-	retention    RetentionPolicy
-	retainOn     bool
-	refCount     map[string]int
-	completedSeq map[string]int
-	observedSeq  map[string]int
-	lastUseSeq   map[string]int
-	lastUseAt    map[string]time.Time
-	settleSeq    map[string]int
-	settleAt     map[string]time.Time
-	retired      map[string]string
-	watermark    []int
-	lastAppraise int
-	// newResults accumulates verdicts since the last Poll; Poll returns and
-	// clears it, and Check clears it too so a Check-only driver does not
-	// grow it without bound.
+	// long-running streams. Interval records carry their window stamps;
+	// retired remembers why a name was released or abandoned so later
+	// operations fail with a clear error, and watermark caches the last
+	// applied compaction cut so Observe can reject already-compacted
+	// positions without taking the stream lock. Lock order is m.mu then
+	// stream.mu, never the reverse.
+	retention           RetentionPolicy
+	retainOn            bool
+	retired             map[string]string
+	released, abandoned int
+	watermark           []int
+	lastAppraise        int
+	// newResults accumulates verdicts since the last Poll.
 	newResults []monitor.Result
 }
 
 // NewMonitor creates an online monitor over the stream.
 func NewMonitor(s *Stream) *Monitor {
 	return &Monitor{
-		stream:   s,
-		growing:  make(map[string][]poset.EventID),
-		complete: make(map[string][]poset.EventID),
-		settled:  make(map[string]monitor.Result),
-
-		waiting: make(map[string][]*pendingCond),
-		defined: make(map[string]bool),
-		badIv:   make(map[string]error),
-
-		nowFn:       time.Now,
-		completedAt: make(map[string]time.Time),
-
-		refCount:     make(map[string]int),
-		completedSeq: make(map[string]int),
-		observedSeq:  make(map[string]int),
-		lastUseSeq:   make(map[string]int),
-		lastUseAt:    make(map[string]time.Time),
-		settleSeq:    make(map[string]int),
-		settleAt:     make(map[string]time.Time),
-		retired:      make(map[string]string),
+		stream:  s,
+		ivs:     make(map[string]*ivState),
+		conds:   make(map[string]*condState),
+		nowFn:   time.Now,
+		retired: make(map[string]string),
 	}
 }
 
 // SetLogger attaches a structured event log (may be nil). The monitor
 // emits interval_observe (Debug) on growth, interval_complete (Info) on
 // freeze, and — exactly once per condition, by verdict stability —
-// condition_settled with the condition source and final verdict (Info for
-// holds, Warn for violated, Error for failed).
+// condition_settled with the condition source, final verdict and detection
+// latency (Info for holds, Warn for violated, Error for failed).
 func (m *Monitor) SetLogger(lg *logx.Logger) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -145,16 +130,16 @@ func (m *Monitor) SetLogger(lg *logx.Logger) {
 // online.settlements counter counts final verdicts, the
 // online.violation_window sliding window observes one sample per violated
 // condition (giving the dashboard a recent-violation rate), detection
-// latency lands in the online.detect_latency_ns window (recent quantiles),
-// the online.detect_latency_hist_ns histogram (full distribution), and a
-// per-condition online.detect_latency.cond.<name> gauge, and every Check
-// or Poll call records its wall-clock cost in the monitor.check_ns window —
+// latency lands in the online.detect_latency_ns window (recent quantiles)
+// and the online.detect_latency_hist_ns histogram (full distribution), and
+// every Poll records its wall-clock cost in the monitor.check_ns window —
 // the steady-state cost is the index drain, so this is the series that
-// shows the amortization working.
+// shows the amortization working. The series set does not depend on the
+// number of conditions; per-condition latency is in the condition_settled
+// log event.
 func (m *Monitor) Instrument(reg *obs.Registry) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.reg = reg
 	m.metSettlements = reg.Counter("online.settlements")
 	m.violWin = reg.Window("online.violation_window", 256)
 	m.detectWin = reg.Window("online.detect_latency_ns", 256)
@@ -176,39 +161,15 @@ func (m *Monitor) SetNow(now func() time.Time) {
 	m.nowFn = now
 }
 
-// settle records the final verdict of a condition; the caller holds m.mu
-// and guarantees the name is not yet settled. This is the single point
-// every verdict passes through, so the settlement log event fires exactly
-// once per condition.
-func (m *Monitor) settle(c *monitor.Condition, res monitor.Result) {
-	m.settled[c.Name] = res
+// settle records the final verdict of an unsettled condition and drops its
+// compiled form; the caller holds m.mu. This is the single point every
+// verdict passes through, so the settlement log event fires exactly once
+// per condition.
+func (m *Monitor) settle(cs *condState, res monitor.Result) {
+	c := cs.c
+	cs.c = nil
 	m.newResults = append(m.newResults, res)
-	var total int
-	if m.retainOn {
-		total = m.stream.TotalEvents()
-		m.settleSeq[c.Name] = total
-		m.settleAt[c.Name] = m.nowFn()
-	}
-	// Release this condition's hold on its referenced intervals; the last
-	// settlement to let go of an interval restarts its retention window, so
-	// a StrongestBetween query issued when the verdict lands still finds
-	// its operands.
-	for _, ref := range c.Refs() {
-		switch n := m.refCount[ref]; {
-		case n > 1:
-			m.refCount[ref] = n - 1
-		case n == 1:
-			delete(m.refCount, ref)
-			if m.retainOn {
-				m.lastUseSeq[ref] = total
-				m.lastUseAt[ref] = m.nowFn()
-			}
-		}
-	}
-	m.metSettlements.Inc()
-	if res.State == monitor.Violated {
-		m.violWin.Observe(1)
-	}
+	now := m.nowFn()
 	// Detection latency is the lag to an actual verdict; a Failed settlement
 	// is an error report, and measuring it against whatever completion
 	// stamps happen to survive (some may already be released) would record
@@ -216,12 +177,42 @@ func (m *Monitor) settle(c *monitor.Condition, res monitor.Result) {
 	var latency time.Duration
 	haveLatency := false
 	if res.State != monitor.Failed {
-		latency, haveLatency = m.detectLatency(c)
+		latency, haveLatency = m.detectLatency(c, now)
+	}
+	// Release this condition's hold on its referenced intervals. A name no
+	// Observe ever reached goes with its last reference; for a completed one
+	// the last settlement restarts its retention window, so a
+	// StrongestBetween query issued when the verdict lands still finds its
+	// operands.
+	var total int
+	if m.retainOn {
+		total = m.stream.TotalEvents()
+	}
+	for _, ref := range c.Refs() {
+		iv := m.ivs[ref]
+		if iv == nil {
+			continue // retired
+		}
+		if iv.refs--; iv.refs > 0 {
+			continue
+		}
+		switch {
+		case !iv.observed:
+			delete(m.ivs, ref)
+		case iv.complete && m.retainOn:
+			iv.seq = max(iv.seq, total)
+			if now.After(iv.at) {
+				iv.at = now
+			}
+		}
+	}
+	m.metSettlements.Inc()
+	if res.State == monitor.Violated {
+		m.violWin.Observe(1)
 	}
 	if haveLatency {
 		m.detectWin.Observe(int64(latency))
 		m.detectHist.Observe(int64(latency))
-		m.reg.Gauge("online.detect_latency.cond." + c.Name).Set(int64(latency))
 	}
 	if m.lg == nil {
 		return
@@ -258,7 +249,8 @@ func (m *Monitor) Observe(name string, events ...poset.EventID) error {
 	if why, gone := m.retired[name]; gone {
 		return retiredErr(name, why)
 	}
-	if _, done := m.complete[name]; done {
+	iv := m.ivs[name]
+	if iv != nil && iv.complete {
 		return fmt.Errorf("online: interval %q is already complete", name)
 	}
 	if m.watermark != nil {
@@ -269,12 +261,17 @@ func (m *Monitor) Observe(name string, events ...poset.EventID) error {
 			}
 		}
 	}
-	m.growing[name] = append(m.growing[name], events...)
+	if iv == nil {
+		iv = &ivState{}
+		m.ivs[name] = iv
+	}
+	iv.observed = true
+	iv.events = append(iv.events, events...)
 	m.lg.Debug("interval_observe",
-		logx.F("interval", name), logx.F("added", len(events)), logx.F("size", len(m.growing[name])))
+		logx.F("interval", name), logx.F("added", len(events)), logx.F("size", len(iv.events)))
 	if m.retainOn {
 		total := m.stream.TotalEvents()
-		m.observedSeq[name] = total
+		iv.seq = total
 		if total-m.lastAppraise >= m.retention.Every {
 			m.appraiseLocked(total)
 		}
@@ -285,35 +282,35 @@ func (m *Monitor) Observe(name string, events ...poset.EventID) error {
 // Complete freezes the named interval; conditions referencing it become
 // evaluable once their other references complete too. Completion decrements
 // the missing-count of every condition waiting on the interval and promotes
-// the fully-unblocked ones to the ready queue the next Check drains.
+// the fully-unblocked ones to the ready queue the next Poll drains.
 func (m *Monitor) Complete(name string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if why, gone := m.retired[name]; gone {
 		return retiredErr(name, why)
 	}
-	events, ok := m.growing[name]
-	if !ok {
+	iv := m.ivs[name]
+	switch {
+	case iv == nil || !iv.observed:
 		return fmt.Errorf("online: interval %q was never observed", name)
-	}
-	if len(events) == 0 {
+	case iv.complete:
+		return fmt.Errorf("online: interval %q is already complete", name)
+	case len(iv.events) == 0:
 		return fmt.Errorf("online: interval %q has no events", name)
 	}
-	delete(m.growing, name)
-	m.complete[name] = events
-	m.completedAt[name] = m.nowFn()
-	for _, pc := range m.waiting[name] {
-		pc.missing--
-		if pc.missing == 0 {
-			m.ready = append(m.ready, pc.c)
+	iv.complete = true
+	iv.doneAt = m.nowFn()
+	iv.at = iv.doneAt
+	for _, cs := range iv.waiters {
+		if cs.missing--; cs.missing == 0 {
+			m.ready = append(m.ready, cs)
 		}
 	}
-	delete(m.waiting, name)
-	m.lg.Info("interval_complete", logx.F("interval", name), logx.F("size", len(events)))
+	iv.waiters = nil
+	m.lg.Info("interval_complete", logx.F("interval", name), logx.F("size", len(iv.events)))
 	if m.retainOn {
 		total := m.stream.TotalEvents()
-		m.completedSeq[name] = total
-		delete(m.observedSeq, name)
+		iv.seq = total
 		if total-m.lastAppraise >= m.retention.Every {
 			m.appraiseLocked(total)
 		}
@@ -321,32 +318,29 @@ func (m *Monitor) Complete(name string) error {
 	return nil
 }
 
-// detectLatency computes a condition's detection latency at settlement: the
-// monitor clock's now minus the latest completion stamp among the intervals
-// the condition references (that completion is the decisive event — the
-// moment the verdict became computable). ok is false when no referenced
-// interval carries a stamp (e.g. a parse failure settled the condition
-// before anything completed). Caller holds m.mu. Negative lags (a virtual
-// clock stepping backwards) clamp to zero.
-func (m *Monitor) detectLatency(c *monitor.Condition) (time.Duration, bool) {
+// detectLatency computes a condition's detection latency at settlement: now
+// minus the latest completion stamp among the intervals the condition
+// references (that completion is the decisive event — the moment the
+// verdict became computable). ok is false when no referenced interval
+// carries a stamp (e.g. a parse failure settled the condition before
+// anything completed). Caller holds m.mu. Negative lags (a virtual clock
+// stepping backwards) clamp to zero.
+func (m *Monitor) detectLatency(c *monitor.Condition, now time.Time) (time.Duration, bool) {
 	var decisive time.Time
 	for _, ref := range c.Refs() {
-		if t, ok := m.completedAt[ref]; ok && t.After(decisive) {
-			decisive = t
+		if iv := m.ivs[ref]; iv != nil && iv.doneAt.After(decisive) {
+			decisive = iv.doneAt
 		}
 	}
 	if decisive.IsZero() {
 		return 0, false
 	}
-	lat := m.nowFn().Sub(decisive)
-	if lat < 0 {
-		lat = 0
-	}
-	return lat, true
+	return max(now.Sub(decisive), 0), true
 }
 
 // AddCondition parses and registers a condition in the monitor DSL. The
 // source is compiled exactly once, here; checks reuse the parsed expression.
+// A name stays taken after its condition settles.
 func (m *Monitor) AddCondition(name, src string) error {
 	expr, err := monitor.Parse(src)
 	if err != nil {
@@ -354,76 +348,50 @@ func (m *Monitor) AddCondition(name, src string) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, c := range m.conditions {
-		if c.Name == name {
-			return fmt.Errorf("online: condition %q already defined", name)
-		}
-	}
-	// DropSettled may have purged the compiled condition from m.conditions;
-	// the verdict tombstone still blocks the name from being reused.
-	if _, done := m.settled[name]; done {
+	if _, dup := m.conds[name]; dup {
 		return fmt.Errorf("online: condition %q already defined", name)
 	}
-	c := monitor.NewCondition(name, src, expr)
-	m.conditions = append(m.conditions, c)
-	for _, ref := range c.Refs() {
-		m.refCount[ref]++
-	}
-	// A reference to a retired interval can never be satisfied: settle now
-	// (which also gives the refcounts back) instead of waiting forever.
-	for _, ref := range c.Refs() {
-		if why, gone := m.retired[ref]; gone {
-			m.settle(c, monitor.Result{Name: name, State: monitor.Failed, Err: retiredErr(ref, why)})
-			return nil
+	cs := &condState{c: monitor.NewCondition(name, src, expr)}
+	m.conds[name] = cs
+	// Take a reference on every live interval and wait on the incomplete
+	// ones. A reference to a retired interval can never be satisfied: settle
+	// now (which gives the references back) instead of waiting forever.
+	var gone error
+	for _, ref := range cs.c.Refs() {
+		if why, ok := m.retired[ref]; ok {
+			if gone == nil {
+				gone = retiredErr(ref, why)
+			}
+			continue
+		}
+		iv := m.ivs[ref]
+		if iv == nil {
+			iv = &ivState{}
+			m.ivs[ref] = iv
+		}
+		iv.refs++
+		if !iv.complete {
+			cs.missing++
+			iv.waiters = append(iv.waiters, cs)
 		}
 	}
-	m.indexLocked(c)
+	switch {
+	case gone != nil:
+		m.settle(cs, monitor.Result{Name: name, State: monitor.Failed, Err: gone})
+	case cs.missing == 0:
+		m.ready = append(m.ready, cs)
+	}
 	return nil
 }
 
-// indexLocked registers a new condition with the readiness index: it waits
-// on each referenced interval not yet complete, or goes straight to the
-// ready queue when there is nothing to wait for.
-func (m *Monitor) indexLocked(c *monitor.Condition) {
-	pc := &pendingCond{c: c}
-	for _, ref := range c.Refs() {
-		if _, done := m.complete[ref]; done {
-			continue
-		}
-		pc.missing++
-		m.waiting[ref] = append(m.waiting[ref], pc)
-	}
-	if pc.missing == 0 {
-		m.ready = append(m.ready, c)
-	}
-}
-
-// Check evaluates all conditions against the current stream prefix and
-// returns one result per condition in registration order. Conditions whose
-// referenced intervals are not all complete report Pending; every other
-// verdict is final and memoized. Only the conditions unblocked since the
-// previous Check are evaluated, against a persistent inner monitor rebased
-// onto the current snapshot epoch.
-func (m *Monitor) Check() []monitor.Result {
+// Poll runs the check loop and returns the conditions that settled since
+// the previous Poll, each exactly once. Its cost is the ready conditions'
+// evaluation, independent of how many conditions are registered, so a
+// long-horizon driver can call it per event. It records the pass in
+// monitor.check_ns and runs a retention appraisal when the cadence says so.
+func (m *Monitor) Poll() []monitor.Result {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.drainLocked()
-	out := make([]monitor.Result, 0, len(m.conditions))
-	for _, c := range m.conditions {
-		if res, done := m.settled[c.Name]; done {
-			out = append(out, res)
-		} else {
-			out = append(out, monitor.Result{Name: c.Name, State: monitor.Pending})
-		}
-	}
-	m.newResults = nil
-	return out
-}
-
-// drainLocked is the body Check and Poll share: it evaluates the ready
-// queue, records the pass in monitor.check_ns, and runs a retention
-// appraisal when the cadence says so. Caller holds m.mu.
-func (m *Monitor) drainLocked() {
 	var t0 time.Time
 	if m.checkWin != nil {
 		t0 = time.Now()
@@ -432,7 +400,14 @@ func (m *Monitor) drainLocked() {
 	if m.checkWin != nil {
 		m.checkWin.Observe(time.Since(t0).Nanoseconds())
 	}
-	m.maybeRetainLocked()
+	if m.retainOn {
+		if total := m.stream.TotalEvents(); total-m.lastAppraise >= m.retention.Every {
+			m.appraiseLocked(total)
+		}
+	}
+	out := m.newResults
+	m.newResults = nil
+	return out
 }
 
 // ensureInnerLocked points the persistent inner monitor at the current
@@ -448,38 +423,37 @@ func (m *Monitor) ensureInnerLocked() {
 	switch {
 	case m.inner == nil:
 		m.inner = monitor.NewWithAnalysis(snap.Analysis)
-		m.defined = make(map[string]bool)
 	case m.inner.Analysis() != snap.Analysis:
 		if err := m.inner.Rebase(snap.Analysis); err != nil {
 			m.inner = monitor.NewWithAnalysis(snap.Analysis)
-			m.defined = make(map[string]bool)
 		}
 	}
 }
 
 // defineLocked registers a completed interval with the persistent inner
-// monitor, once. A Define failure (bogus event IDs) poisons the name: the
-// error is recorded and returned to every later reference, so each
-// condition touching the interval settles Failed.
+// monitor, once per inner monitor. A Define failure (bogus event IDs)
+// poisons the name: the error is recorded and returned to every later
+// reference, so each condition touching the interval settles Failed.
 func (m *Monitor) defineLocked(name string) error {
-	if err, bad := m.badIv[name]; bad {
-		return err
+	iv := m.ivs[name]
+	if iv.defErr != nil {
+		return iv.defErr
 	}
-	if m.defined[name] {
+	if iv.inner == m.inner {
 		return nil
 	}
-	if err := m.inner.Define(name, m.complete[name]); err != nil {
-		m.badIv[name] = err
+	if err := m.inner.Define(name, iv.events); err != nil {
+		iv.defErr = err
 		return err
 	}
-	m.defined[name] = true
+	iv.inner = m.inner
 	return nil
 }
 
 // checkIncrementalLocked drains the ready queue: each unblocked condition
 // has its intervals defined (once) and is evaluated with its compiled
 // expression against the persistent inner monitor. The snapshot (and its
-// rebase) is only taken when something is actually ready, so a Check with
+// rebase) is only taken when something is actually ready, so a Poll with
 // nothing to do costs O(1).
 func (m *Monitor) checkIncrementalLocked() {
 	if len(m.ready) == 0 {
@@ -488,8 +462,9 @@ func (m *Monitor) checkIncrementalLocked() {
 	todo := m.ready
 	m.ready = nil
 	m.ensureInnerLocked()
-	for _, c := range todo {
-		if _, done := m.settled[c.Name]; done {
+	for _, cs := range todo {
+		c := cs.c
+		if c == nil {
 			continue
 		}
 		var defErr error
@@ -500,7 +475,7 @@ func (m *Monitor) checkIncrementalLocked() {
 			}
 		}
 		if defErr != nil {
-			m.settle(c, monitor.Result{Name: c.Name, State: monitor.Failed, Err: defErr})
+			m.settle(cs, monitor.Result{Name: c.Name, State: monitor.Failed, Err: defErr})
 			continue
 		}
 		res := m.inner.CheckCondition(c)
@@ -508,10 +483,10 @@ func (m *Monitor) checkIncrementalLocked() {
 			// Defensive: a ready condition has every reference defined, so
 			// the inner monitor cannot report Pending; if it ever does,
 			// re-queue rather than lose the condition.
-			m.ready = append(m.ready, c)
+			m.ready = append(m.ready, cs)
 			continue
 		}
-		m.settle(c, res)
+		m.settle(cs, res)
 	}
 }
 
@@ -519,9 +494,11 @@ func (m *Monitor) checkIncrementalLocked() {
 func (m *Monitor) CompletedIntervals() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.complete))
-	for n := range m.complete {
-		out = append(out, n)
+	var out []string
+	for n, iv := range m.ivs {
+		if iv.complete {
+			out = append(out, n)
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -536,17 +513,13 @@ func (m *Monitor) CompletedIntervals() []string {
 func (m *Monitor) StrongestBetween(xName, yName string) ([]core.Relation, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if why, gone := m.retired[xName]; gone {
-		return nil, retiredErr(xName, why)
-	}
-	if why, gone := m.retired[yName]; gone {
-		return nil, retiredErr(yName, why)
-	}
-	if _, ok := m.complete[xName]; !ok {
-		return nil, fmt.Errorf("online: interval %q is not complete", xName)
-	}
-	if _, ok := m.complete[yName]; !ok {
-		return nil, fmt.Errorf("online: interval %q is not complete", yName)
+	for _, name := range [2]string{xName, yName} {
+		if why, gone := m.retired[name]; gone {
+			return nil, retiredErr(name, why)
+		}
+		if iv := m.ivs[name]; iv == nil || !iv.complete {
+			return nil, fmt.Errorf("online: interval %q is not complete", name)
+		}
 	}
 	m.ensureInnerLocked()
 	if err := m.defineLocked(xName); err != nil {

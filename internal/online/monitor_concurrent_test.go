@@ -33,14 +33,14 @@ func (b *lockedBuffer) Bytes() []byte {
 	return append([]byte(nil), b.buf.Bytes()...)
 }
 
-// TestMonitorConcurrentSettlement drives Observe/Complete/Check from many
+// TestMonitorConcurrentSettlement drives Observe/Complete/Poll from many
 // goroutines (run under -race in CI) and asserts the two properties the
 // online monitor promises:
 //
-//  1. Verdict stability: once a condition reports a non-pending state, every
-//     later Check reports the identical state.
+//  1. Exactly-once delivery: across all the racing Poll callers, every
+//     condition's verdict is delivered exactly once, and it is the right one.
 //  2. Exactly-once settlement: the condition_settled logx event fires once
-//     per condition, however many concurrent Checks race to settle it.
+//     per condition, however many concurrent Polls race to settle it.
 func TestMonitorConcurrentSettlement(t *testing.T) {
 	const procs = 4
 	const rounds = 8
@@ -90,30 +90,30 @@ func TestMonitorConcurrentSettlement(t *testing.T) {
 	}
 
 	// Concurrently: one goroutine per round observing and completing its
-	// interval, plus checkers polling the settled set the whole time.
+	// interval, plus pollers draining deliveries the whole time.
 	var (
 		wg        sync.WaitGroup
 		verdictMu sync.Mutex
-		firstSeen = map[string]monitor.State{}
+		delivered = map[string]monitor.State{}
 	)
+	record := func(rs []monitor.Result) {
+		verdictMu.Lock()
+		defer verdictMu.Unlock()
+		for _, res := range rs {
+			if prev, dup := delivered[res.Name]; dup {
+				t.Errorf("%s delivered twice: %v then %v", res.Name, prev, res.State)
+				continue
+			}
+			delivered[res.Name] = res.State
+		}
+	}
 	stopCheckers := make(chan struct{})
 	for c := 0; c < 4; c++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				for _, res := range m.Check() {
-					if res.State == monitor.Pending {
-						continue
-					}
-					verdictMu.Lock()
-					if prev, ok := firstSeen[res.Name]; ok && prev != res.State {
-						t.Errorf("verdict of %s changed: %v -> %v", res.Name, prev, res.State)
-					} else if !ok {
-						firstSeen[res.Name] = res.State
-					}
-					verdictMu.Unlock()
-				}
+				record(m.Poll())
 				select {
 				case <-stopCheckers:
 					return
@@ -139,25 +139,20 @@ func TestMonitorConcurrentSettlement(t *testing.T) {
 		}(r)
 	}
 	growWG.Wait()
-	// One final Check after all intervals are complete settles everything.
-	final := m.Check()
+	// One final Poll after all intervals are complete settles everything.
+	record(m.Poll())
 	close(stopCheckers)
 	wg.Wait()
 
-	for _, res := range final {
-		if res.State == monitor.Pending {
-			t.Errorf("%s still pending after all intervals completed", res.Name)
-		}
+	if len(delivered) != condCount {
+		t.Errorf("%d of %d conditions delivered after all intervals completed", len(delivered), condCount)
 	}
 	for r := 0; r+1 < rounds; r++ {
-		wantHold, wantViol := fmt.Sprintf("ordered-%d", r), fmt.Sprintf("backflow-%d", r)
-		for _, res := range final {
-			if res.Name == wantHold && res.State != monitor.Holds {
-				t.Errorf("%s = %v, want holds", res.Name, res.State)
-			}
-			if res.Name == wantViol && res.State != monitor.Violated {
-				t.Errorf("%s = %v, want violated", res.Name, res.State)
-			}
+		if got := delivered[fmt.Sprintf("ordered-%d", r)]; got != monitor.Holds {
+			t.Errorf("ordered-%d = %v, want holds", r, got)
+		}
+		if got := delivered[fmt.Sprintf("backflow-%d", r)]; got != monitor.Violated {
+			t.Errorf("backflow-%d = %v, want violated", r, got)
 		}
 	}
 
@@ -193,8 +188,8 @@ func TestMonitorConcurrentSettlement(t *testing.T) {
 	}
 }
 
-// TestMonitorConcurrentWithCompaction interleaves Observe/Complete/Poll/
-// Check with retention appraisals and forced CompactNow calls from racing
+// TestMonitorConcurrentWithCompaction interleaves Observe/Complete/Poll
+// with retention appraisals and forced CompactNow calls from racing
 // goroutines (run under -race in CI). The appender pins each event until
 // its round's grower has observed it — the streaming discipline retention
 // requires — so aggressive compaction must neither change any verdict nor
@@ -207,7 +202,7 @@ func TestMonitorConcurrentWithCompaction(t *testing.T) {
 	reg := obs.New()
 	m := NewMonitor(s)
 	m.Instrument(reg)
-	if err := m.SetRetention(RetentionPolicy{MaxEvents: 8, Every: 4, DropSettled: true}); err != nil {
+	if err := m.SetRetention(RetentionPolicy{MaxEvents: 8, Every: 4}); err != nil {
 		t.Fatal(err)
 	}
 	condCount := 0

@@ -419,7 +419,7 @@ func Replay(ex *poset.Execution) (*Stream, error) {
 // the event's ID. Replay preserves per-process positions, so the ID passed
 // to step is simultaneously the original execution's event and the
 // just-appended stream event — callers use it to drive an online Monitor
-// (Observe/Complete/Check) in lockstep with the growing prefix, which is how
+// (Observe/Complete/Poll) in lockstep with the growing prefix, which is how
 // the fault-injection harness checks online verdicts against offline replay.
 // A step error aborts the replay.
 func ReplaySteps(ex *poset.Execution, step func(s *Stream, e poset.EventID) error) (*Stream, error) {

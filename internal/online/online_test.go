@@ -3,6 +3,7 @@ package online
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -206,9 +207,9 @@ func TestOnlineMonitorLifecycle(t *testing.T) {
 	if err := m.AddCondition("bad", "R1(x"); err == nil {
 		t.Errorf("syntax error accepted")
 	}
-	// Nothing observed yet → pending.
-	if res := m.Check(); res[0].State != monitor.Pending {
-		t.Fatalf("state = %v, want pending", res[0].State)
+	// Nothing observed yet → nothing settles.
+	if res := m.Poll(); len(res) != 0 {
+		t.Fatalf("Poll = %v, want nothing settled", res)
 	}
 
 	a1, _ := s.Send(0)
@@ -220,8 +221,8 @@ func TestOnlineMonitorLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	// phase-a observed but not complete → still pending.
-	if res := m.Check(); res[0].State != monitor.Pending {
-		t.Fatalf("state = %v, want pending", res[0].State)
+	if res := m.Poll(); len(res) != 0 {
+		t.Fatalf("Poll = %v, want nothing settled", res)
 	}
 	if err := m.Complete("phase-a"); err != nil {
 		t.Fatal(err)
@@ -239,17 +240,20 @@ func TestOnlineMonitorLifecycle(t *testing.T) {
 	if err := m.Complete("phase-b"); err != nil {
 		t.Fatal(err)
 	}
-	res := m.Check()
-	if res[0].State != monitor.Holds {
-		t.Fatalf("handoff: %v (err=%v), want holds", res[0].State, res[0].Err)
+	res := m.Poll()
+	if len(res) != 1 || res[0].Name != "handoff" || res[0].State != monitor.Holds {
+		t.Fatalf("Poll = %+v, want handoff holds", res)
 	}
-	// The verdict is memoized: extending the stream does not change it, and
-	// Check does not recompute (same result object semantics).
+	// The verdict is delivered once: extending the stream does not
+	// re-deliver it, and the settled name stays taken.
 	if _, err := s.Local(2); err != nil {
 		t.Fatal(err)
 	}
-	if res2 := m.Check(); res2[0].State != monitor.Holds {
-		t.Fatalf("memoized verdict changed")
+	if res2 := m.Poll(); len(res2) != 0 {
+		t.Fatalf("second Poll = %v, want nothing", res2)
+	}
+	if err := m.AddCondition("handoff", "R4(phase-a, phase-b)"); err == nil {
+		t.Errorf("settled condition name accepted again")
 	}
 
 	names := m.CompletedIntervals()
@@ -275,11 +279,14 @@ func TestOnlineMonitorErrors(t *testing.T) {
 	if err := m.Complete("empty-proof"); err != nil {
 		t.Fatal(err)
 	}
+	if err := m.Complete("empty-proof"); err == nil || !strings.Contains(err.Error(), "already complete") {
+		t.Errorf("second Complete: err = %v, want already complete", err)
+	}
 	if err := m.AddCondition("c", "R4(empty-proof, empty-proof)"); err != nil {
 		t.Fatal(err)
 	}
-	res := m.Check()
-	if res[0].State != monitor.Failed || res[0].Err == nil {
+	res := m.Poll()
+	if len(res) != 1 || res[0].State != monitor.Failed || res[0].Err == nil {
 		t.Fatalf("bogus interval: state = %v err = %v, want failed", res[0].State, res[0].Err)
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"causet/internal/monitor"
 	"causet/internal/obs/logx"
-	"causet/internal/poset"
 )
 
 // RetentionPolicy bounds the memory of a long-running Monitor. With a policy
@@ -39,11 +38,7 @@ type RetentionPolicy struct {
 	// opt-in.
 	AbandonAfter int
 
-	// DropSettled additionally releases the per-condition state (compiled
-	// expression, latency gauge) of settled conditions once they age out of
-	// the same window. Final verdicts remain queryable forever through the
-	// settled map, but Check stops listing dropped conditions — use Poll,
-	// which reports each verdict exactly once, as the delivery path.
+	// Deprecated: ignored; settled condition state is always dropped.
 	DropSettled bool
 
 	// Every is the appraisal cadence in appended events (default 256).
@@ -62,21 +57,17 @@ func (m *Monitor) SetRetention(p RetentionPolicy) error {
 	if p.Every <= 0 {
 		p.Every = 256
 	}
+	total := m.stream.TotalEvents()
+	if !m.retainOn {
+		// Intervals observed or completed before retention was enabled enter
+		// the window now.
+		for _, iv := range m.ivs {
+			iv.seq = total
+		}
+	}
 	m.retention = p
 	m.retainOn = true
-	total := m.stream.TotalEvents()
 	m.lastAppraise = total
-	// Intervals completed before retention was enabled enter the window now.
-	for name := range m.complete {
-		if _, ok := m.completedSeq[name]; !ok {
-			m.completedSeq[name] = total
-		}
-	}
-	for name := range m.growing {
-		if _, ok := m.observedSeq[name]; !ok {
-			m.observedSeq[name] = total
-		}
-	}
 	return nil
 }
 
@@ -94,41 +85,30 @@ type RetentionStats struct {
 }
 
 // RetentionStats reports the current retention state. Cheap enough for a
-// dashboard refresh; Retained takes the stream lock.
+// dashboard refresh: it walks the live interval records only, and Retained
+// takes the stream lock.
 func (m *Monitor) RetentionStats() RetentionStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	st := RetentionStats{
-		Enabled:  m.retainOn,
-		Policy:   m.retention,
-		Held:     len(m.complete),
-		Growing:  len(m.growing),
-		Retained: m.stream.RetainedEvents(),
+		Enabled:   m.retainOn,
+		Policy:    m.retention,
+		Released:  m.released,
+		Abandoned: m.abandoned,
+		Retained:  m.stream.RetainedEvents(),
 	}
 	if m.watermark != nil {
 		st.Watermark = append([]int(nil), m.watermark...)
 	}
-	for _, why := range m.retired {
-		if why == retiredAbandoned {
-			st.Abandoned++
-		} else {
-			st.Released++
+	for _, iv := range m.ivs {
+		switch {
+		case iv.complete:
+			st.Held++
+		case iv.observed:
+			st.Growing++
 		}
 	}
 	return st
-}
-
-// Poll runs the check loop and returns only the conditions that settled
-// since the previous Poll (or Check, which also consumes the delta). Unlike
-// Check it never assembles the full O(#conditions) result slice, so a
-// long-horizon driver can call it per event without going quadratic.
-func (m *Monitor) Poll() []monitor.Result {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.drainLocked()
-	out := m.newResults
-	m.newResults = nil
-	return out
 }
 
 // CompactNow forces a retention appraisal immediately, ignoring the Every
@@ -153,19 +133,6 @@ func retiredErr(name, why string) error {
 	return fmt.Errorf("online: interval %q was %s by retention", name, why)
 }
 
-// maybeRetainLocked runs an appraisal when the cadence says so. Caller
-// holds m.mu.
-func (m *Monitor) maybeRetainLocked() {
-	if !m.retainOn {
-		return
-	}
-	total := m.stream.TotalEvents()
-	if total-m.lastAppraise < m.retention.Every {
-		return
-	}
-	m.appraiseLocked(total)
-}
-
 // outOfWindowLocked reports whether a retention window starting at (seq, at)
 // has expired at stream position total / clock now.
 func (m *Monitor) outOfWindowLocked(total int, now time.Time, seq int, at time.Time) bool {
@@ -178,100 +145,13 @@ func (m *Monitor) outOfWindowLocked(total int, now time.Time, seq int, at time.T
 	return false
 }
 
-// appraiseLocked is one retention pass: abandon idle growing intervals
-// (opt-in), release settled intervals out of the window, drop settled
-// condition state (opt-in), then compact the stream below everything still
-// needed. Caller holds m.mu.
+// appraiseLocked is one retention pass over the interval records: abandon
+// idle growing intervals (opt-in), release settled intervals out of the
+// window, then compact the stream below everything still held. Caller holds
+// m.mu.
 func (m *Monitor) appraiseLocked(total int) {
 	m.lastAppraise = total
 	now := m.nowFn()
-
-	// 1. Abandonment (opt-in): growing intervals nobody has touched for
-	// AbandonAfter events will plausibly never complete; evict them and
-	// fail their waiters so the waiters stop pinning memory too.
-	if m.retention.AbandonAfter > 0 {
-		for name, last := range m.observedSeq {
-			if total-last <= m.retention.AbandonAfter {
-				continue
-			}
-			delete(m.growing, name)
-			delete(m.observedSeq, name)
-			m.retired[name] = retiredAbandoned
-			m.metAbandoned.Add(1)
-			m.lg.Warn("interval_abandoned",
-				logx.F("interval", name), logx.F("idle_events", total-last))
-			err := retiredErr(name, retiredAbandoned)
-			for _, pc := range m.waiting[name] {
-				if _, done := m.settled[pc.c.Name]; !done {
-					m.settle(pc.c, monitor.Result{Name: pc.c.Name, State: monitor.Failed, Err: err})
-				}
-			}
-			delete(m.waiting, name)
-		}
-	}
-
-	// 2. Release settled completed intervals. refCount > 0 means an
-	// unsettled condition still references the interval — its events and
-	// completion stamp must survive (the stamp is what keeps detection-
-	// latency gauges honest for conditions that settle during a compaction
-	// epoch). The window restarts at last use (the final referencing
-	// settlement), so StrongestBetween queried at settlement time always
-	// finds its operands.
-	for name, seq := range m.completedSeq {
-		if m.refCount[name] > 0 {
-			continue
-		}
-		useSeq := seq
-		if u, ok := m.lastUseSeq[name]; ok && u > useSeq {
-			useSeq = u
-		}
-		useAt := m.completedAt[name]
-		if u, ok := m.lastUseAt[name]; ok && u.After(useAt) {
-			useAt = u
-		}
-		if !m.outOfWindowLocked(total, now, useSeq, useAt) {
-			continue
-		}
-		delete(m.complete, name)
-		delete(m.completedSeq, name)
-		delete(m.completedAt, name)
-		delete(m.lastUseSeq, name)
-		delete(m.lastUseAt, name)
-		delete(m.refCount, name)
-		delete(m.defined, name)
-		if m.inner != nil {
-			m.inner.Undefine(name)
-		}
-		m.retired[name] = retiredReleased
-		m.metReleased.Add(1)
-	}
-
-	// 3. Drop settled condition state (opt-in). The verdict stays in
-	// m.settled — tiny and final — while the compiled expression goes; a
-	// name can therefore never be re-added and re-settled.
-	if m.retention.DropSettled {
-		kept := m.conditions[:0]
-		for _, c := range m.conditions {
-			seq, settled := m.settleSeq[c.Name]
-			if settled && m.outOfWindowLocked(total, now, seq, m.settleAt[c.Name]) {
-				delete(m.settleSeq, c.Name)
-				delete(m.settleAt, c.Name)
-				// The per-condition latency gauge is minted from the condition
-				// name — unbounded input on a long stream — so it retires with
-				// the condition state, keeping registry (and sampler/tsdb)
-				// cardinality bounded by the window.
-				m.reg.RemoveGauge("online.detect_latency.cond." + c.Name)
-				continue
-			}
-			kept = append(kept, c)
-		}
-		clear(m.conditions[len(kept):])
-		m.conditions = kept
-	}
-
-	// 4. Compact the stream below everything still needed: every retained
-	// completed interval, every growing interval. The stream further clamps
-	// to pins, the frontier, and the greatest consistent cut.
 	w := make([]int, m.stream.NumProcs())
 	counts := m.stream.Counts()
 	for p := range w {
@@ -279,19 +159,52 @@ func (m *Monitor) appraiseLocked(total int) {
 			w[p] = 0
 		}
 	}
-	hold := func(events []poset.EventID) {
-		for _, e := range events {
+	for name, iv := range m.ivs {
+		switch {
+		case !iv.observed:
+			continue // only referenced: holds no events
+		case !iv.complete && m.retention.AbandonAfter > 0 && total-iv.seq > m.retention.AbandonAfter:
+			// Abandonment (opt-in): a growing interval nobody has touched for
+			// AbandonAfter events will plausibly never complete; evict it and
+			// fail its waiters so they stop pinning memory too.
+			delete(m.ivs, name)
+			m.retired[name] = retiredAbandoned
+			m.abandoned++
+			m.metAbandoned.Inc()
+			m.lg.Warn("interval_abandoned",
+				logx.F("interval", name), logx.F("idle_events", total-iv.seq))
+			err := retiredErr(name, retiredAbandoned)
+			for _, cs := range iv.waiters {
+				if cs.c != nil {
+					m.settle(cs, monitor.Result{Name: cs.c.Name, State: monitor.Failed, Err: err})
+				}
+			}
+			continue
+		case iv.complete && iv.refs == 0 && m.outOfWindowLocked(total, now, iv.seq, iv.at):
+			// Release. refs > 0 means an unsettled condition still references
+			// the interval — its events and completion stamp must survive
+			// (the stamp keeps detection latency honest for conditions that
+			// settle during a compaction epoch). The window restarts at last
+			// use, so StrongestBetween queried at settlement time always
+			// finds its operands.
+			delete(m.ivs, name)
+			if m.inner != nil {
+				m.inner.Undefine(name)
+			}
+			m.retired[name] = retiredReleased
+			m.released++
+			m.metReleased.Inc()
+			continue
+		}
+		for _, e := range iv.events {
 			if e.Proc >= 0 && e.Proc < len(w) && e.Pos-1 < w[e.Proc] {
 				w[e.Proc] = e.Pos - 1
 			}
 		}
 	}
-	for _, evs := range m.complete {
-		hold(evs)
-	}
-	for _, evs := range m.growing {
-		hold(evs)
-	}
+	// Compact the stream below everything still held: every retained
+	// completed interval, every growing interval. The stream further clamps
+	// to pins, the frontier, and the greatest consistent cut.
 	applied, _, err := m.stream.Compact(w)
 	if err != nil {
 		// Compact rejects only a watermark of the wrong length, and w is

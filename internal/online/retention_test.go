@@ -3,6 +3,8 @@ package online
 import (
 	"fmt"
 	"runtime"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -124,7 +126,7 @@ func diffRetention(t testing.TB, res *sim.Result, label string, policy Retention
 // settlement traces and settlement-time StrongestBetween answers to an
 // unbounded monitor — compaction must be invisible to verdicts.
 func TestCompactionAgreement(t *testing.T) {
-	policy := RetentionPolicy{MaxEvents: 24, Every: 8, DropSettled: true}
+	policy := RetentionPolicy{MaxEvents: 24, Every: 8}
 	anyCompacted := false
 	for _, pat := range sim.Patterns() {
 		if pat == sim.Random {
@@ -171,9 +173,8 @@ func FuzzCompactionAgreement(f *testing.F) {
 			t.Skip()
 		}
 		policy := RetentionPolicy{
-			MaxEvents:   1 + int(maxEvents)%64,
-			Every:       1 + int(every)%16,
-			DropSettled: every%2 == 0,
+			MaxEvents: 1 + int(maxEvents)%64,
+			Every:     1 + int(every)%16,
 		}
 		diffRetention(t, res, fmt.Sprintf("%v/procs=%d/rounds=%d/seed=%d/%+v", p, cfg.Procs, cfg.Rounds, seed, policy), policy)
 	})
@@ -319,7 +320,7 @@ func TestRetentionBoundsMemory(t *testing.T) {
 	const procs, rounds = 4, 4000
 	s := NewStream(procs)
 	m := NewMonitor(s)
-	if err := m.SetRetention(RetentionPolicy{MaxEvents: 256, AbandonAfter: 256, Every: 64, DropSettled: true}); err != nil {
+	if err := m.SetRetention(RetentionPolicy{MaxEvents: 256, AbandonAfter: 256, Every: 64}); err != nil {
 		t.Fatal(err)
 	}
 	var m0, m1 runtime.MemStats
@@ -427,32 +428,42 @@ func TestStreamPinClampsWatermark(t *testing.T) {
 	}
 }
 
-// TestRetentionDropsPerConditionGauges pins the registry-cardinality side of
-// the memory bound: per-condition detection-latency gauges are minted from
-// condition names — unbounded input on a long stream — and must retire with
-// the condition state under DropSettled, or the registry (and everything
-// sampling it) grows without bound while the monitor itself stays flat.
-func TestRetentionDropsPerConditionGauges(t *testing.T) {
+// TestSeriesIndependentOfConditions pins the registry-cardinality side of
+// the memory bound: condition names are unbounded input on a long stream, so
+// no series may be minted from them — the registry holds the same series
+// after 2000 settlements as after the first.
+func TestSeriesIndependentOfConditions(t *testing.T) {
 	const procs, rounds = 4, 2000
 	reg := obs.New()
 	s := NewStream(procs)
 	s.Instrument(reg, nil)
 	m := NewMonitor(s)
 	m.Instrument(reg)
-	if err := m.SetRetention(RetentionPolicy{MaxEvents: 64, Every: 16, DropSettled: true}); err != nil {
+	if err := m.SetRetention(RetentionPolicy{MaxEvents: 64, Every: 16}); err != nil {
 		t.Fatal(err)
 	}
-	sawGauge := false
-	maxGauges := 0
-	countCond := func() int {
-		n := 0
-		for name := range reg.Snapshot().Gauges {
-			if strings.HasPrefix(name, "online.detect_latency.cond.") {
-				n++
+	series := func() []string {
+		snap := reg.Snapshot()
+		var out []string
+		for _, names := range []map[string]int64{snap.Counters, snap.Gauges} {
+			for name := range names {
+				out = append(out, name)
 			}
 		}
-		return n
+		for name := range snap.Histograms {
+			out = append(out, name)
+		}
+		for name := range snap.Windows {
+			out = append(out, name)
+		}
+		for name := range snap.Infos {
+			out = append(out, name)
+		}
+		sort.Strings(out)
+		return out
 	}
+	var first []string
+	settled := 0
 	for r := 0; r < rounds; r++ {
 		name := fmt.Sprintf("r-%d", r)
 		for p := 0; p < procs; p++ {
@@ -468,31 +479,148 @@ func TestRetentionDropsPerConditionGauges(t *testing.T) {
 			t.Fatal(err)
 		}
 		if r > 0 {
-			cond := fmt.Sprintf("c-%d", r)
-			if err := m.AddCondition(cond, fmt.Sprintf("R1(r-%d, %s)", r-1, name)); err != nil {
+			if err := m.AddCondition(fmt.Sprintf("c-%d", r), fmt.Sprintf("R1(r-%d, %s)", r-1, name)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		m.Poll()
-		if r%64 == 0 {
-			if n := countCond(); n > 0 {
-				sawGauge = true
-				if n > maxGauges {
-					maxGauges = n
-				}
-			}
+		settled += len(m.Poll())
+		if first == nil && settled > 0 {
+			first = series()
 		}
 	}
-	if !sawGauge {
-		t.Fatal("no per-condition latency gauge was ever registered; the test is not exercising the path")
+	m.CompactNow()
+	if settled != rounds-1 {
+		t.Fatalf("%d of %d conditions settled", settled, rounds-1)
 	}
-	// The live gauge set must be bounded by the retention window, not the
-	// stream length: 64-event window over 4-event rounds plus appraisal slack.
-	if bound := 4 * 64 / procs; maxGauges > bound {
-		t.Errorf("per-condition gauge cardinality peaked at %d; want <= %d (window-bounded, not O(rounds)=%d)", maxGauges, bound, rounds)
+	if got := series(); !slices.Equal(got, first) {
+		t.Errorf("series after %d settlements:\n%v\nafter the first:\n%v", settled, got, first)
+	}
+}
+
+// TestRetentionWindowRestartsAtLastUse pins MaxEvents' promise that an
+// interval's window restarts when the last condition referencing it
+// settles: A completes long before B, yet StrongestBetween(A, B) still
+// answers when their condition settles, and A goes exactly one window after
+// that settlement.
+func TestRetentionWindowRestartsAtLastUse(t *testing.T) {
+	s := NewStream(2)
+	m := NewMonitor(s)
+	if err := m.SetRetention(RetentionPolicy{MaxEvents: 8, Every: 1}); err != nil {
+		t.Fatal(err)
+	}
+	a, err := s.Local(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Observe("A", a); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Complete("A"); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.AddCondition("c", "R1(A, B)"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		b, err := s.Local(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Observe("B", b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Complete("B"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Local(0); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Poll(); len(got) != 1 || got[0].Name != "c" {
+		t.Fatalf("Poll = %+v; want c settled", got)
+	}
+	if _, err := m.StrongestBetween("A", "B"); err != nil {
+		t.Fatalf("StrongestBetween at settlement: %v", err)
+	}
+	for i := 1; i <= 9; i++ {
+		if _, err := s.Local(i % 2); err != nil {
+			t.Fatal(err)
+		}
+		m.Poll()
+		_, err := m.StrongestBetween("A", "B")
+		switch released := err != nil && strings.Contains(err.Error(), "released"); {
+		case i < 9 && err != nil:
+			t.Fatalf("%d events after settlement: %v; want A still held", i, err)
+		case i == 9 && !released:
+			t.Fatalf("9 events after settlement: err = %v; want A released", err)
+		}
+	}
+}
+
+// TestReleaseFreesIntervalRecords pins that released and abandoned names
+// leave only their tombstones behind: conditions over an abandoned interval
+// and a never-observed one, and intervals whose Define failed, all free
+// their interval records once settled and out of the window.
+func TestReleaseFreesIntervalRecords(t *testing.T) {
+	s := NewStream(2)
+	m := NewMonitor(s)
+	if err := m.SetRetention(RetentionPolicy{MaxEvents: 8, AbandonAfter: 16, Every: 4}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		e, err := s.Local(i % 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Observe(fmt.Sprintf("stall-%d", i), e); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.AddCondition(fmt.Sprintf("c-%d", i), fmt.Sprintf("R1(stall-%d, ghost-%d)", i, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		name := fmt.Sprintf("bad-%d", i)
+		if err := m.Observe(name, poset.EventID{Proc: 0, Pos: 1 << 20}); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Complete(name); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.AddCondition(fmt.Sprintf("p-%d", i), fmt.Sprintf("R4(%s, %s)", name, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	failed := 0
+	for i := 0; i < 64; i++ {
+		if _, err := s.Local(i % 2); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range m.Poll() {
+			if r.State != monitor.Failed {
+				t.Errorf("%s = %v; want failed", r.Name, r.State)
+			}
+			failed++
+		}
 	}
 	m.CompactNow()
-	if n := countCond(); n > 64 {
-		t.Errorf("%d per-condition gauges survive the final appraisal; want the window's worth at most", n)
+	if failed != 70 {
+		t.Fatalf("%d of 70 conditions settled", failed)
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if len(m.ivs) != 0 {
+		t.Errorf("%d interval records survive; want none", len(m.ivs))
+	}
+	if len(m.retired) != 70 || m.abandoned != 50 || m.released != 20 {
+		t.Errorf("tombstones: %d retired (%d abandoned, %d released); want 70 (50, 20)", len(m.retired), m.abandoned, m.released)
+	}
+	for name, cs := range m.conds {
+		if cs.c != nil {
+			t.Errorf("condition %s keeps its compiled form after settling", name)
+		}
+	}
+	if len(m.conds) != 70 || len(m.ready) != 0 {
+		t.Errorf("%d condition records, %d ready; want 70 tombstones, none ready", len(m.conds), len(m.ready))
 	}
 }
