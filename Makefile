@@ -65,10 +65,11 @@ stream:
 	$(GO) run ./cmd/benchtab -table e14 -reps 5
 
 # Long-horizon soak (E15): stream 100k events through the retention-
-# enabled online monitor asserting bounded heap and verdict agreement
-# (the CI smoke), then print the full soak table up to 1M events.
+# enabled online monitor asserting bounded heap and verdict agreement, and
+# the unretained monitor asserting flat ns/event (the CI smoke), then print
+# the full soak table up to 1M events.
 soak:
-	$(GO) test -run TestSoakBoundedHeap -v ./internal/bench
+	$(GO) test -run 'TestSoakBoundedHeap|TestSoakSettlementCostFlat' -v ./internal/bench
 	$(GO) run ./cmd/benchtab -table e15
 
 fuzz:

@@ -59,8 +59,9 @@
 // contract are identical to the offline path — the retention subsystem's
 // differential tests pin that — and /debug/monitor gains a retention panel
 // (watermark, working set, released/abandoned counts) plus runtime heap
-// gauges in the sampled time-series store. Incompatible with -explain,
-// whose critical-path walks revisit history the watermark may have dropped.
+// gauges in the sampled time-series store. With -explain the evidence is
+// derived from the whole loaded trace, which the watermark never touches, so
+// the explanations match the offline path's too.
 //
 // -explain prints, under each settled condition, the witness cuts and
 // critical path behind every atom (internal/explain) and adds an
@@ -87,6 +88,7 @@ import (
 
 	"causet/internal/buildinfo"
 	"causet/internal/cliutil"
+	"causet/internal/core"
 	"causet/internal/explain"
 	"causet/internal/faultsim"
 	"causet/internal/interval"
@@ -156,7 +158,7 @@ func run(args []string, out io.Writer) (int, error) {
 	fs.Var(&conds, "cond", "condition \"name: expression\" (repeatable)")
 	condFile := fs.String("conds", "", "file with one \"name: expression\" per line")
 	explainFlag := fs.Bool("explain", false, "print, under each settled condition, the witness cuts and critical path behind every atom (internal/explain); the /debug/monitor dashboard gains an explanations panel")
-	retention := fs.String("retention", "", "stream the trace through the online monitor under this retention policy instead of the one-shot offline check: \"events=N,age=DUR,every=N,abandon=N\" (at least one of events/age); bounds memory for long-running sessions, incompatible with -explain")
+	retention := fs.String("retention", "", "stream the trace through the online monitor under this retention policy instead of the one-shot offline check: \"events=N,age=DUR,every=N,abandon=N\" (at least one of events/age); bounds memory for long-running sessions")
 	flightOut := fs.String("flight-out", "", "write a flight-recorder bundle (last-K events with live vector clocks, final clocks, metrics snapshot) as JSON to this file when a condition is violated or the run panics")
 	version := fs.Bool("version", false, "print build information and exit")
 	metricsOut := fs.String("metrics", "", "write a metrics-registry snapshot as JSON to this file (- = stderr)")
@@ -180,9 +182,6 @@ func run(args []string, out io.Writer) (int, error) {
 	}
 	var retPolicy *online.RetentionPolicy
 	if *retention != "" {
-		if *explainFlag {
-			return exitError, fmt.Errorf("-retention and -explain are mutually exclusive: explanation capture revisits history the retention watermark may have compacted")
-		}
 		p, perr := parseRetention(*retention)
 		if perr != nil {
 			return exitError, perr
@@ -380,19 +379,26 @@ func run(args []string, out io.Writer) (int, error) {
 	}
 
 	// -explain derives witness/critical-path evidence for every settled
-	// condition through the cold WitnessEvaluator path.
+	// condition through the cold WitnessEvaluator path. Streaming mode
+	// explains from the whole loaded trace: retention compacts only the
+	// online stream, never ex.
 	var expl *explain.Explainer
+	condByName := make(map[string]*monitor.Condition, len(condPairs))
 	if *explainFlag {
-		expl = explain.New(m.Analysis())
+		var a *core.Analysis
+		if m != nil {
+			a = m.Analysis()
+		} else {
+			a = core.NewAnalysis(ex)
+		}
+		expl = explain.New(a)
 		expl.Instrument(reg)
 		if tm, terr := f.Timing(ex); terr == nil {
 			expl.WithTiming(tm)
 		}
-	}
-	condByName := make(map[string]*monitor.Condition)
-	if m != nil {
-		for _, c := range m.Conditions() {
-			condByName[c.Name] = c
+		// AddCondition accepted every pair above, so parsing cannot fail.
+		for _, c := range condPairs {
+			condByName[c[0]] = monitor.NewCondition(c[0], c[1], monitor.MustParse(c[1]))
 		}
 	}
 	var explanations []*explain.ConditionExplanation

@@ -59,16 +59,47 @@ func TestParseRetention(t *testing.T) {
 	}
 }
 
-func TestRetentionExplainExclusive(t *testing.T) {
-	path := writeTrace(t)
-	var buf bytes.Buffer
-	code, err := run([]string{"-trace", path, "-retention", "events=8", "-explain",
-		"-cond", "ordered: R1(ring-round-0, ring-round-1)"}, &buf)
-	if err == nil || code != exitError {
-		t.Fatalf("-retention -explain should be rejected, got exit %d err %v", code, err)
+// TestRetentionExplainComposes pins that -explain composes with streaming
+// mode: the evidence comes from the whole loaded trace, so a run under a
+// retention window tight enough to release and compact early rounds prints
+// byte-identical output, explanations included, and exits with the same
+// code as the offline -explain run.
+func TestRetentionExplainComposes(t *testing.T) {
+	path := writeLongTrace(t, 8)
+	prevStderr := stderrW
+	var errBuf bytes.Buffer
+	stderrW = &errBuf
+	defer func() { stderrW = prevStderr }()
+
+	// "ordered" settles once round 1 completes and no condition references
+	// rounds 2-5, so the streamed run releases early rounds and compacts
+	// below them long before "backwards" settles at round 7.
+	args := []string{"-explain",
+		"-cond", "ordered: R1(ring-round-0, ring-round-1)",
+		"-cond", "backwards: R1(ring-round-7, ring-round-6)",
 	}
-	if !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Errorf("error should name the exclusivity: %v", err)
+	var offline, streamed bytes.Buffer
+	offCode, err := run(append([]string{"-trace", path}, args...), &offline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stCode, err := run(append([]string{"-trace", path, "-retention", "events=8,every=4"}, args...), &streamed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stCode != offCode || stCode != exitViolation {
+		t.Errorf("exit codes: offline %d, streamed %d, want both %d", offCode, stCode, exitViolation)
+	}
+	if offline.String() != streamed.String() {
+		t.Errorf("output diverges:\noffline:\n%s\nstreamed:\n%s", offline.String(), streamed.String())
+	}
+	for _, want := range []string{"PASS  ordered", "FAIL  backwards", "witness:"} {
+		if !strings.Contains(streamed.String(), want) {
+			t.Errorf("streamed -explain output lacks %q:\n%s", want, streamed.String())
+		}
+	}
+	if strings.Contains(errBuf.String(), "watermark=[0 0 0]") || !strings.Contains(errBuf.String(), "watermark=[") {
+		t.Errorf("streamed run should have compacted the stream:\n%s", errBuf.String())
 	}
 }
 

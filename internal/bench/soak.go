@@ -26,11 +26,9 @@ type SoakConfig struct {
 // DefaultSoakConfigs is the E15 grid. The largest point streams over one
 // million events (Procs × Rounds), where the retained leg must stay flat at
 // the working set (roughly Window + Every events plus the growing round).
-// The unbounded monitor pays an O(stream length) snapshot rebuild per
-// settlement, so only points under soakUnboundedCap run the unbounded
-// comparison leg — that is where its linear memory and superlinear time
-// growth are measured; beyond the cap the run would take hours, which is the
-// pathology this experiment documents, not a leg worth waiting on.
+// The unbounded monitor holds every event's state, so only points under
+// soakUnboundedCap run the unbounded comparison leg — that is where its
+// linear memory growth is measured.
 func DefaultSoakConfigs() []SoakConfig {
 	return []SoakConfig{
 		{Procs: 8, Rounds: 2_000, Window: 512, Every: 128},
@@ -40,7 +38,10 @@ func DefaultSoakConfigs() []SoakConfig {
 }
 
 // soakUnboundedCap is the event count above which SoakSweep skips the
-// unbounded leg (see DefaultSoakConfigs).
+// unbounded leg. Its per-event time stays flat (TestSoakSettlementCostFlat),
+// but its memory grows by about 0.45 KiB per event, some 450 MiB at the
+// million-event point: that growth is what this experiment documents, not a
+// footprint worth paying on every sweep.
 const soakUnboundedCap = 40_000
 
 // SoakRow is one measured point of experiment E15. Ret* columns come from

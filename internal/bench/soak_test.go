@@ -1,7 +1,10 @@
 package bench
 
 import (
+	"sort"
 	"testing"
+
+	"causet/internal/obs"
 )
 
 // TestSoakBoundedHeap is the CI smoke for the E15 soak, two points of the
@@ -68,5 +71,42 @@ func TestSoakBoundedHeap(t *testing.T) {
 	if rows[1].UnbHeapPeak > 0 && rows[1].RetHeapPeak >= rows[1].UnbHeapPeak {
 		t.Errorf("retained peak heap %d not below unbounded %d",
 			rows[1].RetHeapPeak, rows[1].UnbHeapPeak)
+	}
+}
+
+// TestSoakSettlementCostFlat pins that a settlement's cost does not depend
+// on how many intervals the monitor has ever defined: without a retention
+// policy every round's interval stays held, yet the larger stream's median
+// ns/event over three runs must stay within 2x of the smaller one's. A
+// check loop that revisits every held interval per settlement grows with the
+// round count and fails here. The two sizes alternate, so a change in
+// machine load between runs skews both medians alike.
+func TestSoakSettlementCostFlat(t *testing.T) {
+	if testing.Short() || obs.RaceEnabled {
+		t.Skip("timing check needs a full run without race instrumentation")
+	}
+	sizes := [2]int{2_000, 16_000}
+	var runs [2][]float64
+	for range 3 {
+		for i, rounds := range sizes {
+			cfg := SoakConfig{Procs: 4, Rounds: rounds}
+			leg, err := runSoak(cfg, nil, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if leg.settled != rounds-1 {
+				t.Fatalf("rounds=%d: settled %d conditions, want %d", rounds, leg.settled, rounds-1)
+			}
+			runs[i] = append(runs[i], float64(leg.elapsed.Nanoseconds())/float64(cfg.Procs*rounds))
+		}
+	}
+	for _, r := range runs {
+		sort.Float64s(r)
+	}
+	small, large := runs[0][1], runs[1][1]
+	ratio := large / small
+	t.Logf("unretained median ns/event: %.0f at 4x2000 rounds, %.0f at 4x16000 (ratio %.2f)", small, large, ratio)
+	if ratio > 2 {
+		t.Errorf("ns/event grew %.2fx from 4x2000 to 4x16000 rounds, want <= 2x", ratio)
 	}
 }

@@ -199,7 +199,7 @@ func runCold(res *sim.Result, conds [][2]string) (streamRun, error) {
 					return err
 				}
 			}
-			settled[i] = mon.CheckCondition(c).State
+			settled[i] = monitor.Evaluate(c, mon.Analysis(), mon.Interval).State
 		}
 		return nil
 	}

@@ -46,11 +46,9 @@ type Expr interface {
 
 // evalEnv carries what atom evaluation needs.
 type evalEnv struct {
-	a         *core.Analysis
-	eval      core.Evaluator
-	intervals map[string]*interval.Interval
-	// checked: reject overlapping operand pairs (honest semantics).
-	checked bool
+	a      *core.Analysis
+	eval   core.Evaluator
+	lookup func(name string) (*interval.Interval, bool)
 }
 
 // operand is an interval reference with an optional proxy application.
@@ -68,7 +66,7 @@ func (o operand) String() string {
 }
 
 func (o operand) resolve(env *evalEnv) (*interval.Interval, error) {
-	iv, ok := env.intervals[o.name]
+	iv, ok := env.lookup(o.name)
 	if !ok {
 		return nil, &UndefinedError{Name: o.name}
 	}
@@ -111,10 +109,7 @@ func (a *atomExpr) eval(env *evalEnv) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	if env.checked {
-		return env.a.EvalChecked(env.eval, a.rel, x, y)
-	}
-	return env.eval.Eval(a.rel, x, y), nil
+	return env.a.EvalChecked(env.eval, a.rel, x, y)
 }
 
 type notExpr struct{ e Expr }

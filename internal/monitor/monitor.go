@@ -82,44 +82,13 @@ func (c *Condition) Refs() []string {
 type Monitor struct {
 	mu         sync.RWMutex
 	a          *core.Analysis
-	eval       core.Evaluator
 	intervals  map[string]*interval.Interval
 	conditions []*Condition
 }
 
 // New creates a monitor over ex using the paper's linear-time evaluator.
 func New(ex *poset.Execution) *Monitor {
-	return NewWithAnalysis(core.NewAnalysis(ex))
-}
-
-// NewWithAnalysis creates a monitor over an existing Analysis, sharing its
-// cut caches instead of recomputing the timestamp structure. This is how the
-// online monitor keeps one persistent inner monitor across snapshot epochs.
-func NewWithAnalysis(a *core.Analysis) *Monitor {
-	return &Monitor{
-		a:         a,
-		eval:      core.NewFast(a),
-		intervals: make(map[string]*interval.Interval),
-	}
-}
-
-// Rebase swaps the monitor onto a new Analysis whose execution must extend
-// the current one (poset.Prefix). Registered intervals and conditions are
-// kept: every interval's home execution is validated to be a prefix of the
-// new one, so all previously-computed verdicts remain valid (appends never
-// change causality among recorded events). On error the monitor is
-// unchanged.
-func (m *Monitor) Rebase(a *core.Analysis) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for name, iv := range m.intervals {
-		if !poset.Prefix(iv.Execution(), a.Execution()) {
-			return fmt.Errorf("monitor: rebase: interval %q does not belong to a prefix of the new execution", name)
-		}
-	}
-	m.a = a
-	m.eval = core.NewFast(a)
-	return nil
+	return &Monitor{a: core.NewAnalysis(ex), intervals: make(map[string]*interval.Interval)}
 }
 
 // Analysis exposes the underlying analysis (timestamps, cut caches).
@@ -151,19 +120,6 @@ func (m *Monitor) DefineInterval(name string, iv *interval.Interval) error {
 	}
 	m.intervals[name] = iv
 	return nil
-}
-
-// Undefine removes a registered interval so its memory can be reclaimed.
-// It is the retention path's release hook: the online monitor calls it once
-// every condition referencing the interval has settled and the interval has
-// aged out of the retention window. Undefining an unknown name is a no-op.
-// Conditions that still reference the name will fail their next evaluation
-// with an undefined reference — callers are responsible for settling them
-// first.
-func (m *Monitor) Undefine(name string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.intervals, name)
 }
 
 // Interval returns a registered interval.
@@ -217,19 +173,30 @@ func (m *Monitor) Check() []Result {
 	defer m.mu.RUnlock()
 	out := make([]Result, 0, len(m.conditions))
 	for _, c := range m.conditions {
-		out = append(out, m.checkLocked(c))
+		out = append(out, Evaluate(c, m.a, m.lookup))
 	}
 	return out
 }
 
-func (m *Monitor) checkLocked(c *Condition) Result {
+// lookup resolves a name against the registered intervals. The caller holds
+// m.mu.
+func (m *Monitor) lookup(name string) (*interval.Interval, bool) {
+	iv, ok := m.intervals[name]
+	return iv, ok
+}
+
+// Evaluate decides the condition c over the analysis a, resolving the
+// interval names it references through lookup: Pending while lookup misses
+// one of them, Failed when evaluation errors (e.g. overlapping operands),
+// Holds or Violated otherwise. It is the one evaluation path of both the
+// offline Monitor.Check and the online monitor's check loop.
+func Evaluate(c *Condition, a *core.Analysis, lookup func(name string) (*interval.Interval, bool)) Result {
 	for _, name := range c.Refs() {
-		if _, ok := m.intervals[name]; !ok {
+		if _, ok := lookup(name); !ok {
 			return Result{Name: c.Name, State: Pending}
 		}
 	}
-	env := &evalEnv{a: m.a, eval: m.eval, intervals: m.intervals, checked: true}
-	held, err := c.Expr.eval(env)
+	held, err := c.Expr.eval(&evalEnv{a: a, eval: core.NewFast(a), lookup: lookup})
 	switch {
 	case err != nil:
 		return Result{Name: c.Name, State: Failed, Err: err}
@@ -238,17 +205,6 @@ func (m *Monitor) checkLocked(c *Condition) Result {
 	default:
 		return Result{Name: c.Name, State: Violated}
 	}
-}
-
-// CheckCondition evaluates a single condition against the registered
-// intervals. The condition need not have been registered with this monitor;
-// only its Expr is consulted. This is the indexed online check loop's entry
-// point — it evaluates exactly the condition that just became unblocked,
-// skipping the full registration scan of Check.
-func (m *Monitor) CheckCondition(c *Condition) Result {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.checkLocked(c)
 }
 
 // Eval parses and evaluates a one-shot expression against the registered
@@ -261,8 +217,7 @@ func (m *Monitor) Eval(src string) (bool, error) {
 	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	env := &evalEnv{a: m.a, eval: m.eval, intervals: m.intervals, checked: true}
-	return expr.eval(env)
+	return expr.eval(&evalEnv{a: m.a, eval: core.NewFast(m.a), lookup: m.lookup})
 }
 
 // HeldTable1 reports which of the 8 Table 1 relations hold between two
@@ -279,9 +234,10 @@ func (m *Monitor) HeldTable1(xName, yName string) ([]core.Relation, error) {
 	if !ok {
 		return nil, &UndefinedError{Name: yName}
 	}
+	eval := core.NewFast(m.a)
 	var held []core.Relation
 	for _, rel := range core.Relations() {
-		ok, err := m.a.EvalChecked(m.eval, rel, x, y)
+		ok, err := m.a.EvalChecked(eval, rel, x, y)
 		if err != nil {
 			return nil, err
 		}
@@ -308,5 +264,5 @@ func (m *Monitor) HoldingRelations(xName, yName string) ([]core.Rel32, error) {
 	if x.Overlaps(y) {
 		return nil, &core.ErrOverlap{X: x, Y: y}
 	}
-	return m.a.HoldingRel32(m.eval, x, y), nil
+	return m.a.HoldingRel32(core.NewFast(m.a), x, y), nil
 }

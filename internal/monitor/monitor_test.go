@@ -226,29 +226,6 @@ func TestMonitorLifecycle(t *testing.T) {
 	}
 }
 
-func TestMonitorUndefine(t *testing.T) {
-	res := sim.MustGenerate(sim.Config{Pattern: sim.Ring, Procs: 3, Rounds: 2, Seed: 5})
-	m := New(res.Exec)
-	if err := m.Define("first", res.Phases[0].Events); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Define("second", res.Phases[1].Events); err != nil {
-		t.Fatal(err)
-	}
-	m.Undefine("first")
-	if _, ok := m.Interval("first"); ok {
-		t.Fatal("interval still registered after Undefine")
-	}
-	if names := m.IntervalNames(); len(names) != 1 || names[0] != "second" {
-		t.Fatalf("IntervalNames = %v, want [second]", names)
-	}
-	// The name becomes available again, and unknown names are a no-op.
-	m.Undefine("never-existed")
-	if err := m.Define("first", res.Phases[0].Events); err != nil {
-		t.Fatalf("redefine after Undefine: %v", err)
-	}
-}
-
 func TestMonitorFailedOnOverlap(t *testing.T) {
 	res := sim.MustGenerate(sim.Config{Pattern: sim.Ring, Procs: 3, Rounds: 1, Seed: 5})
 	m := New(res.Exec)

@@ -8,6 +8,7 @@ import (
 
 	"causet/internal/core"
 	"causet/internal/hierarchy"
+	"causet/internal/interval"
 	"causet/internal/monitor"
 	"causet/internal/obs"
 	"causet/internal/obs/logx"
@@ -33,8 +34,8 @@ type ivState struct {
 	seq int
 	at  time.Time
 
-	inner  *monitor.Monitor // inner monitor the interval is defined in
-	defErr error            // a failed Define poisons the name
+	built  *interval.Interval // built once, at the interval's first evaluation
+	defErr error              // a failed build poisons the name
 }
 
 // condState is one condition name's record. Settlement drops the compiled
@@ -53,9 +54,12 @@ type condState struct {
 // each verdict exactly once and the condition is never re-evaluated.
 //
 // The check loop is indexed: Complete promotes exactly the conditions it
-// unblocked onto a ready queue, and Poll drains that queue against one
-// persistent inner monitor that is rebased onto each new snapshot epoch —
-// conditions are compiled once and intervals are defined once. The offline
+// unblocked onto a ready queue, and Poll drains that queue over the current
+// snapshot through monitor.Evaluate, the offline monitor's evaluation path.
+// Conditions are compiled once; each interval is built once, at its first
+// evaluation, and cached in its record, and by verdict stability the built
+// interval stays valid for every later snapshot. A settlement therefore
+// costs the same however many intervals were ever defined. The offline
 // monitor over the finished execution is the differential reference for
 // every verdict (see TestIncrementalSnapshotAgreement).
 type Monitor struct {
@@ -65,10 +69,6 @@ type Monitor struct {
 	ivs   map[string]*ivState
 	conds map[string]*condState
 	ready []*condState // unblocked, not yet evaluated
-
-	// Persistent inner monitor; an interval record is defined with it when
-	// the record's inner pointer equals it.
-	inner *monitor.Monitor
 
 	// Detection latency: Complete stamps each interval with nowFn; settle
 	// reports now − max(stamp of referenced intervals) — the lag from the
@@ -410,58 +410,42 @@ func (m *Monitor) Poll() []monitor.Result {
 	return out
 }
 
-// ensureInnerLocked points the persistent inner monitor at the current
-// snapshot epoch, creating or rebasing it as needed. Rebasing preserves
-// defined intervals. Rebase returns an error when some defined interval's
-// execution is not a prefix of the new snapshot's. Every snapshot is a
-// later view of the stream's one builder, which poset.Prefix accepts even
-// across compaction, so no path is known to trigger it; should it happen,
-// the monitor falls back to a fresh inner monitor, which re-defines
-// intervals on demand.
-func (m *Monitor) ensureInnerLocked() {
-	snap := m.stream.Snapshot()
-	switch {
-	case m.inner == nil:
-		m.inner = monitor.NewWithAnalysis(snap.Analysis)
-	case m.inner.Analysis() != snap.Analysis:
-		if err := m.inner.Rebase(snap.Analysis); err != nil {
-			m.inner = monitor.NewWithAnalysis(snap.Analysis)
+// buildLocked returns the named completed interval, building it over ex on
+// its first use. A build failure (bogus event IDs) poisons the name: the
+// error is recorded and returned to every later reference, so each condition
+// touching the interval settles Failed.
+func (m *Monitor) buildLocked(name string, ex *poset.Execution) (*interval.Interval, error) {
+	iv := m.ivs[name]
+	if iv.built == nil && iv.defErr == nil {
+		built, err := interval.New(ex, iv.events)
+		if err != nil {
+			iv.defErr = fmt.Errorf("online: interval %q: %w", name, err)
 		}
+		iv.built = built
 	}
+	return iv.built, iv.defErr
 }
 
-// defineLocked registers a completed interval with the persistent inner
-// monitor, once per inner monitor. A Define failure (bogus event IDs)
-// poisons the name: the error is recorded and returned to every later
-// reference, so each condition touching the interval settles Failed.
-func (m *Monitor) defineLocked(name string) error {
-	iv := m.ivs[name]
-	if iv.defErr != nil {
-		return iv.defErr
+// builtLocked is the interval lookup monitor.Evaluate resolves names with: a
+// name resolves once its record holds a built interval.
+func (m *Monitor) builtLocked(name string) (*interval.Interval, bool) {
+	if iv := m.ivs[name]; iv != nil && iv.built != nil {
+		return iv.built, true
 	}
-	if iv.inner == m.inner {
-		return nil
-	}
-	if err := m.inner.Define(name, iv.events); err != nil {
-		iv.defErr = err
-		return err
-	}
-	iv.inner = m.inner
-	return nil
+	return nil, false
 }
 
 // checkIncrementalLocked drains the ready queue: each unblocked condition
-// has its intervals defined (once) and is evaluated with its compiled
-// expression against the persistent inner monitor. The snapshot (and its
-// rebase) is only taken when something is actually ready, so a Poll with
-// nothing to do costs O(1).
+// has its intervals built (once) and is evaluated with its compiled
+// expression over the current snapshot. The snapshot is only taken when
+// something is actually ready, so a Poll with nothing to do costs O(1).
 func (m *Monitor) checkIncrementalLocked() {
 	if len(m.ready) == 0 {
 		return
 	}
 	todo := m.ready
 	m.ready = nil
-	m.ensureInnerLocked()
+	a := m.stream.Snapshot().Analysis
 	for _, cs := range todo {
 		c := cs.c
 		if c == nil {
@@ -469,8 +453,7 @@ func (m *Monitor) checkIncrementalLocked() {
 		}
 		var defErr error
 		for _, ref := range c.Refs() {
-			if err := m.defineLocked(ref); err != nil {
-				defErr = err
+			if _, defErr = m.buildLocked(ref, a.Execution()); defErr != nil {
 				break
 			}
 		}
@@ -478,11 +461,11 @@ func (m *Monitor) checkIncrementalLocked() {
 			m.settle(cs, monitor.Result{Name: c.Name, State: monitor.Failed, Err: defErr})
 			continue
 		}
-		res := m.inner.CheckCondition(c)
+		res := monitor.Evaluate(c, a, m.builtLocked)
 		if res.State == monitor.Pending {
-			// Defensive: a ready condition has every reference defined, so
-			// the inner monitor cannot report Pending; if it ever does,
-			// re-queue rather than lose the condition.
+			// Defensive: a ready condition has every reference built, so
+			// Evaluate cannot report Pending; if it ever does, re-queue
+			// rather than lose the condition.
 			m.ready = append(m.ready, cs)
 			continue
 		}
@@ -507,9 +490,9 @@ func (m *Monitor) CompletedIntervals() []string {
 // StrongestBetween reports the maximal relations (under the hierarchy's
 // implication order) holding between two completed intervals at the current
 // prefix — the compact online answer to Problem 4(ii). By verdict stability
-// the answer is final once both intervals are complete. The query runs
-// against the persistent inner monitor, sharing its interval definitions
-// with the check loop.
+// the answer is final once both intervals are complete. The pair is decided
+// by the fused Table 1 kernel over the current snapshot, on the intervals
+// the check loop builds.
 func (m *Monitor) StrongestBetween(xName, yName string) ([]core.Relation, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -521,16 +504,24 @@ func (m *Monitor) StrongestBetween(xName, yName string) ([]core.Relation, error)
 			return nil, fmt.Errorf("online: interval %q is not complete", name)
 		}
 	}
-	m.ensureInnerLocked()
-	if err := m.defineLocked(xName); err != nil {
-		return nil, err
-	}
-	if err := m.defineLocked(yName); err != nil {
-		return nil, err
-	}
-	held, err := m.inner.HeldTable1(xName, yName)
+	a := m.stream.Snapshot().Analysis
+	x, err := m.buildLocked(xName, a.Execution())
 	if err != nil {
 		return nil, err
+	}
+	y, err := m.buildLocked(yName, a.Execution())
+	if err != nil {
+		return nil, err
+	}
+	if x.Overlaps(y) {
+		return nil, &core.ErrOverlap{X: x, Y: y}
+	}
+	verdicts, _ := a.EvalTable1(x, y)
+	var held []core.Relation
+	for _, rel := range core.Relations() {
+		if verdicts&(1<<rel) != 0 {
+			held = append(held, rel)
+		}
 	}
 	return hierarchy.Strongest(held), nil
 }

@@ -334,6 +334,42 @@ func TestStrongestBetween(t *testing.T) {
 	}
 }
 
+// TestOverlappingOperands pins the online monitor's overlap semantics: the
+// relations assume disjoint nonatomic events, so a condition over two
+// completed intervals that share an event settles Failed with
+// *core.ErrOverlap, and StrongestBetween rejects the pair the same way.
+func TestOverlappingOperands(t *testing.T) {
+	s := NewStream(2)
+	m := NewMonitor(s)
+	a, _ := s.Send(0)
+	b, err := s.Recv(1, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Observe("both", a, b); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Observe("tail", b); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"both", "tail"} {
+		if err := m.Complete(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.AddCondition("shared", "R4(both, tail)"); err != nil {
+		t.Fatal(err)
+	}
+	var ov *core.ErrOverlap
+	res := m.Poll()
+	if len(res) != 1 || res[0].State != monitor.Failed || !errors.As(res[0].Err, &ov) {
+		t.Fatalf("Poll = %+v, want one Failed result with *core.ErrOverlap", res)
+	}
+	if _, err := m.StrongestBetween("both", "tail"); !errors.As(err, &ov) {
+		t.Errorf("StrongestBetween over overlapping intervals: err = %v, want *core.ErrOverlap", err)
+	}
+}
+
 func TestStreamConcurrent(t *testing.T) {
 	s := NewStream(4)
 	var wg sync.WaitGroup

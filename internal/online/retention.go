@@ -188,9 +188,6 @@ func (m *Monitor) appraiseLocked(total int) {
 			// use, so StrongestBetween queried at settlement time always
 			// finds its operands.
 			delete(m.ivs, name)
-			if m.inner != nil {
-				m.inner.Undefine(name)
-			}
 			m.retired[name] = retiredReleased
 			m.released++
 			m.metReleased.Inc()

@@ -115,8 +115,11 @@ type Builder struct {
 	// a frontier event with no outgoing edges at insert time — then no edge
 	// can ever close a cycle and validation is O(1) per message instead of a
 	// Kahn pass per view. Message tracks the discipline; the first edge that
-	// breaks it poisons View (Build remains fully general).
-	hasOut         map[EventID]bool
+	// breaks it poisons View (Build remains fully general). lastSent[p] is
+	// the position of process p's newest event that has sent (0: none), which
+	// is all the check needs: a receive must be its process's newest event,
+	// so it has sent iff it is that event.
+	lastSent       []int
 	unsafeForViews bool
 
 	// Retention state (CompactBelow). droppedMsgs counts messages removed
@@ -134,7 +137,7 @@ func NewBuilder(procs int) *Builder {
 	if procs < 0 {
 		procs = 0
 	}
-	return &Builder{counts: make([]int, procs)}
+	return &Builder{counts: make([]int, procs), lastSent: make([]int, procs)}
 }
 
 // NumProcs reports the number of processes configured so far.
@@ -184,13 +187,10 @@ func (b *Builder) Message(from, to EventID) error {
 	// Fresh-sink check (see Builder doc): the receive must be the newest
 	// event on its process and must not already have outgoing edges,
 	// otherwise later views of this builder could observe a cyclic prefix.
-	if to.Pos != b.counts[to.Proc] || b.hasOut[to] {
+	if to.Pos != b.counts[to.Proc] || b.lastSent[to.Proc] == to.Pos {
 		b.unsafeForViews = true
 	}
-	if b.hasOut == nil {
-		b.hasOut = make(map[EventID]bool)
-	}
-	b.hasOut[from] = true
+	b.lastSent[from.Proc] = max(b.lastSent[from.Proc], from.Pos)
 	b.msgs = append(b.msgs, Message{From: from, To: to})
 	return nil
 }
@@ -263,10 +263,10 @@ func (b *Builder) View() (*Execution, error) {
 
 // CompactBelow drops retained history at or below the per-process watermark
 // w: every message edge whose sender sits at position ≤ w[proc] is removed
-// from the log (along with its fresh-sink bookkeeping), and the watermark is
-// recorded so later views know which events lost their causal neighborhood.
-// Event positions are never renumbered — retained events keep their external
-// EventIDs, and the per-process counts remain absolute.
+// from the log, and the watermark is recorded so later views know which
+// events lost their causal neighborhood. Event positions are never
+// renumbered — retained events keep their external EventIDs, and the
+// per-process counts remain absolute.
 //
 // The watermark must be a *consistent cut*: causally downward-closed, so no
 // retained event precedes a compacted one. Concretely that means a message's
@@ -316,19 +316,11 @@ func (b *Builder) CompactBelow(w []int) (dropped int, err error) {
 	for _, m := range b.msgs {
 		if m.From.Pos <= nw[m.From.Proc] {
 			dropped++
-			delete(b.hasOut, m.From)
 			continue
 		}
 		kept = append(kept, m)
 	}
 	b.msgs = kept
-	// The fresh-sink index only guards future receives, which always land on
-	// frontier events; entries inside the cut can never be consulted again.
-	for e := range b.hasOut {
-		if e.Pos <= nw[e.Proc] {
-			delete(b.hasOut, e)
-		}
-	}
 	b.droppedMsgs += dropped
 	b.compacted = nw
 	return dropped, nil

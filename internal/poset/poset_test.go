@@ -210,6 +210,31 @@ func TestBuildDetectsCycle(t *testing.T) {
 	}
 }
 
+// TestViewRejectsReceiveThatSent pins the second half of the fresh-sink
+// check: a message into a frontier event that has already sent closes a
+// cycle (a -> c, then c -> a), so View must refuse it while Build reports
+// the cycle.
+func TestViewRejectsReceiveThatSent(t *testing.T) {
+	b := NewBuilder(2)
+	a := b.Append(0)
+	c := b.Append(1)
+	if err := b.Message(a, c); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.View(); err != nil {
+		t.Fatalf("View after a fresh-sink message: %v", err)
+	}
+	if err := b.Message(c, a); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.View(); !errors.Is(err, ErrViewUnsafe) {
+		t.Fatalf("View: got %v, want ErrViewUnsafe", err)
+	}
+	if _, err := b.Build(); !errors.Is(err, ErrCausalCycle) {
+		t.Fatalf("Build: got %v, want ErrCausalCycle", err)
+	}
+}
+
 func TestMustBuildPanicsOnCycle(t *testing.T) {
 	defer func() {
 		if recover() == nil {
