@@ -41,6 +41,7 @@ package causet
 import (
 	"time"
 
+	"causet/internal/batch"
 	"causet/internal/core"
 	"causet/internal/cuts"
 	"causet/internal/detect"
@@ -280,9 +281,12 @@ func Compose(r, s Relation) (Relation, bool) { return hierarchy.Compose(r, s) }
 func StrongestRelations(held []Relation) []Relation { return hierarchy.Strongest(held) }
 
 // Summarize builds the strongest-relation matrix over a family of named
-// intervals — the paper's Problem 4(ii) at application scale.
+// intervals — the paper's Problem 4(ii) at application scale — on one
+// inline worker of the batch engine.
 func Summarize(a *Analysis, eval Evaluator, names []string, ivs []*Interval) (*PairMatrix, error) {
-	return hierarchy.Summarize(a, eval, names, ivs)
+	eng := batch.New(a, batch.Options{Workers: 1, NewEvaluator: func(*Analysis) Evaluator { return eval }})
+	pm, _, err := eng.Matrix(names, ivs)
+	return pm, err
 }
 
 // Online detection (internal/online): incremental vector clocks plus a

@@ -19,21 +19,21 @@
 // (internal/faultsim) with the given chaos spec, and the resulting trace —
 // reproducible byte-for-byte from the spec — is analyzed like any other.
 //
-// -parallel N routes evaluation through the internal/batch worker pool;
-// output is byte-identical for every N (and to the serial path).
+// Every verdict comes from the internal/batch engine. -parallel N sets its
+// pool width (0, the default, evaluates inline on one worker); output is
+// byte-identical for every N.
 //
 // Observability: -metrics dumps an internal/obs registry snapshot as JSON
 // (to a file, or to stderr with "-") containing the comparison-accounting
-// counters (core.<evaluator>.comparisons[.<relation>], core.cut_builds) and,
-// under -parallel, the batch.* counters; -trace-out writes a Chrome
-// trace_event file loadable in about://tracing or https://ui.perfetto.dev;
-// -log writes a structured JSONL event log (gated by -log-level);
-// -debug-addr serves net/http/pprof, expvar, /debug/metrics (JSON), and
-// /metrics (Prometheus text 0.0.4) for the duration of the run; -tsdb-out
-// samples the registry into the in-process time-series store every
-// -sample-interval (plus a final sample at exit) and writes its dump as
-// JSON, so a long -matrix run leaves a queryable history of how the
-// comparison counters grew.
+// counters (core.<evaluator>.comparisons[.<relation>], core.cut_builds) and
+// the batch.* counters; -trace-out writes a Chrome trace_event file loadable
+// in about://tracing or https://ui.perfetto.dev; -log writes a structured
+// JSONL event log (gated by -log-level); -debug-addr serves net/http/pprof,
+// expvar, /debug/metrics (JSON), and /metrics (Prometheus text 0.0.4) for
+// the duration of the run; -tsdb-out samples the registry into the
+// in-process time-series store every -sample-interval (plus a final sample
+// at exit) and writes its dump as JSON, so a long -matrix run leaves a
+// queryable history of how the comparison counters grew.
 //
 // -explain prints, under each verdict, the witness cuts whose ≪ test decided
 // it and the critical path through the poset connecting the witness pair
@@ -176,13 +176,10 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	eval := newEval(a)
-	// -parallel routes every evaluation through the batch engine; its
-	// results are deterministic, so the output below is byte-identical for
-	// any worker count.
-	var eng *batch.Engine
-	if *parallel != 0 {
-		eng = batch.New(a, batch.Options{Workers: workerCount(*parallel), NewEvaluator: newEval, Metrics: reg, Tracer: tr})
-	}
+	// Every evaluation runs through the batch engine; its results are
+	// deterministic, so the output below is byte-identical for any worker
+	// count.
+	eng := batch.New(a, batch.Options{Workers: workerCount(*parallel), NewEvaluator: newEval, Metrics: reg, Tracer: tr})
 
 	// -explain derives witness/critical-path evidence through the cold
 	// WitnessEvaluator methods — the hot EvalCount paths are untouched.
@@ -201,10 +198,9 @@ func run(args []string, out io.Writer) error {
 
 	lg.Info("eval_start", logx.F("evaluator", *evalName), logx.F("matrix", *matrix),
 		logx.F("workers", workerCount(*parallel)))
-	err = evalMain(out, f, ex, a, eval, eng, expl, tr, modeFlags{
+	err = evalMain(out, f, ex, eval, eng, expl, tr, modeFlags{
 		xName: *xName, yName: *yName, relName: *relName,
 		all32: *all32, count: *count, strongest: *strongest, matrix: *matrix,
-		evalName: *evalName,
 	})
 	if err != nil {
 		lg.Error("run_complete", logx.F("err", err))
@@ -226,18 +222,18 @@ func run(args []string, out io.Writer) error {
 
 // modeFlags carries the evaluation-mode flags into evalMain.
 type modeFlags struct {
-	xName, yName, relName, evalName string
+	xName, yName, relName           string
 	all32, count, strongest, matrix bool
 }
 
 // evalMain is the evaluation body of run, split out so the observability
 // flush happens on every exit path.
-func evalMain(out io.Writer, f *trace.File, ex *poset.Execution, a *core.Analysis, eval core.Evaluator, eng *batch.Engine, expl *explain.Explainer, tr *obs.Tracer, m modeFlags) error {
+func evalMain(out io.Writer, f *trace.File, ex *poset.Execution, eval core.Evaluator, eng *batch.Engine, expl *explain.Explainer, tr *obs.Tracer, m modeFlags) error {
 	if expl != nil && (m.matrix || m.strongest) {
 		return fmt.Errorf("-explain applies to pair verdict modes (-rel, the 8-relation listing, -all32), not -matrix/-strongest")
 	}
 	if m.matrix {
-		return printMatrix(out, f, ex, a, eval, eng)
+		return printMatrix(out, f, ex, eng)
 	}
 	if m.xName == "" || m.yName == "" {
 		return fmt.Errorf("missing -x or -y (use -list to see interval names)")
@@ -259,24 +255,11 @@ func evalMain(out io.Writer, f *trace.File, ex *poset.Execution, a *core.Analysi
 	}
 
 	if m.all32 {
-		var holding []core.Rel32
-		if eng != nil {
-			profiles, _ := eng.Profiles([]batch.Pair{{X: x, Y: y}})
-			if profiles[0].Err != nil {
-				return profiles[0].Err
-			}
-			holding = profiles[0].Holding
-		} else if _, isFast := eval.(*core.FastEvaluator); isFast {
-			// Serial fast path: the fused kernel decides all 32 relations in
-			// four shared passes.
-			if x.Overlaps(y) {
-				return &core.ErrOverlap{X: x, Y: y}
-			}
-			mask, _ := a.EvalProfile(x, y)
-			holding = core.MaskHolding(mask)
-		} else {
-			holding = a.HoldingRel32(eval, x, y)
+		profiles, _ := eng.Profiles([]batch.Pair{{X: x, Y: y}})
+		if profiles[0].Err != nil {
+			return profiles[0].Err
 		}
+		holding := profiles[0].Holding
 		fmt.Fprintf(out, "%d of 32 relations hold:\n", len(holding))
 		for _, r := range holding {
 			fmt.Fprintf(out, "  %v\n", r)
@@ -292,13 +275,13 @@ func evalMain(out io.Writer, f *trace.File, ex *poset.Execution, a *core.Analysi
 		return nil
 	}
 	if m.strongest {
-		held, err := evalRelations(a, eval, eng, core.Relations(), x, y)
+		held, err := evalRelations(eng, core.Relations(), x, y)
 		if err != nil {
 			return err
 		}
 		var heldRels []core.Relation
 		for i, rel := range core.Relations() {
-			if held[i].held {
+			if held[i].Held {
 				heldRels = append(heldRels, rel)
 			}
 		}
@@ -326,16 +309,16 @@ func evalMain(out io.Writer, f *trace.File, ex *poset.Execution, a *core.Analysi
 		}
 		rels = []core.Relation{rel}
 	}
-	verdicts, err := evalRelations(a, eval, eng, rels, x, y)
+	verdicts, err := evalRelations(eng, rels, x, y)
 	if err != nil {
 		return err
 	}
 	for i, rel := range rels {
 		if m.count {
 			fmt.Fprintf(out, "%-4v %-22s = %-5v  (%d comparisons, %s)\n",
-				rel, rel.Quantifier(), verdicts[i].held, verdicts[i].comparisons, eval.Name())
+				rel, rel.Quantifier(), verdicts[i].Held, verdicts[i].Comparisons, eval.Name())
 		} else {
-			fmt.Fprintf(out, "%-4v %-22s = %v\n", rel, rel.Quantifier(), verdicts[i].held)
+			fmt.Fprintf(out, "%-4v %-22s = %v\n", rel, rel.Quantifier(), verdicts[i].Held)
 		}
 		if expl != nil {
 			xp, err := expl.Relation(rel, x, y, m.xName, m.yName)
@@ -349,36 +332,16 @@ func evalMain(out io.Writer, f *trace.File, ex *poset.Execution, a *core.Analysi
 	return nil
 }
 
-// verdict is one evaluated relation of the listing/strongest paths.
-type verdict struct {
-	held        bool
-	comparisons int64
-}
-
-// evalRelations answers rels over (x, y), through the batch engine when one
-// is configured and the checked serial path otherwise. Both reject overlap
-// and foreign intervals identically.
-func evalRelations(a *core.Analysis, eval core.Evaluator, eng *batch.Engine, rels []core.Relation, x, y *interval.Interval) ([]verdict, error) {
-	out := make([]verdict, len(rels))
-	if eng != nil {
-		res := eng.EvalQueries(batch.PairQueries([]batch.Pair{{X: x, Y: y}}, rels))
-		for i, r := range res.Results {
-			if r.Err != nil {
-				return nil, r.Err
-			}
-			out[i] = verdict{held: r.Held, comparisons: r.Comparisons}
+// evalRelations answers rels over (x, y) through the engine, rejecting
+// overlapping and foreign intervals.
+func evalRelations(eng *batch.Engine, rels []core.Relation, x, y *interval.Interval) ([]batch.Result, error) {
+	res := eng.EvalQueries(batch.PairQueries([]batch.Pair{{X: x, Y: y}}, rels))
+	for _, r := range res.Results {
+		if r.Err != nil {
+			return nil, r.Err
 		}
-		return out, nil
 	}
-	for i, rel := range rels {
-		held, err := a.EvalChecked(eval, rel, x, y)
-		if err != nil {
-			return nil, err
-		}
-		_, n := eval.EvalCount(rel, x, y)
-		out[i] = verdict{held: held, comparisons: n}
-	}
-	return out, nil
+	return res.Results, nil
 }
 
 // evaluatorFactory maps an -evaluator name to a per-worker constructor.
@@ -395,19 +358,17 @@ func evaluatorFactory(name string) (func(*core.Analysis) core.Evaluator, error) 
 }
 
 // workerCount resolves the -parallel flag: positive values name the pool
-// width, negative ones select GOMAXPROCS (0 never reaches here — it means
-// the serial path).
+// width, negative ones select GOMAXPROCS, and 0 one inline worker.
 func workerCount(parallel int) int {
 	if parallel < 0 {
 		return runtime.GOMAXPROCS(0)
 	}
-	return parallel
+	return max(parallel, 1)
 }
 
 // printMatrix renders the strongest-relation matrix over every interval of
-// the trace (Problem 4(ii) at trace scale), through the batch engine when
-// one is configured.
-func printMatrix(out io.Writer, f *trace.File, ex *poset.Execution, a *core.Analysis, eval core.Evaluator, eng *batch.Engine) error {
+// the trace (Problem 4(ii) at trace scale).
+func printMatrix(out io.Writer, f *trace.File, ex *poset.Execution, eng *batch.Engine) error {
 	ivMap, err := f.AllIntervals(ex)
 	if err != nil {
 		return err
@@ -424,12 +385,7 @@ func printMatrix(out io.Writer, f *trace.File, ex *poset.Execution, a *core.Anal
 	for _, name := range names {
 		ivs = append(ivs, ivMap[name])
 	}
-	var pm *hierarchy.PairMatrix
-	if eng != nil {
-		pm, _, err = eng.Matrix(names, ivs)
-	} else {
-		pm, err = hierarchy.Summarize(a, eval, names, ivs)
-	}
+	pm, _, err := eng.Matrix(names, ivs)
 	if err != nil {
 		return err
 	}

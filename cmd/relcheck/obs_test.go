@@ -33,7 +33,7 @@ func TestRunMetricsAndTraceOut(t *testing.T) {
 	if err := json.Unmarshal(metBytes, &snap); err != nil {
 		t.Fatalf("metrics snapshot invalid JSON: %v\n%s", err, metBytes)
 	}
-	// The serial fast -all32 path runs through the fused profile kernel, so
+	// The fast -all32 path runs through the engine's fused profile kernel, so
 	// the accounting lands on the core.fused.* counters and the proxy-cut
 	// cache (4 proxies per pair), not on per-Eval counters.
 	if snap.Counters["core.fused.profiles"] != 1 {
@@ -92,6 +92,40 @@ func TestRunMetricsDash(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("no positive core.* comparison counters on stderr: %v", snap.Counters)
+	}
+}
+
+// TestCountEvaluatesOncePerRelation: an 8-relation -count listing evaluates
+// each relation exactly once through the engine, whatever the pool width —
+// core.fast.evals is 8, and core.fast.comparisons is the same at -parallel
+// 0, 1 and 4.
+func TestCountEvaluatesOncePerRelation(t *testing.T) {
+	path := writeTrace(t)
+	comparisons := map[string]int64{}
+	for _, w := range []string{"0", "1", "4"} {
+		metPath := filepath.Join(t.TempDir(), "metrics.json")
+		var buf bytes.Buffer
+		if err := run([]string{"-trace", path, "-x", "ring-round-0", "-y", "ring-round-1", "-count",
+			"-parallel", w, "-metrics", metPath}, &buf); err != nil {
+			t.Fatal(err)
+		}
+		metBytes, err := os.ReadFile(metPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap struct {
+			Counters map[string]int64 `json:"counters"`
+		}
+		if err := json.Unmarshal(metBytes, &snap); err != nil {
+			t.Fatal(err)
+		}
+		if got := snap.Counters["core.fast.evals"]; got != 8 {
+			t.Errorf("-parallel %s: core.fast.evals = %d, want 8", w, got)
+		}
+		comparisons[w] = snap.Counters["core.fast.comparisons"]
+	}
+	if comparisons["0"] <= 0 || comparisons["1"] != comparisons["0"] || comparisons["4"] != comparisons["0"] {
+		t.Errorf("core.fast.comparisons by -parallel = %v, want one positive value", comparisons)
 	}
 }
 

@@ -320,6 +320,9 @@ func run(args []string, out io.Writer) (int, error) {
 		condPairs = append(condPairs, [2]string{strings.TrimSpace(name), strings.TrimSpace(expr)})
 	}
 
+	for name, iv := range ivs {
+		lg.Debug("interval_defined", logx.F("interval", name), logx.F("size", iv.Size()))
+	}
 	// Two check paths with one verdict contract: the offline monitor
 	// evaluates over the full recorded poset; streaming mode (-retention)
 	// replays the trace through the online monitor, whose retention policy
@@ -334,7 +337,6 @@ func run(args []string, out io.Writer) (int, error) {
 			if err := m.DefineInterval(name, iv); err != nil {
 				return exitError, err
 			}
-			lg.Debug("interval_defined", logx.F("interval", name), logx.F("size", iv.Size()))
 		}
 		for _, c := range condPairs {
 			if err := m.AddCondition(c[0], c[1]); err != nil {
@@ -430,19 +432,25 @@ func run(args []string, out io.Writer) (int, error) {
 			return exitError, err
 		}
 	}
+	// The online monitor logs its own settlements, with source and detection
+	// latency, so the loop logs condition_settled for offline verdicts only.
+	settledLg := lg
+	if om != nil {
+		settledLg = nil
+	}
 	for _, res := range results {
 		fields := []logx.Field{logx.F("condition", res.Name), logx.F("state", res.State.String())}
 		switch res.State {
 		case monitor.Holds:
 			fmt.Fprintf(out, "PASS  %s\n", res.Name)
 			explainSettled(res)
-			lg.Info("condition_settled", fields...)
+			settledLg.Info("condition_settled", fields...)
 		case monitor.Violated:
 			fmt.Fprintf(out, "FAIL  %s\n", res.Name)
 			explainSettled(res)
 			violated = append(violated, res.Name)
 			violWin.Observe(1)
-			lg.Warn("condition_settled", fields...)
+			settledLg.Warn("condition_settled", fields...)
 			code = max(code, exitViolation)
 		case monitor.Pending:
 			fmt.Fprintf(out, "SKIP  %s (references undefined intervals)\n", res.Name)
@@ -450,7 +458,7 @@ func run(args []string, out io.Writer) (int, error) {
 			code = exitError
 		case monitor.Failed:
 			fmt.Fprintf(out, "ERROR %s: %v\n", res.Name, res.Err)
-			lg.Error("condition_settled", append(fields, logx.F("err", res.Err))...)
+			settledLg.Error("condition_settled", append(fields, logx.F("err", res.Err))...)
 			code = exitError
 		}
 	}
@@ -574,7 +582,7 @@ func streamVerdicts(stream *online.Stream, om *online.Monitor, ex *poset.Executi
 		drain()
 		return nil
 	}
-	if _, err := online.ReplayStepsPinned(stream, ex, step); err != nil {
+	if _, err := online.ReplayStepsOn(stream, ex, step); err != nil {
 		return nil, err
 	}
 	drain()

@@ -186,81 +186,105 @@ func TestRunDebugServer(t *testing.T) {
 	}
 }
 
-// TestRunLogJSONL checks the -log flag end to end: every line is valid
-// JSON with the fixed prefix, and the expected lifecycle events appear at
+// TestRunLogJSONL checks the -log flag end to end, in both check modes
+// (offline and streaming under -retention): every line is valid JSON with
+// the fixed prefix, each trace interval logs interval_defined once, each
+// condition logs condition_settled once, and the lifecycle events appear at
 // their documented levels.
 func TestRunLogJSONL(t *testing.T) {
 	path := writeTrace(t)
-	logPath := filepath.Join(t.TempDir(), "events.jsonl")
-	var buf bytes.Buffer
-	code, err := run([]string{"-trace", path, "-log", logPath, "-log-level", "debug",
-		"-cond", "ordered: R1(ring-round-0, ring-round-1)",
-		"-cond", "backwards: R1(ring-round-1, ring-round-0)"}, &buf)
+	f, err := trace.Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if code != exitViolation {
-		t.Fatalf("exit %d:\n%s", code, buf.String())
-	}
-	data, err := os.ReadFile(logPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	events := map[string]int{}
-	levels := map[string]string{}
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	for sc.Scan() {
-		var line struct {
-			TS        string `json:"ts"`
-			Level     string `json:"level"`
-			Event     string `json:"event"`
-			Condition string `json:"condition"`
-			State     string `json:"state"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			t.Fatalf("log line not valid JSON: %v\n%s", err, sc.Text())
-		}
-		if line.TS == "" || line.Level == "" || line.Event == "" {
-			t.Errorf("log line missing prefix fields: %s", sc.Text())
-		}
-		events[line.Event]++
-		if line.Event == "condition_settled" {
-			levels[line.Condition] = line.Level
-		}
-	}
-	for _, want := range []string{"trace_loaded", "interval_defined", "condition_settled", "run_complete"} {
-		if events[want] == 0 {
-			t.Errorf("no %s event in log:\n%s", want, data)
-		}
-	}
-	if events["condition_settled"] != 2 {
-		t.Errorf("condition_settled count = %d, want 2", events["condition_settled"])
-	}
-	if levels["ordered"] != "info" || levels["backwards"] != "warn" {
-		t.Errorf("settlement levels = %v, want ordered:info backwards:warn", levels)
-	}
+	intervals := len(f.IntervalNames())
+	prevStderr := stderrW
+	stderrW = io.Discard // the streaming leg's retention summary
+	defer func() { stderrW = prevStderr }()
+	for _, mode := range []struct {
+		name  string
+		extra []string
+	}{
+		{"offline", nil},
+		{"streaming", []string{"-retention", "events=8,every=4"}},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			logPath := filepath.Join(t.TempDir(), "events.jsonl")
+			var buf bytes.Buffer
+			code, err := run(append([]string{"-trace", path, "-log", logPath, "-log-level", "debug",
+				"-cond", "ordered: R1(ring-round-0, ring-round-1)",
+				"-cond", "backwards: R1(ring-round-1, ring-round-0)"}, mode.extra...), &buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if code != exitViolation {
+				t.Fatalf("exit %d:\n%s", code, buf.String())
+			}
+			data, err := os.ReadFile(logPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			events := map[string]int{}
+			levels := map[string]string{}
+			sc := bufio.NewScanner(bytes.NewReader(data))
+			for sc.Scan() {
+				var line struct {
+					TS        string `json:"ts"`
+					Level     string `json:"level"`
+					Event     string `json:"event"`
+					Condition string `json:"condition"`
+					State     string `json:"state"`
+				}
+				if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+					t.Fatalf("log line not valid JSON: %v\n%s", err, sc.Text())
+				}
+				if line.TS == "" || line.Level == "" || line.Event == "" {
+					t.Errorf("log line missing prefix fields: %s", sc.Text())
+				}
+				events[line.Event]++
+				if line.Event == "condition_settled" {
+					levels[line.Condition] = line.Level
+				}
+			}
+			for _, want := range []string{"trace_loaded", "interval_defined", "condition_settled", "run_complete"} {
+				if events[want] == 0 {
+					t.Errorf("no %s event in log:\n%s", want, data)
+				}
+			}
+			if events["interval_defined"] != intervals {
+				t.Errorf("interval_defined count = %d, want %d (one per trace interval)", events["interval_defined"], intervals)
+			}
+			if events["condition_settled"] != 2 {
+				t.Errorf("condition_settled count = %d, want 2", events["condition_settled"])
+			}
+			if levels["ordered"] != "info" || levels["backwards"] != "warn" {
+				t.Errorf("settlement levels = %v, want ordered:info backwards:warn", levels)
+			}
 
-	// -log-level warn suppresses the info/debug lifecycle noise.
-	logPath2 := filepath.Join(t.TempDir(), "warn.jsonl")
-	buf.Reset()
-	if _, err := run([]string{"-trace", path, "-log", logPath2, "-log-level", "warn",
-		"-cond", "backwards: R1(ring-round-1, ring-round-0)"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	data2, err := os.ReadFile(logPath2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, banned := range []string{"trace_loaded", "interval_defined", "run_complete"} {
-		if bytes.Contains(data2, []byte(banned)) {
-			t.Errorf("-log-level warn leaked %s:\n%s", banned, data2)
-		}
-	}
-	if !bytes.Contains(data2, []byte("condition_settled")) {
-		t.Errorf("-log-level warn lost the violated settlement:\n%s", data2)
+			// -log-level warn suppresses the info/debug lifecycle noise.
+			logPath2 := filepath.Join(t.TempDir(), "warn.jsonl")
+			buf.Reset()
+			if _, err := run(append([]string{"-trace", path, "-log", logPath2, "-log-level", "warn",
+				"-cond", "backwards: R1(ring-round-1, ring-round-0)"}, mode.extra...), &buf); err != nil {
+				t.Fatal(err)
+			}
+			data2, err := os.ReadFile(logPath2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, banned := range []string{"trace_loaded", "interval_defined", "run_complete"} {
+				if bytes.Contains(data2, []byte(banned)) {
+					t.Errorf("-log-level warn leaked %s:\n%s", banned, data2)
+				}
+			}
+			if !bytes.Contains(data2, []byte("condition_settled")) {
+				t.Errorf("-log-level warn lost the violated settlement:\n%s", data2)
+			}
+		})
 	}
 
 	// A bad level is an internal error.
+	var buf bytes.Buffer
 	if _, err := run([]string{"-trace", path, "-log", "-", "-log-level", "loud",
 		"-cond", "a: R1(x, y)"}, &buf); err == nil {
 		t.Error("bad -log-level accepted")

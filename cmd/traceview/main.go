@@ -29,6 +29,7 @@ import (
 	"causet/internal/cliutil"
 	"causet/internal/core"
 	"causet/internal/explain"
+	"causet/internal/interval"
 	"causet/internal/monitor"
 	"causet/internal/obs"
 	"causet/internal/obs/logx"
@@ -127,11 +128,12 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		x, err := at.X.Resolve(a, ivs)
+		lookup := func(name string) (*interval.Interval, bool) { iv, ok := ivs[name]; return iv, ok }
+		x, err := at.X.Resolve(a, lookup)
 		if err != nil {
 			return err
 		}
-		y, err := at.Y.Resolve(a, ivs)
+		y, err := at.Y.Resolve(a, lookup)
 		if err != nil {
 			return err
 		}

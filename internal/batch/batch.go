@@ -8,11 +8,11 @@
 //   - Matrix: the all-pairs strongest-relation matrix (Problem 4(ii)).
 //
 // Results are deterministic — results[i] always answers queries[i] and is
-// bit-identical regardless of worker count or Analysis shard count — while
-// the per-worker comparison/held/error counters are aggregated into a
-// single Stats via atomics. The shared Analysis is safe because its cut
-// cache is sharded with a build-once guarantee (core.NewAnalysisShards),
-// so concurrent cold queries on one interval coalesce into one build.
+// bit-identical regardless of worker count — while the per-worker
+// comparison/held/error counters are aggregated into a single Stats via
+// atomics. The shared Analysis is safe because its cut cache is a sync.Map
+// of build-once slots: hits take no lock, and concurrent cold queries on
+// one interval coalesce into one build.
 package batch
 
 import (

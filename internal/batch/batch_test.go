@@ -98,13 +98,12 @@ func TestDifferentialEvaluatorAgreement(t *testing.T) {
 	}
 }
 
-// TestWorkerAndShardIndependence is the determinism property: the full
-// Results value — verdicts, per-query comparison counts, and aggregate
-// stats — is identical for every worker count and Analysis shard count.
-func TestWorkerAndShardIndependence(t *testing.T) {
+// TestWorkerIndependence is the determinism property: the full Results
+// value — verdicts, per-query comparison counts, and aggregate stats — is
+// identical for every worker count.
+func TestWorkerIndependence(t *testing.T) {
 	r := rand.New(rand.NewSource(97))
 	workerCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
-	shardCounts := []int{1, 4, core.DefaultCacheShards}
 	for trial := 0; trial < 15; trial++ {
 		ex := posettest.Random(r, 2+r.Intn(5), 12+r.Intn(30), 0.45)
 		sets := posettest.DisjointN(r, ex, 4, 4)
@@ -124,22 +123,20 @@ func TestWorkerAndShardIndependence(t *testing.T) {
 			}
 		}
 		qs := PairQueries(pairs, core.Relations())
+		a := core.NewAnalysis(ex)
 		var want *Results
-		for _, shards := range shardCounts {
-			a := core.NewAnalysisShards(ex, shards)
-			for _, workers := range workerCounts {
-				res := New(a, Options{Workers: workers}).EvalQueries(qs)
-				if want == nil {
-					want = res
-					continue
-				}
-				if !reflect.DeepEqual(want.Results, res.Results) {
-					t.Fatalf("trial %d: results differ at workers=%d shards=%d", trial, workers, shards)
-				}
-				if want.Stats != res.Stats {
-					t.Fatalf("trial %d: stats differ at workers=%d shards=%d: %+v vs %+v",
-						trial, workers, shards, want.Stats, res.Stats)
-				}
+		for _, workers := range workerCounts {
+			res := New(a, Options{Workers: workers}).EvalQueries(qs)
+			if want == nil {
+				want = res
+				continue
+			}
+			if !reflect.DeepEqual(want.Results, res.Results) {
+				t.Fatalf("trial %d: results differ at workers=%d", trial, workers)
+			}
+			if want.Stats != res.Stats {
+				t.Fatalf("trial %d: stats differ at workers=%d: %+v vs %+v",
+					trial, workers, want.Stats, res.Stats)
 			}
 		}
 	}
@@ -357,7 +354,7 @@ func TestMatrixAllocs(t *testing.T) {
 	}
 }
 
-// TestSharedAnalysisStress hammers one sharded Analysis from many engines
+// TestSharedAnalysisStress hammers one Analysis from many engines
 // at once and asserts the build-once guarantee: the number of cut builds
 // equals the number of distinct intervals, not the number of queriers.
 func TestSharedAnalysisStress(t *testing.T) {
@@ -380,27 +377,25 @@ func TestSharedAnalysisStress(t *testing.T) {
 		}
 	}
 	qs := PairQueries(pairs, core.Relations())
-	for _, shards := range []int{1, 4, core.DefaultCacheShards} {
-		a := core.NewAnalysisShards(ex, shards)
-		var wg sync.WaitGroup
-		results := make([]*Results, 6)
-		for g := range results {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				results[g] = New(a, Options{Workers: 4}).EvalQueries(qs)
-			}(g)
-		}
-		wg.Wait()
-		// 32-relation proxies build extra per-proxy intervals, so only the
-		// plain-relation path runs here: builds must equal |ivs| exactly.
-		if got := a.CutBuilds(); got != int64(len(ivs)) {
-			t.Fatalf("shards=%d: %d cut builds for %d distinct intervals", shards, got, len(ivs))
-		}
-		for g := 1; g < len(results); g++ {
-			if !reflect.DeepEqual(results[0].Results, results[g].Results) {
-				t.Fatalf("shards=%d: concurrent engines disagree", shards)
-			}
+	a := core.NewAnalysis(ex)
+	var wg sync.WaitGroup
+	results := make([]*Results, 6)
+	for g := range results {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			results[g] = New(a, Options{Workers: 4}).EvalQueries(qs)
+		}(g)
+	}
+	wg.Wait()
+	// 32-relation proxies build extra per-proxy intervals, so only the
+	// plain-relation path runs here: builds must equal |ivs| exactly.
+	if got := a.CutBuilds(); got != int64(len(ivs)) {
+		t.Fatalf("%d cut builds for %d distinct intervals", got, len(ivs))
+	}
+	for g := 1; g < len(results); g++ {
+		if !reflect.DeepEqual(results[0].Results, results[g].Results) {
+			t.Fatal("concurrent engines disagree")
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -12,12 +13,6 @@ import (
 	"causet/internal/poset"
 	"causet/internal/vclock"
 )
-
-// DefaultCacheShards is the shard count of the cut cache under NewAnalysis.
-// Sharding bounds lock contention when many goroutines query the same
-// Analysis (internal/batch fans queries across a worker pool); 32 shards
-// keep the per-shard maps small at negligible fixed cost.
-const DefaultCacheShards = 32
 
 // cacheEntry is one slot of the cut cache. The sync.Once gives the
 // build-once guarantee: however many goroutines race on a cold interval,
@@ -34,26 +29,18 @@ type cacheEntry struct {
 	proxy     [2]*ProxyCuts
 }
 
-// cacheShard is one lock domain of the cut cache. Its map is created on the
-// shard's first insert, so an analysis that builds few cuts, such as a
-// stream snapshot's, pays only for the shards it touches.
-type cacheShard struct {
-	mu sync.RWMutex
-	m  map[*interval.Interval]*cacheEntry
-}
-
 // Analysis is the per-execution precomputation shared by the evaluators:
-// the forward/reverse timestamp structure of Section 2.3 plus a sharded
-// cache of the condensed cuts of each interval (Key Idea 1 — the cuts of a
-// nonatomic event are computed once and reused against many other events,
-// and against many concurrent queriers).
+// the forward/reverse timestamp structure of Section 2.3 plus a cache of
+// the condensed cuts of each interval (Key Idea 1 — the cuts of a nonatomic
+// event are computed once and reused against many other events, and against
+// many concurrent queriers).
 //
 // An Analysis is safe for concurrent use after construction.
 type Analysis struct {
 	ex  *poset.Execution
 	clk *vclock.Clocks
 
-	shards      []cacheShard
+	cache       sync.Map // *interval.Interval → *cacheEntry
 	builds      atomic.Int64
 	proxyBuilds atomic.Int64
 
@@ -153,21 +140,7 @@ func (a *Analysis) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 // NewAnalysis computes the timestamp structure for ex. This is the one-time
 // setup cost whose amortization experiment E6 measures.
 func NewAnalysis(ex *poset.Execution) *Analysis {
-	return NewAnalysisShards(ex, DefaultCacheShards)
-}
-
-// NewAnalysisShards is NewAnalysis with an explicit cut-cache shard count
-// (minimum 1). Results never depend on the shard count — only contention
-// does; the batch property tests exercise several counts.
-func NewAnalysisShards(ex *poset.Execution, shards int) *Analysis {
-	if shards < 1 {
-		shards = 1
-	}
-	return &Analysis{
-		ex:     ex,
-		clk:    vclock.New(ex),
-		shards: make([]cacheShard, shards),
-	}
+	return &Analysis{ex: ex, clk: vclock.New(ex)}
 }
 
 // NewAnalysisClocks builds an Analysis over ex with caller-supplied clocks
@@ -182,11 +155,7 @@ func NewAnalysisShards(ex *poset.Execution, shards int) *Analysis {
 // This is the online hot path's constructor, paired with
 // vclock.NewLazyRebased.
 func NewAnalysisClocks(ex *poset.Execution, clk *vclock.Clocks, prev *Analysis) *Analysis {
-	a := &Analysis{
-		ex:     ex,
-		clk:    clk,
-		shards: make([]cacheShard, DefaultCacheShards),
-	}
+	a := &Analysis{ex: ex, clk: clk}
 	if prev != nil {
 		a.met = prev.met
 	}
@@ -219,47 +188,25 @@ type IntervalCuts struct {
 	FirstPos, LastPos []int
 }
 
-// shard maps an interval to its lock domain. The hash mixes the interval's
-// first event and size rather than its address so shard placement is
-// deterministic for a given execution (and needs no unsafe).
-func (a *Analysis) shard(iv *interval.Interval) *cacheShard {
-	e := iv.Events()[0]
-	h := uint(e.Proc)*0x9e3779b1 ^ uint(e.Pos)*0x85ebca77 ^ uint(iv.Size())*0xc2b2ae3d
-	return &a.shards[h%uint(len(a.shards))]
-}
-
-// entry returns iv's cache slot, reserving an empty one on first use. The
-// lookup is double-checked: a shared-lock probe on the hot path, then an
-// exclusive-lock reservation (creating the shard's map if this is its first
-// insert).
+// entry returns iv's cache slot, reserving an empty one on first use. A hit
+// is one lock-free Load; a miss races a fresh slot in with LoadOrStore, so
+// every caller gets the one slot that won.
 func (a *Analysis) entry(iv *interval.Interval) *cacheEntry {
-	s := a.shard(iv)
-	s.mu.RLock()
-	e, ok := s.m[iv]
-	s.mu.RUnlock()
-	if ok {
-		return e
+	if e, ok := a.cache.Load(iv); ok {
+		return e.(*cacheEntry)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok = s.m[iv]; !ok {
-		if s.m == nil {
-			s.m = make(map[*interval.Interval]*cacheEntry)
-		}
-		e = &cacheEntry{}
-		s.m[iv] = e
-	}
-	return e
+	e, _ := a.cache.LoadOrStore(iv, &cacheEntry{})
+	return e.(*cacheEntry)
 }
 
 // Cuts returns the condensed cuts of iv, computing them on first use and
 // caching thereafter (Key Idea 1). It panics when iv belongs to a different
 // execution.
 //
-// The slot is reserved under the shard lock (entry), then built by a
-// singleflight outside it — concurrent queries for the same cold interval
-// build its cuts exactly once (CutBuilds counts), and builds of different
-// intervals in the same shard never serialize on each other.
+// The slot is reserved first (entry), then built by a singleflight on the
+// slot — concurrent queries for the same cold interval build its cuts
+// exactly once (CutBuilds counts), and builds of different intervals never
+// serialize on each other.
 func (a *Analysis) Cuts(iv *interval.Interval) *IntervalCuts {
 	if !poset.Prefix(iv.Execution(), a.ex) {
 		panic(fmt.Sprintf("core: interval %v belongs to a different execution", iv))
@@ -304,7 +251,7 @@ type ProxyCuts struct {
 
 // ProxyCuts returns the cached proxy interval and proxy cuts of iv for the
 // given kind (L_X or U_X, per-node Definition 2), building them on first
-// use with the same sharded build-once guarantee as Cuts. This is the
+// use with the same build-once guarantee as Cuts. This is the
 // proxy-cut reuse behind the fused profile kernel: every relation of ℛ is
 // R(X̂, Ŷ) for proxies X̂, Ŷ, so caching the four proxy cut sets of a pair
 // turns 32 proxy materializations + cut builds per profile into at most
@@ -364,6 +311,10 @@ func (a *Analysis) buildCuts(iv *interval.Interval) *IntervalCuts {
 	return ic
 }
 
+// ErrForeignInterval is returned by EvalChecked for an interval that belongs
+// neither to the analyzed execution nor to a prefix of it.
+var ErrForeignInterval = errors.New("core: interval from a different execution")
+
 // ErrOverlap is returned by EvalChecked for overlapping interval pairs.
 type ErrOverlap struct{ X, Y *interval.Interval }
 
@@ -376,7 +327,7 @@ func (e *ErrOverlap) Error() string {
 // intervals are disjoint and belong to this analysis's execution.
 func (a *Analysis) EvalChecked(eval Evaluator, rel Relation, x, y *interval.Interval) (bool, error) {
 	if !poset.Prefix(x.Execution(), a.ex) || !poset.Prefix(y.Execution(), a.ex) {
-		return false, fmt.Errorf("core: interval from a different execution")
+		return false, ErrForeignInterval
 	}
 	if x.Overlaps(y) {
 		return false, &ErrOverlap{X: x, Y: y}

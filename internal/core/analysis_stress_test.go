@@ -10,13 +10,12 @@ import (
 	"causet/internal/poset/posettest"
 )
 
-// TestShardedCutsCacheBuildOnce hammers the sharded cut cache with many
-// goroutines querying overlapping interval sets in scrambled orders, for
-// several shard counts, and asserts the singleflight contract: each
-// IntervalCuts is built exactly once (CutBuilds == distinct intervals),
-// every querier sees the same cached value, and the contents match a
-// serially built Analysis.
-func TestShardedCutsCacheBuildOnce(t *testing.T) {
+// TestCutsCacheBuildOnce hammers the cut cache with many goroutines
+// querying overlapping interval sets in scrambled orders, and asserts the
+// singleflight contract: each IntervalCuts is built exactly once
+// (CutBuilds == distinct intervals), every querier sees the same cached
+// value, and the contents match a serially built Analysis.
+func TestCutsCacheBuildOnce(t *testing.T) {
 	r := rand.New(rand.NewSource(55))
 	ex := posettest.Random(r, 5, 100, 0.5)
 	sets := posettest.DisjointN(r, ex, 16, 5)
@@ -27,50 +26,47 @@ func TestShardedCutsCacheBuildOnce(t *testing.T) {
 	for i, s := range sets {
 		ivs[i] = interval.MustNew(ex, s)
 	}
-	serial := NewAnalysisShards(ex, 1)
+	serial := NewAnalysis(ex)
 
-	for _, shards := range []int{1, 3, DefaultCacheShards, 2 * DefaultCacheShards} {
-		a := NewAnalysisShards(ex, shards)
-		const goroutines = 16
-		got := make([][]*IntervalCuts, goroutines)
-		var wg sync.WaitGroup
-		start := make(chan struct{})
-		for g := 0; g < goroutines; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				rg := rand.New(rand.NewSource(int64(g)))
-				got[g] = make([]*IntervalCuts, len(ivs))
-				<-start
-				for round := 0; round < 25; round++ {
-					for _, i := range rg.Perm(len(ivs)) {
-						ic := a.Cuts(ivs[i])
-						if got[g][i] == nil {
-							got[g][i] = ic
-						} else if got[g][i] != ic {
-							t.Errorf("shards=%d: goroutine %d saw two values for interval %d", shards, g, i)
-							return
-						}
+	a := NewAnalysis(ex)
+	const goroutines = 16
+	got := make([][]*IntervalCuts, goroutines)
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rg := rand.New(rand.NewSource(int64(g)))
+			got[g] = make([]*IntervalCuts, len(ivs))
+			<-start
+			for round := 0; round < 25; round++ {
+				for _, i := range rg.Perm(len(ivs)) {
+					ic := a.Cuts(ivs[i])
+					if got[g][i] == nil {
+						got[g][i] = ic
+					} else if got[g][i] != ic {
+						t.Errorf("goroutine %d saw two values for interval %d", g, i)
+						return
 					}
 				}
-			}(g)
-		}
-		close(start)
-		wg.Wait()
-		if builds := a.CutBuilds(); builds != int64(len(ivs)) {
-			t.Errorf("shards=%d: %d builds for %d distinct intervals, want exactly one each",
-				shards, builds, len(ivs))
-		}
-		for i, iv := range ivs {
-			want := got[0][i]
-			for g := 1; g < goroutines; g++ {
-				if got[g][i] != want {
-					t.Fatalf("shards=%d: goroutines disagree on interval %d's cuts", shards, i)
-				}
 			}
-			if !reflect.DeepEqual(want, serial.Cuts(iv)) {
-				t.Errorf("shards=%d: concurrent cuts of interval %d differ from serial build", shards, i)
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	if builds := a.CutBuilds(); builds != int64(len(ivs)) {
+		t.Errorf("%d builds for %d distinct intervals, want exactly one each", builds, len(ivs))
+	}
+	for i, iv := range ivs {
+		want := got[0][i]
+		for g := 1; g < goroutines; g++ {
+			if got[g][i] != want {
+				t.Fatalf("goroutines disagree on interval %d's cuts", i)
 			}
+		}
+		if !reflect.DeepEqual(want, serial.Cuts(iv)) {
+			t.Errorf("concurrent cuts of interval %d differ from serial build", i)
 		}
 	}
 }

@@ -221,12 +221,13 @@ func (e *Explainer) Rel32(r core.Rel32, x, y *interval.Interval, xName, yName st
 // caller fills State.
 func (e *Explainer) Condition(c *monitor.Condition, intervals map[string]*interval.Interval) (*ConditionExplanation, error) {
 	ce := &ConditionExplanation{Version: FormatVersion, Name: c.Name, Src: c.Src}
+	lookup := func(name string) (*interval.Interval, bool) { iv, ok := intervals[name]; return iv, ok }
 	for _, at := range monitor.Atoms(c.Expr) {
-		x, err := at.X.Resolve(e.a, intervals)
+		x, err := at.X.Resolve(e.a, lookup)
 		if err != nil {
 			return nil, fmt.Errorf("explain: condition %q: %w", c.Name, err)
 		}
-		y, err := at.Y.Resolve(e.a, intervals)
+		y, err := at.Y.Resolve(e.a, lookup)
 		if err != nil {
 			return nil, fmt.Errorf("explain: condition %q: %w", c.Name, err)
 		}

@@ -350,7 +350,7 @@ func (o CheckOptions) runOnline(ex *poset.Execution, pairs []ivPair, conds []olC
 	if o.buggyDupClockMerge {
 		err = o.replayBuggy(s, ex, feed)
 	} else {
-		_, err = online.ReplayStepsPinned(s, ex, feed)
+		_, err = online.ReplayStepsOn(s, ex, feed)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("replay: %w", err)
@@ -358,11 +358,12 @@ func (o CheckOptions) runOnline(ex *poset.Execution, pairs []ivPair, conds []olC
 	return settled, drain()
 }
 
-// replayBuggy mirrors online.ReplayStepsOn except for the seeded bug: every
-// delivery of a message that was delivered more than once (a duplicated
-// send) is recorded as a local event — the causal edge and the clock merge
-// silently vanish, as they would under dedup logic that swallows duplicated
-// messages before the monitor records them.
+// replayBuggy mirrors online.ReplayStepsOn, minus its send pinning (it runs
+// only the unbounded leg), except for the seeded bug: every delivery of a
+// message that was delivered more than once (a duplicated send) is recorded
+// as a local event — the causal edge and the clock merge silently vanish,
+// as they would under dedup logic that swallows duplicated messages before
+// the monitor records them.
 func (o CheckOptions) replayBuggy(s *online.Stream, ex *poset.Execution, feed func(*online.Stream, poset.EventID) error) error {
 	sendFor := make(map[poset.EventID]poset.EventID, len(ex.Messages()))
 	copies := make(map[poset.EventID]int)

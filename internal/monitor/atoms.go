@@ -5,6 +5,7 @@ import (
 
 	"causet/internal/core"
 	"causet/internal/interval"
+	"causet/internal/poset"
 )
 
 // Atom is one relation application r(x, y) of a parsed condition, exposed
@@ -37,18 +38,23 @@ func (o AtomOperand) String() string {
 	return o.Name
 }
 
-// Resolve materializes the operand against the named intervals exactly as
-// condition evaluation does (proxies under interval.DefPerNode). It returns
-// an *UndefinedError when the interval is unknown.
-func (o AtomOperand) Resolve(a *core.Analysis, intervals map[string]*interval.Interval) (*interval.Interval, error) {
-	iv, ok := intervals[o.Name]
+// Resolve looks the operand's interval up through lookup. A proxy operand
+// resolves to the analysis's cached per-node proxy (core.Analysis.ProxyCuts),
+// so every evaluation of the atom against a shares one proxy interval and
+// its cuts. It returns an *UndefinedError when lookup misses the name, and
+// core.ErrForeignInterval for a proxied interval outside a's execution.
+func (o AtomOperand) Resolve(a *core.Analysis, lookup func(name string) (*interval.Interval, bool)) (*interval.Interval, error) {
+	iv, ok := lookup(o.Name)
 	if !ok {
 		return nil, &UndefinedError{Name: o.Name}
 	}
 	if !o.UseProxy {
 		return iv, nil
 	}
-	return iv.ProxyInterval(o.Proxy, interval.DefPerNode, a.Clocks())
+	if !poset.Prefix(iv.Execution(), a.Execution()) {
+		return nil, core.ErrForeignInterval
+	}
+	return a.ProxyCuts(iv, o.Proxy).IV, nil
 }
 
 // Atoms returns the relation atoms of e in left-to-right syntactic order.
@@ -61,11 +67,7 @@ func Atoms(e Expr) []Atom {
 func collectAtoms(e Expr, out *[]Atom) {
 	switch v := e.(type) {
 	case *atomExpr:
-		*out = append(*out, Atom{
-			Rel: v.rel,
-			X:   AtomOperand{Name: v.x.name, UseProxy: v.x.useProxy, Proxy: v.x.proxy},
-			Y:   AtomOperand{Name: v.y.name, UseProxy: v.y.useProxy, Proxy: v.y.proxy},
-		})
+		*out = append(*out, v.Atom)
 	case *notExpr:
 		collectAtoms(v.e, out)
 	case *binExpr:

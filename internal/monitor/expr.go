@@ -51,31 +51,6 @@ type evalEnv struct {
 	lookup func(name string) (*interval.Interval, bool)
 }
 
-// operand is an interval reference with an optional proxy application.
-type operand struct {
-	name     string
-	useProxy bool
-	proxy    interval.ProxyKind
-}
-
-func (o operand) String() string {
-	if o.useProxy {
-		return fmt.Sprintf("%v(%s)", o.proxy, o.name)
-	}
-	return o.name
-}
-
-func (o operand) resolve(env *evalEnv) (*interval.Interval, error) {
-	iv, ok := env.lookup(o.name)
-	if !ok {
-		return nil, &UndefinedError{Name: o.name}
-	}
-	if !o.useProxy {
-		return iv, nil
-	}
-	return iv.ProxyInterval(o.proxy, interval.DefPerNode, env.a.Clocks())
-}
-
 // UndefinedError reports an atom referencing an interval the monitor does
 // not (yet) know. The monitor uses it to classify conditions as pending.
 type UndefinedError struct{ Name string }
@@ -86,30 +61,23 @@ func (e *UndefinedError) Error() string {
 }
 
 // atomExpr is REL(operand, operand).
-type atomExpr struct {
-	rel  core.Relation
-	x, y operand
-}
-
-func (a *atomExpr) String() string {
-	return fmt.Sprintf("%v(%v, %v)", a.rel, a.x, a.y)
-}
+type atomExpr struct{ Atom }
 
 func (a *atomExpr) referenced(set map[string]bool) {
-	set[a.x.name] = true
-	set[a.y.name] = true
+	set[a.X.Name] = true
+	set[a.Y.Name] = true
 }
 
 func (a *atomExpr) eval(env *evalEnv) (bool, error) {
-	x, err := a.x.resolve(env)
+	x, err := a.X.Resolve(env.a, env.lookup)
 	if err != nil {
 		return false, err
 	}
-	y, err := a.y.resolve(env)
+	y, err := a.Y.Resolve(env.a, env.lookup)
 	if err != nil {
 		return false, err
 	}
-	return env.a.EvalChecked(env.eval, a.rel, x, y)
+	return env.a.EvalChecked(env.eval, a.Rel, x, y)
 }
 
 type notExpr struct{ e Expr }
@@ -438,12 +406,12 @@ func (p *parser) parseAtom() (Expr, error) {
 		return nil, p.errf("expected ')', got %q", p.tok.text)
 	}
 	p.next()
-	return &atomExpr{rel: rel, x: x, y: y}, nil
+	return &atomExpr{Atom{Rel: rel, X: x, Y: y}}, nil
 }
 
-func (p *parser) parseOperand() (operand, error) {
+func (p *parser) parseOperand() (AtomOperand, error) {
 	if p.tok.kind != tokIdent {
-		return operand{}, p.errf("expected interval name, got %q", p.tok.text)
+		return AtomOperand{}, p.errf("expected interval name, got %q", p.tok.text)
 	}
 	name := p.tok.text
 	p.next()
@@ -451,22 +419,22 @@ func (p *parser) parseOperand() (operand, error) {
 	if (name == "L" || name == "U") && p.tok.kind == tokLParen {
 		p.next()
 		if p.tok.kind != tokIdent {
-			return operand{}, p.errf("expected interval name inside %s(...), got %q", name, p.tok.text)
+			return AtomOperand{}, p.errf("expected interval name inside %s(...), got %q", name, p.tok.text)
 		}
 		inner := p.tok.text
 		p.next()
 		if p.tok.kind != tokRParen {
-			return operand{}, p.errf("expected ')' closing %s(...), got %q", name, p.tok.text)
+			return AtomOperand{}, p.errf("expected ')' closing %s(...), got %q", name, p.tok.text)
 		}
 		p.next()
 		kind := interval.ProxyL
 		if name == "U" {
 			kind = interval.ProxyU
 		}
-		return operand{name: inner, useProxy: true, proxy: kind}, nil
+		return AtomOperand{Name: inner, UseProxy: true, Proxy: kind}, nil
 	}
 	if strings.ContainsAny(name, "'") {
-		return operand{}, &ParseError{Src: p.lex.src, Offset: p.tok.off, Msg: fmt.Sprintf("interval name %q may not contain apostrophes", name)}
+		return AtomOperand{}, &ParseError{Src: p.lex.src, Offset: p.tok.off, Msg: fmt.Sprintf("interval name %q may not contain apostrophes", name)}
 	}
-	return operand{name: name}, nil
+	return AtomOperand{Name: name}, nil
 }

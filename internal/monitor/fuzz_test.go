@@ -121,7 +121,7 @@ func TestQuickRandomExprRoundTrip(t *testing.T) {
 	var build func(budget []byte) (Expr, []byte)
 	build = func(budget []byte) (Expr, []byte) {
 		if len(budget) == 0 {
-			return &atomExpr{rel: 0, x: operand{name: "a"}, y: operand{name: "b"}}, nil
+			return &atomExpr{Atom{X: AtomOperand{Name: "a"}, Y: AtomOperand{Name: "b"}}}, nil
 		}
 		op := budget[0] % 5
 		budget = budget[1:]
@@ -132,12 +132,12 @@ func TestQuickRandomExprRoundTrip(t *testing.T) {
 				rel = int(budget[0]) % 8
 				budget = budget[1:]
 			}
-			x := operand{name: "iv" + string(rune('a'+rel))}
-			y := operand{name: "other"}
+			x := AtomOperand{Name: "iv" + string(rune('a'+rel))}
+			y := AtomOperand{Name: "other"}
 			if rel%2 == 0 {
-				x = operand{name: "p", useProxy: true, proxy: 0}
+				x = AtomOperand{Name: "p", UseProxy: true, Proxy: 0}
 			}
-			return &atomExpr{rel: core.Relation(rel % 8), x: x, y: y}, budget
+			return &atomExpr{Atom{Rel: core.Relation(rel % 8), X: x, Y: y}}, budget
 		case 2: // not
 			inner, rest := build(budget)
 			return &notExpr{e: inner}, rest

@@ -427,23 +427,14 @@ func ReplaySteps(ex *poset.Execution, step func(s *Stream, e poset.EventID) erro
 }
 
 // ReplayStepsOn is ReplaySteps onto a caller-supplied empty stream, so the
-// stream can be configured (instrumented, shared with a monitor) before the
-// replay starts.
+// stream can be configured (instrumented, shared with a monitor, given a
+// retention policy) before the replay starts. Because the replay knows the
+// message structure up front, every send event is pinned the moment it is
+// appended and unpinned when its receive lands, so a compaction triggered
+// by the step callback (e.g. a monitor retention appraisal) can never pass
+// an in-flight send — delayed receives under reordering fault plans keep
+// working instead of failing with ErrCompacted.
 func ReplayStepsOn(s *Stream, ex *poset.Execution, step func(s *Stream, e poset.EventID) error) (*Stream, error) {
-	return replayOn(s, ex, step, false)
-}
-
-// ReplayStepsPinned is ReplayStepsOn for retention-enabled streams: because
-// the replay knows the message structure up front, every send event is
-// pinned the moment it is appended and unpinned when its receive lands, so
-// a compaction triggered by the step callback (e.g. a monitor retention
-// appraisal) can never pass an in-flight send — delayed receives under
-// reordering fault plans keep working instead of failing with ErrCompacted.
-func ReplayStepsPinned(s *Stream, ex *poset.Execution, step func(s *Stream, e poset.EventID) error) (*Stream, error) {
-	return replayOn(s, ex, step, true)
-}
-
-func replayOn(s *Stream, ex *poset.Execution, step func(s *Stream, e poset.EventID) error, pinned bool) (*Stream, error) {
 	if s.NumProcs() != ex.NumProcs() {
 		return nil, fmt.Errorf("online: ReplayStepsOn: stream has %d processes, execution has %d", s.NumProcs(), ex.NumProcs())
 	}
@@ -451,27 +442,20 @@ func replayOn(s *Stream, ex *poset.Execution, step func(s *Stream, e poset.Event
 	// records one incoming edge per receive, so executions where a single
 	// event receives several messages cannot be replayed faithfully.
 	sendFor := make(map[poset.EventID]poset.EventID, len(ex.Messages()))
-	var pinsFor map[poset.EventID]int
-	if pinned {
-		pinsFor = make(map[poset.EventID]int, len(ex.Messages()))
-	}
+	pinsFor := make(map[poset.EventID]int, len(ex.Messages()))
 	for _, m := range ex.Messages() {
 		if _, dup := sendFor[m.To]; dup {
 			return nil, fmt.Errorf("online: Replay: event %v receives multiple messages", m.To)
 		}
 		sendFor[m.To] = m.From
-		if pinned {
-			pinsFor[m.From]++
-		}
+		pinsFor[m.From]++
 	}
 	for _, e := range ex.LinearExtension() {
 		if from, ok := sendFor[e]; ok {
 			if _, err := s.Recv(e.Proc, from); err != nil {
 				return nil, err
 			}
-			if pinned {
-				s.Unpin(from)
-			}
+			s.Unpin(from)
 		} else if _, err := s.Local(e.Proc); err != nil {
 			return nil, err
 		}

@@ -55,7 +55,7 @@ func driveRetained(t testing.TB, res *sim.Result, conds [][2]string, policy *Ret
 			phaseOf[e] = i
 		}
 	}
-	if _, err := ReplayStepsPinned(s, res.Exec, func(_ *Stream, e poset.EventID) error {
+	if _, err := ReplayStepsOn(s, res.Exec, func(_ *Stream, e poset.EventID) error {
 		justDone := -1
 		if pi, ok := phaseOf[e]; ok {
 			if err := m.Observe(res.Phases[pi].Name, e); err != nil {
