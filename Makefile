@@ -81,6 +81,7 @@ fuzz:
 	$(GO) test -fuzz FuzzTraceDecode -fuzztime $(FUZZTIME) ./internal/trace/
 	$(GO) test -fuzz FuzzIncrementalSnapshotAgreement -fuzztime $(FUZZTIME) ./internal/online/
 	$(GO) test -fuzz FuzzCompactionAgreement -fuzztime $(FUZZTIME) ./internal/online/
+	$(GO) test -fuzz FuzzMatrixAgreement -fuzztime $(FUZZTIME) ./internal/batch/
 
 # Chaos gate: explore 64 seeded (protocol, fault plan) cases under the race
 # detector — the same check CI's chaos job runs (see internal/faultsim).

@@ -5,14 +5,18 @@
 //
 //   - EvalQueries: a flat list of (relation, X, Y) triples;
 //   - Profiles: the full 32-relation set ℛ per interval pair;
-//   - Matrix: the all-pairs strongest-relation matrix (Problem 4(ii)).
+//   - Matrix: the all-pairs strongest-relation matrix (Problem 4(ii)),
+//     decided on the fast evaluator by a per-node threshold sweep over
+//     column bitsets (sweep.go).
 //
 // Results are deterministic — results[i] always answers queries[i] and is
 // bit-identical regardless of worker count — while the per-worker
 // comparison/held/error counters are aggregated into a single Stats via
 // atomics. The shared Analysis is safe because its cut cache is a sync.Map
 // of build-once slots: hits take no lock, and concurrent cold queries on
-// one interval coalesce into one build.
+// one interval coalesce into one build. Intervals may belong to the
+// engine's execution or to a prefix of it (poset.Prefix), such as an
+// earlier snapshot of one online stream.
 package batch
 
 import (
@@ -27,6 +31,7 @@ import (
 	"causet/internal/hierarchy"
 	"causet/internal/interval"
 	"causet/internal/obs"
+	"causet/internal/poset"
 )
 
 // chunk is the work-stealing granule: workers claim runs of this many items
@@ -47,14 +52,16 @@ type Options struct {
 	NewEvaluator func(*core.Analysis) core.Evaluator
 	// Metrics, when non-nil, receives the engine's cumulative counters
 	// (batch.batches, batch.queries, batch.held, batch.errors,
-	// batch.comparisons) and latency/size histograms (batch.batch_ns,
-	// batch.batch_queries). The per-batch Stats views returned by the
-	// evaluation methods are unchanged; the registry aggregates across
-	// batches and engines sharing it.
+	// batch.comparisons, batch.sweep_words) and latency/size histograms
+	// (batch.batch_ns, batch.batch_queries). The per-batch Stats views
+	// returned by the evaluation methods are unchanged; the registry
+	// aggregates across batches and engines sharing it.
 	Metrics *obs.Registry
 	// Tracer, when non-nil, records one "batch" span per batch run plus one
 	// span per worker goroutine (tid = worker index + 1), in Chrome
-	// trace_event form. Matrix's cut pre-pass records worker spans only.
+	// trace_event form. Matrix's cut pre-pass records worker spans only;
+	// its sweep records one batch span around worker spans for the node
+	// sorts and for the planes and cell fill.
 	Tracer *obs.Tracer
 }
 
@@ -66,6 +73,7 @@ type engineObs struct {
 	held         *obs.Counter
 	errors       *obs.Counter
 	comparisons  *obs.Counter
+	sweepWords   *obs.Counter
 	batchNs      *obs.Histogram
 	batchQueries *obs.Histogram
 }
@@ -75,16 +83,16 @@ type Engine struct {
 	a       *core.Analysis
 	workers int
 	newEval func(*core.Analysis) core.Evaluator
-	fused   bool // Profiles/Matrix use the fused kernel (see New)
+	fused   bool // Profiles use the fused kernel, Matrix the sweep (see New)
 	met     engineObs
 	tr      *obs.Tracer
 }
 
-// New returns an engine over a with the given options. Profiles and Matrix
-// use the fused profile kernel (core.EvalProfile / core.EvalTable1Cuts)
-// when the evaluator is a *core.FastEvaluator, whose evaluation conditions
-// the kernel implements; engines over the naive or proxy evaluator run one
-// EvalCount per relation, keeping that evaluator's cost model.
+// New returns an engine over a with the given options. When the evaluator
+// is a *core.FastEvaluator, Profiles use the fused profile kernel
+// (core.EvalProfile) and Matrix the per-node sweep, both of which implement
+// that evaluator's conditions; engines over the naive or proxy evaluator
+// run one EvalCount per relation, keeping that evaluator's cost model.
 func New(a *core.Analysis, opts Options) *Engine {
 	w := opts.Workers
 	if w < 1 {
@@ -103,6 +111,7 @@ func New(a *core.Analysis, opts Options) *Engine {
 			held:         reg.Counter("batch.held"),
 			errors:       reg.Counter("batch.errors"),
 			comparisons:  reg.Counter("batch.comparisons"),
+			sweepWords:   reg.Counter("batch.sweep_words"),
 			batchNs:      reg.Histogram("batch.batch_ns", obs.DurationBuckets),
 			batchQueries: reg.Histogram("batch.batch_queries", obs.SizeBuckets),
 		}
@@ -134,12 +143,20 @@ type Result struct {
 // Stats aggregates the counters of one batch. It is the per-batch view of
 // the engine's accounting; an engine configured with Options.Metrics also
 // feeds the same tallies, cumulatively, into registry counters of the same
-// names (batch.queries, batch.held, batch.errors, batch.comparisons).
+// names (batch.queries, batch.held, batch.errors, batch.comparisons,
+// batch.sweep_words).
 type Stats struct {
-	Queries     int64
-	Held        int64
-	Errors      int64
+	Queries int64
+	Held    int64
+	Errors  int64
+	// Comparisons is the integer comparisons spent: Theorem 19/20 node
+	// checks per query or pair, or, for Matrix on the fast evaluator, the
+	// sweep's threshold comparisons (one per merge step of a row order
+	// against a column order).
 	Comparisons int64
+	// SweepWords is the 64-bit words Matrix's sweep ANDed or ORed into its
+	// relation planes; 0 on every other path.
+	SweepWords int64
 }
 
 // add merges a worker-local tally into the shared stats with atomics.
@@ -148,6 +165,7 @@ func (s *Stats) add(local Stats) {
 	atomic.AddInt64(&s.Held, local.Held)
 	atomic.AddInt64(&s.Errors, local.Errors)
 	atomic.AddInt64(&s.Comparisons, local.Comparisons)
+	atomic.AddInt64(&s.SweepWords, local.SweepWords)
 }
 
 // Results is one evaluated batch: Results[i] answers Queries[i].
@@ -157,10 +175,16 @@ type Results struct {
 	Stats   Stats
 }
 
+// owns reports whether iv belongs to the engine's execution or to a prefix
+// of it — the intervals core.Analysis.Cuts accepts.
+func (e *Engine) owns(iv *interval.Interval) bool {
+	return poset.Prefix(iv.Execution(), e.a.Execution())
+}
+
 // evalOne answers q into r and tallies into the worker-local st.
 func (e *Engine) evalOne(ev core.Evaluator, q Query, r *Result, st *Stats) {
 	st.Queries++
-	if q.X.Execution() != e.a.Execution() || q.Y.Execution() != e.a.Execution() {
+	if !e.owns(q.X) || !e.owns(q.Y) {
 		r.Err = fmt.Errorf("batch: interval from a different execution")
 		st.Errors++
 		return
@@ -184,12 +208,18 @@ func (e *Engine) evalOne(ev core.Evaluator, q Query, r *Result, st *Stats) {
 // (one sub-span per worker) and the totals are published to the registry
 // after the barrier.
 func (e *Engine) run(n int, do func(ev core.Evaluator, i int, st *Stats)) Stats {
+	return e.batch(func() Stats { return e.runPool(n, do) })
+}
+
+// batch runs one batch body inside the engine's batch span and publishes
+// the totals it returns to the registry.
+func (e *Engine) batch(body func() Stats) Stats {
 	sp := e.tr.Begin("batch", "batch")
 	var t0 time.Time
 	if e.met.batchNs != nil {
 		t0 = time.Now()
 	}
-	total := e.runPool(n, do)
+	total := body()
 	if e.met.batchNs != nil {
 		e.met.batchNs.Observe(time.Since(t0).Nanoseconds())
 	}
@@ -200,45 +230,53 @@ func (e *Engine) run(n int, do func(ev core.Evaluator, i int, st *Stats)) Stats 
 	e.met.held.Add(total.Held)
 	e.met.errors.Add(total.Errors)
 	e.met.comparisons.Add(total.Comparisons)
+	e.met.sweepWords.Add(total.SweepWords)
 	return total
 }
 
 func (e *Engine) runPool(n int, do func(ev core.Evaluator, i int, st *Stats)) Stats {
 	var total Stats
-	if e.workers == 1 || n <= chunk {
-		ev := e.newEval(e.a)
-		var local Stats
-		for i := 0; i < n; i++ {
-			do(ev, i, &local)
-		}
-		total.add(local)
-		return total
+	workers := e.workers
+	if n <= chunk {
+		workers = 1
 	}
 	var cursor atomic.Int64
+	e.spread(workers, func(int) {
+		ev := e.newEval(e.a)
+		var local Stats
+		for {
+			lo := int(cursor.Add(chunk)) - chunk
+			if lo >= n {
+				break
+			}
+			for i := lo; i < min(lo+chunk, n); i++ {
+				do(ev, i, &local)
+			}
+		}
+		total.add(local)
+	})
+	return total
+}
+
+// spread runs fn(w) for every w < workers and waits for all of them: inline
+// on the caller's goroutine for one worker, else on one goroutine per
+// worker, each recorded as a "worker" span (tid = w + 1).
+func (e *Engine) spread(workers int, fn func(w int)) {
+	if workers <= 1 {
+		fn(0)
+		return
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < e.workers; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			wsp := e.tr.BeginTID("batch", "worker", int64(w)+1)
 			defer wsp.End()
-			ev := e.newEval(e.a)
-			var local Stats
-			for {
-				lo := int(cursor.Add(chunk)) - chunk
-				if lo >= n {
-					break
-				}
-				hi := min(lo+chunk, n)
-				for i := lo; i < hi; i++ {
-					do(ev, i, &local)
-				}
-			}
-			total.add(local)
+			fn(w)
 		}(w)
 	}
 	wg.Wait()
-	return total
 }
 
 // EvalQueries answers every query in qs. Result order matches query order
@@ -297,7 +335,7 @@ func (e *Engine) Profiles(pairs []Pair) ([]Profile, Stats) {
 		p := pairs[i]
 		out[i].Pair = p
 		st.Queries++
-		if p.X.Execution() != e.a.Execution() || p.Y.Execution() != e.a.Execution() {
+		if !e.owns(p.X) || !e.owns(p.Y) {
 			out[i].Err = fmt.Errorf("batch: interval from a different execution")
 			st.Errors++
 			return
@@ -334,32 +372,29 @@ func (e *Engine) Profiles(pairs []Pair) ([]Profile, Stats) {
 
 // Matrix computes the strongest-relation pair matrix over the named
 // intervals — the parallel counterpart of hierarchy.Summarize, cell-for-cell
-// identical to it. names and ivs run in parallel; all intervals must belong
-// to the engine's execution, and the first that does not is named in the
-// error. With the fast evaluator each cell is decided by one fused Table 1
-// pass (core.Analysis.EvalTable1Cuts) over cuts resolved once per interval,
-// in a parallel pre-pass on the worker pool; other evaluators scan the six
-// canonical relations one by one. Either way each cell is finalized through
+// identical to it. names and ivs run in parallel; every interval must belong
+// to the engine's execution or to a prefix of it, and the first that does
+// not is named in the error. With the fast evaluator the matrix comes from
+// the per-node threshold sweep (sweepMatrix) over cuts resolved once per
+// interval in a parallel pre-pass; other evaluators scan the six canonical
+// relations cell by cell. Either way each cell is finalized through
 // hierarchy.StrongestOf, so cells share its interned slices.
 func (e *Engine) Matrix(names []string, ivs []*interval.Interval) (*hierarchy.PairMatrix, Stats, error) {
 	if len(names) != len(ivs) {
 		return nil, Stats{}, fmt.Errorf("batch: %d names for %d intervals", len(names), len(ivs))
 	}
 	for i, iv := range ivs {
-		if iv.Execution() != e.a.Execution() {
+		if !e.owns(iv) {
 			return nil, Stats{}, fmt.Errorf("batch: interval %q from a different execution", names[i])
 		}
 	}
 	n := len(ivs)
-	var ics []*core.IntervalCuts
-	if e.fused {
-		// Not a batch: the pre-pass feeds no batch.* metric.
-		ics = make([]*core.IntervalCuts, n)
-		e.runPool(n, func(_ core.Evaluator, i int, _ *Stats) { ics[i] = e.a.Cuts(ivs[i]) })
-	}
 	pm := &hierarchy.PairMatrix{
 		Names: append([]string(nil), names...),
 		Cells: make([][]hierarchy.Cell, n),
+	}
+	if e.fused {
+		return pm, e.sweepMatrix(pm, ivs), nil
 	}
 	for i := range pm.Cells {
 		pm.Cells[i] = make([]hierarchy.Cell, n)
@@ -376,18 +411,11 @@ func (e *Engine) Matrix(names []string, ivs []*interval.Interval) (*hierarchy.Pa
 			return
 		}
 		var verdicts uint8
-		if e.fused {
-			var cmp int64
-			verdicts, cmp = e.a.EvalTable1Cuts(ics[i], ics[j])
-			verdicts &= canonicalBits
+		for _, rel := range canonical {
+			ok, cmp := ev.EvalCount(rel, x, y)
 			st.Comparisons += cmp
-		} else {
-			for _, rel := range canonical {
-				ok, cmp := ev.EvalCount(rel, x, y)
-				st.Comparisons += cmp
-				if ok {
-					verdicts |= 1 << uint(rel)
-				}
+			if ok {
+				verdicts |= 1 << uint(rel)
 			}
 		}
 		st.Held += int64(bits.OnesCount8(verdicts))
@@ -396,15 +424,6 @@ func (e *Engine) Matrix(names []string, ivs []*interval.Interval) (*hierarchy.Pa
 	return pm, stats, nil
 }
 
-// canonical lists the relations a matrix cell reports, and canonicalBits
-// masks a Table 1 verdict set down to them: R1 and R4, never their
-// equivalent primes.
-var (
-	canonical     = hierarchy.Canonical()
-	canonicalBits = func() (m uint8) {
-		for _, r := range canonical {
-			m |= 1 << uint(r)
-		}
-		return m
-	}()
-)
+// canonical lists the relations a matrix cell reports: R1 and R4, never
+// their equivalent primes.
+var canonical = hierarchy.Canonical()

@@ -401,10 +401,12 @@ func TestSharedAnalysisStress(t *testing.T) {
 }
 
 // TestFusedMatchesLegacyScan is the engine-level differential for the fused
-// profile kernel: Profiles and Matrix on the default (fast-evaluator, fused)
-// engine must be result-identical to engines over the naive and proxy
-// evaluators, which scan relation by relation, while spending fewer
-// comparisons than the same per-relation scans under the fast evaluator.
+// kernels: Profiles and Matrix on the default (fast-evaluator) engine must
+// be result-identical to engines over the naive and proxy evaluators, which
+// scan relation by relation, while the fused profile and Table 1 kernels
+// spend fewer comparisons than the same per-relation scans under the fast
+// evaluator. (Matrix's own comparisons are the sweep's, bounded by
+// TestMatrixSweepBounds.)
 func TestFusedMatchesLegacyScan(t *testing.T) {
 	r := rand.New(rand.NewSource(61))
 	names := []string{"a", "b", "c", "d"}
@@ -455,10 +457,11 @@ func TestFusedMatchesLegacyScan(t *testing.T) {
 		}
 
 		// The comparison budgets of the per-relation scans the kernel
-		// replaces: 32 EvalRel32Count calls per profile pair and one
-		// EvalCount per canonical relation per matrix cell.
+		// replaces: 32 EvalRel32Count calls per profile pair, and one
+		// EvalCount per canonical relation per pair against the fused
+		// Table 1 kernel (core.Analysis.EvalTable1) on the same pair.
 		ev := core.NewFast(a)
-		var scanCmp, cellCmp int64
+		var scanCmp, cellCmp, kernelCmp int64
 		for _, p := range pairs {
 			if p.X.Overlaps(p.Y) {
 				continue
@@ -474,17 +477,19 @@ func TestFusedMatchesLegacyScan(t *testing.T) {
 				_, checks := ev.EvalCount(rel, p.X, p.Y)
 				cellCmp += checks
 			}
+			_, checks := a.EvalTable1(p.X, p.Y)
+			kernelCmp += checks
 		}
 		if fs.Comparisons >= scanCmp {
 			t.Fatalf("trial %d: fused profiles spent %d comparisons, the scan %d — no win",
 				trial, fs.Comparisons, scanCmp)
 		}
 		// The scan decides only the six canonical relations while the fused
-		// kernel decides all eight, so tiny workloads can tie; the fused
-		// path must simply never spend more.
-		if fms.Comparisons > cellCmp {
-			t.Fatalf("trial %d: fused matrix spent %d comparisons, the scan %d — regression",
-				trial, fms.Comparisons, cellCmp)
+		// kernel decides all eight, so tiny workloads can tie; the kernel
+		// must simply never spend more.
+		if kernelCmp > cellCmp {
+			t.Fatalf("trial %d: fused Table 1 kernel spent %d comparisons, the scan %d — regression",
+				trial, kernelCmp, cellCmp)
 		}
 	}
 }

@@ -83,7 +83,7 @@ type analysisObs struct {
 	cutBuildNs *obs.Histogram
 	evals      [numEvalKinds]evalObs
 
-	// Fused-kernel instruments (see EvalProfile / EvalTable1Cuts): profile
+	// Fused-kernel instruments (see EvalProfile / EvalTable1): profile
 	// and Table-1 evaluations plus their total comparison spend. Shared
 	// comparisons make a per-relation split ill-defined for the fused path,
 	// so only the totals are tracked — the per-relation counters above stay

@@ -59,8 +59,8 @@ type table1Bits uint8
 // fuseTable1 decides all eight Table 1 relations between the nonatomic
 // events condensed as cx and cy, whose node sets are nx and ny, in a single
 // pass over each node set. It is the shared kernel of EvalProfile (where
-// cx/cy are proxy cuts) and EvalTable1Cuts (where they are the intervals'
-// own cuts). The conditions per relation are exactly those of
+// cx/cy are proxy cuts) and EvalTable1 (where they are the intervals' own
+// cuts). The conditions per relation are exactly those of
 // FastEvaluator.EvalCount; see that method's comment for the cut pairings.
 func fuseTable1(cx, cy *IntervalCuts, nx, ny []int) (table1Bits, int64) {
 	var checks int64
@@ -232,21 +232,14 @@ func (a *Analysis) EvalProfile(x, y *interval.Interval) (mask uint32, checks int
 }
 
 // EvalTable1 evaluates the eight Table 1 relations between x and y directly
-// (no proxies) in one fused pass per node set. Bit int(rel) of the returned
-// verdicts is set iff rel(X, Y) holds. It decides the same verdicts as
-// eight FastEvaluator.EvalCount calls while sharing comparisons and the
-// early-exit mask across relations. It is EvalTable1Cuts over the cached
-// cuts of x and y.
+// (no proxies) in one fused pass per node set, over the cached cuts of x
+// and y. Bit int(rel) of the returned verdicts is set iff rel(X, Y) holds.
+// It decides the same verdicts as eight FastEvaluator.EvalCount calls while
+// sharing comparisons and the early-exit mask across relations. The online
+// monitor's StrongestBetween calls it per pair; batch.Engine.Matrix decides
+// whole families by its per-node sweep instead and is tested against it.
 func (a *Analysis) EvalTable1(x, y *interval.Interval) (verdicts uint8, checks int64) {
-	return a.EvalTable1Cuts(a.Cuts(x), a.Cuts(y))
-}
-
-// EvalTable1Cuts is EvalTable1 between the intervals cx.IV and cy.IV, over
-// cuts the caller already resolved with Cuts. batch.Engine.Matrix resolves
-// each interval's cuts once per call and feeds every cell through here, so
-// a cell pays for the kernel only, not for two cut-cache lookups.
-func (a *Analysis) EvalTable1Cuts(cx, cy *IntervalCuts) (verdicts uint8, checks int64) {
-	bits, checks := fuseTable1(cx, cy, cx.IV.NodeSet(), cy.IV.NodeSet())
+	bits, checks := fuseTable1(a.Cuts(x), a.Cuts(y), x.NodeSet(), y.NodeSet())
 	a.met.fusedTable1.Add(1)
 	a.met.fusedComparisons.Add(checks)
 	return uint8(bits), checks

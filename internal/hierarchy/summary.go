@@ -40,8 +40,10 @@ func (c Cell) String() string {
 // PairMatrix answers the paper's Problem 4(ii) for a whole family of
 // nonatomic events at once: for every ordered pair it reports the maximal
 // relations that hold, computed with a shared Analysis so each interval's
-// condensed cuts are built once (Key Idea 1) and every pair costs only the
-// Theorem 20 comparison counts.
+// condensed cuts are built once (Key Idea 1). Summarize spends the
+// Theorem 20 comparison counts per pair; batch.Engine.Matrix, on the fast
+// evaluator, decides the whole family by a per-node threshold sweep over
+// those cuts, 64 pairs per word operation, and fills the same cells.
 type PairMatrix struct {
 	Names []string
 	Cells [][]Cell // Cells[i][j] relates interval i to interval j; i==j is zero
