@@ -79,6 +79,7 @@ fuzz:
 	$(GO) test -fuzz FuzzProfileKernelAgreement -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -fuzz FuzzOverlapsAgreement -fuzztime $(FUZZTIME) ./internal/interval/
 	$(GO) test -fuzz FuzzTraceDecode -fuzztime $(FUZZTIME) ./internal/trace/
+	$(GO) test -fuzz FuzzReadJSONAgreement -fuzztime $(FUZZTIME) ./internal/trace/
 	$(GO) test -fuzz FuzzIncrementalSnapshotAgreement -fuzztime $(FUZZTIME) ./internal/online/
 	$(GO) test -fuzz FuzzCompactionAgreement -fuzztime $(FUZZTIME) ./internal/online/
 	$(GO) test -fuzz FuzzMatrixAgreement -fuzztime $(FUZZTIME) ./internal/batch/

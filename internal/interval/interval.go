@@ -7,8 +7,10 @@
 package interval
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"causet/internal/poset"
@@ -40,8 +42,13 @@ func New(ex *poset.Execution, events []poset.EventID) (*Interval, error) {
 	if len(events) == 0 {
 		return nil, ErrEmpty
 	}
-	sorted := append([]poset.EventID(nil), events...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Less(sorted[j]) })
+	sorted := slices.Clone(events)
+	slices.SortFunc(sorted, func(a, b poset.EventID) int {
+		if c := cmp.Compare(a.Proc, b.Proc); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Pos, b.Pos)
+	})
 	dedup := sorted[:1]
 	for _, e := range sorted[1:] {
 		if e != dedup[len(dedup)-1] {

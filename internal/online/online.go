@@ -438,28 +438,24 @@ func ReplayStepsOn(s *Stream, ex *poset.Execution, step func(s *Stream, e poset.
 	if s.NumProcs() != ex.NumProcs() {
 		return nil, fmt.Errorf("online: ReplayStepsOn: stream has %d processes, execution has %d", s.NumProcs(), ex.NumProcs())
 	}
-	// Which sends feed which receives, per original edge. The stream API
-	// records one incoming edge per receive, so executions where a single
-	// event receives several messages cannot be replayed faithfully.
-	sendFor := make(map[poset.EventID]poset.EventID, len(ex.Messages()))
-	pinsFor := make(map[poset.EventID]int, len(ex.Messages()))
+	// The stream API records one incoming edge per receive, so executions
+	// where a single event receives several messages cannot be replayed
+	// faithfully.
 	for _, m := range ex.Messages() {
-		if _, dup := sendFor[m.To]; dup {
+		if len(ex.MsgPredecessors(m.To)) > 1 {
 			return nil, fmt.Errorf("online: Replay: event %v receives multiple messages", m.To)
 		}
-		sendFor[m.To] = m.From
-		pinsFor[m.From]++
 	}
 	for _, e := range ex.LinearExtension() {
-		if from, ok := sendFor[e]; ok {
-			if _, err := s.Recv(e.Proc, from); err != nil {
+		if from := ex.MsgPredecessors(e); from != nil {
+			if _, err := s.Recv(e.Proc, from[0]); err != nil {
 				return nil, err
 			}
-			s.Unpin(from)
+			s.Unpin(from[0])
 		} else if _, err := s.Local(e.Proc); err != nil {
 			return nil, err
 		}
-		for i := pinsFor[e]; i > 0; i-- {
+		for range ex.MsgSuccessors(e) {
 			s.Pin(e)
 		}
 		if step != nil {

@@ -395,6 +395,35 @@ func TestStreamConcurrent(t *testing.T) {
 	}
 }
 
+// TestReplayRejectsMultiReceiveUpFront: an event that receives two
+// messages cannot be replayed through the one-edge Recv API, and the
+// replay says so before its first step, however late that event comes.
+func TestReplayRejectsMultiReceiveUpFront(t *testing.T) {
+	b := poset.NewBuilder(3)
+	for i := 0; i < 4; i++ {
+		b.Append(0)
+	}
+	s1 := b.Append(1)
+	s2 := b.Append(2)
+	last := b.Append(0)
+	for _, from := range []poset.EventID{s1, s2} {
+		if err := b.Message(from, last); err != nil {
+			t.Fatal(err)
+		}
+	}
+	steps := 0
+	_, err := ReplaySteps(b.MustBuild(), func(*Stream, poset.EventID) error {
+		steps++
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "p0:5 receives multiple messages") {
+		t.Fatalf("err = %v, want p0:5 receives multiple messages", err)
+	}
+	if steps != 0 {
+		t.Fatalf("%d steps ran before the error, want 0", steps)
+	}
+}
+
 // TestReplayMatchesOriginal: replaying any execution through a Stream
 // reproduces its structure and clocks exactly.
 func TestReplayMatchesOriginal(t *testing.T) {

@@ -243,3 +243,44 @@ func TestCompactedViewQueryGuards(t *testing.T) {
 		t.Fatalf("Build on compacted builder: err = %v, want ErrCompacted", err)
 	}
 }
+
+// TestCompactedViewAdjacencyIsDense pins the dense index of a compacted
+// view: one adjacency slot per retained event, and nil for compacted
+// events, dummies and IDs outside the execution.
+func TestCompactedViewAdjacencyIsDense(t *testing.T) {
+	b := chainBuilder(t, 4) // counts: p0=8, p1=8, p2=4
+	if _, err := b.CompactBelow([]int{4, 4, 2}); err != nil {
+		t.Fatal(err)
+	}
+	ex, err := b.View()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := ex.edges()
+	retained := (8 - 4) + (8 - 4) + (4 - 2)
+	if len(a.outOff) != retained+1 || len(a.inOff) != retained+1 {
+		t.Fatalf("offset arrays have %d and %d entries, want %d", len(a.outOff), len(a.inOff), retained+1)
+	}
+	if len(a.outAdj) != len(ex.Messages()) || len(a.inAdj) != len(ex.Messages()) {
+		t.Fatalf("adjacency arrays have %d and %d entries, want %d", len(a.outAdj), len(a.inAdj), len(ex.Messages()))
+	}
+	// Round 2's messages survive: p0:5 -> p1:5 and p1:6 -> p2:3.
+	if got := ex.MsgSuccessors(EventID{Proc: 0, Pos: 5}); len(got) != 1 || got[0] != (EventID{Proc: 1, Pos: 5}) {
+		t.Fatalf("MsgSuccessors(p0:5) = %v, want [p1:5]", got)
+	}
+	if got := ex.MsgPredecessors(EventID{Proc: 2, Pos: 3}); len(got) != 1 || got[0] != (EventID{Proc: 1, Pos: 6}) {
+		t.Fatalf("MsgPredecessors(p2:3) = %v, want [p1:6]", got)
+	}
+	for _, e := range []EventID{
+		{Proc: 0, Pos: 1}, {Proc: 1, Pos: 2}, {Proc: 2, Pos: 1}, // compacted senders and receivers
+		{Proc: 0, Pos: 0}, {Proc: 2, Pos: 5}, // ⊥ and ⊤
+		{Proc: 3, Pos: 1}, {Proc: -1, Pos: 5}, {Proc: 0, Pos: 99}, // outside the execution
+	} {
+		if got := ex.MsgSuccessors(e); got != nil {
+			t.Errorf("MsgSuccessors(%v) = %v, want nil", e, got)
+		}
+		if got := ex.MsgPredecessors(e); got != nil {
+			t.Errorf("MsgPredecessors(%v) = %v, want nil", e, got)
+		}
+	}
+}

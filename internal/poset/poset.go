@@ -23,6 +23,7 @@ package poset
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -77,12 +78,11 @@ type Execution struct {
 	counts []int     // number of real events per process
 	msgs   []Message // all message edges, in insertion order
 
-	// Message adjacency is derived lazily: views of a growing stream are
-	// taken once per monitor check, and most views never answer a structural
-	// query that needs the maps.
+	// Message adjacency is derived lazily (see edges): views of a growing
+	// stream are taken once per monitor check, and most never answer a
+	// structural query that needs it.
 	edgesOnce sync.Once
-	out       map[EventID][]EventID // message successors of a real event
-	in        map[EventID][]EventID // message predecessors of a real event
+	adj       *adjacency
 
 	origin    *Builder // builder this view was taken from, nil for Build results
 	epoch     int      // total real events at view time (only with origin set)
@@ -448,32 +448,104 @@ func (ex *Execution) compactedReal(e EventID) bool {
 	return ex.compacted != nil && e.Pos >= 1 && e.Pos <= ex.compacted[e.Proc]
 }
 
-// edges builds the message adjacency maps on first use. The maps are derived
-// purely from ex.msgs (itself immutable once the Execution exists), so the
-// sync.Once makes concurrent first calls safe.
-func (ex *Execution) edges() {
+// adjacency is an execution's message adjacency in compressed sparse row
+// form over its dense event index (see Execution.slot): the message
+// successors of the event in slot i are outAdj[outOff[i]:outOff[i+1]], its
+// predecessors likewise in inAdj, each row in message insertion order.
+type adjacency struct {
+	start         []int // start[p]: slot of process p's first retained real event
+	outOff, inOff []int32
+	outAdj, inAdj []EventID
+}
+
+// slot maps a retained real event to its dense index: process by process,
+// the positions above the compaction watermark in program order, so a
+// compacted view's index covers only its retained events. ok is false for
+// dummies, compacted events and IDs outside the execution. Call edges first.
+func (ex *Execution) slot(e EventID) (int, bool) {
+	if e.Proc < 0 || e.Proc >= len(ex.counts) {
+		return 0, false
+	}
+	w := ex.CompactedThrough(e.Proc)
+	if e.Pos <= w || e.Pos > ex.counts[e.Proc] {
+		return 0, false
+	}
+	return ex.adj.start[e.Proc] + e.Pos - 1 - w, true
+}
+
+// edges returns the message adjacency, building it on first use. It derives
+// purely from ex.counts and ex.msgs (immutable once the Execution exists),
+// so the sync.Once makes concurrent first calls safe.
+func (ex *Execution) edges() *adjacency {
 	ex.edgesOnce.Do(func() {
-		ex.out = make(map[EventID][]EventID, len(ex.msgs))
-		ex.in = make(map[EventID][]EventID, len(ex.msgs))
-		for _, m := range ex.msgs {
-			ex.out[m.From] = append(ex.out[m.From], m.To)
-			ex.in[m.To] = append(ex.in[m.To], m.From)
+		if len(ex.msgs) >= math.MaxInt32 {
+			panic("poset: too many messages for the adjacency index")
 		}
+		a := &adjacency{start: make([]int, len(ex.counts)+1)}
+		for p, c := range ex.counts {
+			a.start[p+1] = a.start[p] + c - ex.CompactedThrough(p)
+		}
+		ex.adj = a // slot reads start while the rows are built
+		a.outOff, a.outAdj = ex.csr(func(m Message) (EventID, EventID) { return m.From, m.To })
+		a.inOff, a.inAdj = ex.csr(func(m Message) (EventID, EventID) { return m.To, m.From })
 	})
+	return ex.adj
 }
 
-// MsgSuccessors returns the receive events of messages sent at e. The slice
-// is shared; callers must not modify it.
+// csr groups the message log by one endpoint: row i lists, in insertion
+// order, the other endpoints of the messages whose key endpoint sits in slot
+// i. Messages whose key endpoint has no slot are left out.
+func (ex *Execution) csr(ends func(Message) (key, other EventID)) ([]int32, []EventID) {
+	n := ex.adj.start[len(ex.counts)]
+	off := make([]int32, n+1)
+	kept := 0
+	for _, m := range ex.msgs {
+		key, _ := ends(m)
+		if i, ok := ex.slot(key); ok {
+			off[i]++
+			kept++
+		}
+	}
+	for i := 1; i <= n; i++ {
+		off[i] += off[i-1]
+	}
+	// off[i] now ends row i; filling back to front walks it down to the
+	// row's start while keeping insertion order.
+	adj := make([]EventID, kept)
+	for k := len(ex.msgs) - 1; k >= 0; k-- {
+		key, other := ends(ex.msgs[k])
+		if i, ok := ex.slot(key); ok {
+			off[i]--
+			adj[off[i]] = other
+		}
+	}
+	return off, adj
+}
+
+// row returns the slice of adj that off assigns to e, or nil when e has no
+// slot or no edges. The slice is capacity-clamped so that an append by a
+// caller cannot overwrite the next row.
+func (ex *Execution) row(off []int32, adj []EventID, e EventID) []EventID {
+	i, ok := ex.slot(e)
+	if !ok || off[i] == off[i+1] {
+		return nil
+	}
+	return adj[off[i]:off[i+1]:off[i+1]]
+}
+
+// MsgSuccessors returns the receive events of messages sent at e: nil for
+// dummies, compacted events and IDs outside the execution. The slice is
+// shared; callers must not modify it.
 func (ex *Execution) MsgSuccessors(e EventID) []EventID {
-	ex.edges()
-	return ex.out[e]
+	a := ex.edges()
+	return ex.row(a.outOff, a.outAdj, e)
 }
 
-// MsgPredecessors returns the send events of messages received at e. The
-// slice is shared; callers must not modify it.
+// MsgPredecessors returns the send events of messages received at e, nil
+// where MsgSuccessors is. The slice is shared; callers must not modify it.
 func (ex *Execution) MsgPredecessors(e EventID) []EventID {
-	ex.edges()
-	return ex.in[e]
+	a := ex.edges()
+	return ex.row(a.inOff, a.inAdj, e)
 }
 
 // RealEvents returns all real events in deterministic (Proc, Pos) order.
@@ -548,7 +620,6 @@ func (ex *Execution) Concurrent(a, b EventID) bool {
 // reaches runs a BFS from real event a over program-order and message edges,
 // returning true as soon as real event b is reachable.
 func (ex *Execution) reaches(a, b EventID) bool {
-	ex.edges()
 	type key = EventID
 	seen := map[key]bool{a: true}
 	queue := []EventID{a}
@@ -567,7 +638,7 @@ func (ex *Execution) reaches(a, b EventID) bool {
 				queue = append(queue, next)
 			}
 		}
-		for _, next := range ex.out[cur] {
+		for _, next := range ex.MsgSuccessors(cur) {
 			if next == b || (next.Proc == b.Proc && next.Pos <= b.Pos) {
 				return true
 			}
@@ -584,6 +655,9 @@ func (ex *Execution) reaches(a, b EventID) bool {
 // algorithm over program order + message edges). It is used by Build to
 // detect causal cycles and exported via LinearExtension for consumers that
 // need a topological processing order (e.g. vector-clock propagation).
+// In-degrees live in one array over the dense event index, and the order
+// doubles as the FIFO queue: an event is appended once its last
+// predecessor has been, and head walks the appended events in turn.
 func (ex *Execution) linearize() ([]EventID, error) {
 	if ex.Compacted() {
 		// The retained message log under-constrains the compacted prefix; a
@@ -591,44 +665,35 @@ func (ex *Execution) linearize() ([]EventID, error) {
 		// ≺. Fail loudly instead of replaying history in a wrong order.
 		return nil, fmt.Errorf("%w: linear extension spans dropped edges", ErrCompacted)
 	}
-	ex.edges()
-	n := ex.NumEvents()
-	indeg := make(map[EventID]int, n)
+	a := ex.edges()
+	n := a.start[len(ex.counts)]
+	indeg := make([]int32, n)
 	for p, c := range ex.counts {
-		for pos := 1; pos <= c; pos++ {
-			e := EventID{Proc: p, Pos: pos}
-			d := len(ex.in[e])
-			if pos > 1 {
-				d++
-			}
-			indeg[e] = d
+		for i := a.start[p] + 1; i < a.start[p]+c; i++ {
+			indeg[i] = 1 // the program-order predecessor
 		}
 	}
-	queue := make([]EventID, 0, len(ex.counts))
-	for p, c := range ex.counts {
-		if c > 0 {
-			e := EventID{Proc: p, Pos: 1}
-			if indeg[e] == 0 {
-				queue = append(queue, e)
-			}
-		}
+	for i := range indeg {
+		indeg[i] += a.inOff[i+1] - a.inOff[i]
 	}
 	order := make([]EventID, 0, n)
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		order = append(order, cur)
+	for p, c := range ex.counts {
+		if c > 0 && indeg[a.start[p]] == 0 {
+			order = append(order, EventID{Proc: p, Pos: 1})
+		}
+	}
+	for head := 0; head < len(order); head++ {
+		cur := order[head]
+		i := a.start[cur.Proc] + cur.Pos - 1
 		if cur.Pos < ex.counts[cur.Proc] {
-			next := EventID{Proc: cur.Proc, Pos: cur.Pos + 1}
-			indeg[next]--
-			if indeg[next] == 0 {
-				queue = append(queue, next)
+			if indeg[i+1]--; indeg[i+1] == 0 {
+				order = append(order, EventID{Proc: cur.Proc, Pos: cur.Pos + 1})
 			}
 		}
-		for _, next := range ex.out[cur] {
-			indeg[next]--
-			if indeg[next] == 0 {
-				queue = append(queue, next)
+		for _, next := range a.outAdj[a.outOff[i]:a.outOff[i+1]] {
+			j := a.start[next.Proc] + next.Pos - 1
+			if indeg[j]--; indeg[j] == 0 {
+				order = append(order, next)
 			}
 		}
 	}

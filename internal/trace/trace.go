@@ -7,6 +7,7 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/gob"
 	"encoding/json"
 	"errors"
@@ -148,14 +149,9 @@ func (f *File) IntervalNames() []string {
 // execution rebuilt from this file).
 func (f *File) Interval(ex *poset.Execution, name string) (*interval.Interval, error) {
 	for _, rec := range f.Intervals {
-		if rec.Name != name {
-			continue
+		if rec.Name == name {
+			return interval.New(ex, rec.appendEvents(nil))
 		}
-		events := make([]poset.EventID, 0, len(rec.Events))
-		for _, e := range rec.Events {
-			events = append(events, poset.EventID{Proc: e.Proc, Pos: e.Pos})
-		}
-		return interval.New(ex, events)
 	}
 	return nil, fmt.Errorf("%w: %q", ErrNoInterval, name)
 }
@@ -163,17 +159,27 @@ func (f *File) Interval(ex *poset.Execution, name string) (*interval.Interval, e
 // AllIntervals materializes every stored interval, keyed by name.
 func (f *File) AllIntervals(ex *poset.Execution) (map[string]*interval.Interval, error) {
 	out := make(map[string]*interval.Interval, len(f.Intervals))
+	var events []poset.EventID // reused: interval.New copies its input
 	for _, rec := range f.Intervals {
 		if _, dup := out[rec.Name]; dup {
 			return nil, fmt.Errorf("%w: %q", ErrDupInterval, rec.Name)
 		}
-		iv, err := f.Interval(ex, rec.Name)
+		events = rec.appendEvents(events[:0])
+		iv, err := interval.New(ex, events)
 		if err != nil {
 			return nil, err
 		}
 		out[rec.Name] = iv
 	}
 	return out, nil
+}
+
+// appendEvents appends the record's events to dst as EventIDs.
+func (rec *IntervalRec) appendEvents(dst []poset.EventID) []poset.EventID {
+	for _, e := range rec.Events {
+		dst = append(dst, poset.EventID{Proc: e.Proc, Pos: e.Pos})
+	}
+	return dst
 }
 
 // WriteJSON writes the file as indented JSON.
@@ -183,13 +189,36 @@ func (f *File) WriteJSON(w io.Writer) error {
 	return enc.Encode(f)
 }
 
-// ReadJSON decodes a JSON trace.
+// ReadJSON decodes a JSON trace. It reads r to the end and decodes the
+// first JSON value in one pass over the bytes, accepting exactly the inputs
+// json.Decoder.Decode accepts into a File and yielding the same File; bytes
+// after the value are ignored.
 func ReadJSON(r io.Reader) (*File, error) {
-	var f File
-	if err := json.NewDecoder(r).Decode(&f); err != nil {
+	var buf bytes.Buffer
+	buf.Grow(sizeHint(r) + bytes.MinRead) // one read, no regrowth, when r knows its size
+	_, rerr := buf.ReadFrom(r)
+	f, err := decodeJSON(buf.Bytes())
+	if err != nil && rerr != nil && (errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)) {
+		err = rerr // the value was cut short by the failed read
+	}
+	if err != nil {
 		return nil, fmt.Errorf("trace: decoding JSON: %w", err)
 	}
-	return &f, nil
+	return f, nil
+}
+
+// sizeHint returns how many bytes r holds when it can tell: an in-memory
+// reader reports what is left, a regular file its size. Otherwise 0.
+func sizeHint(r io.Reader) int {
+	switch r := r.(type) {
+	case interface{ Len() int }:
+		return r.Len()
+	case *os.File:
+		if fi, err := r.Stat(); err == nil && fi.Mode().IsRegular() && int64(int(fi.Size())) == fi.Size() {
+			return int(fi.Size())
+		}
+	}
+	return 0
 }
 
 // WriteGob writes the file in gob encoding.

@@ -145,26 +145,26 @@ type Clocks struct {
 
 // New computes forward and reverse timestamps for all real events of ex in
 // a single forward and a single backward pass over a linear extension
-// (O(|E|·|P|) time, O(|E|·|P|) space).
+// (O(|E|·|P|) time, O(|E|·|P|) space). Each direction's rows are cut from
+// one flat array, one allocation per direction instead of one per event.
 func New(ex *poset.Execution) *Clocks {
 	n := ex.NumProcs()
-	c := &Clocks{
-		ex:  ex,
-		fwd: make([][]VC, n),
-		rev: make([][]VC, n),
-	}
-	for p := 0; p < n; p++ {
-		c.fwd[p] = make([]VC, ex.NumReal(p))
-		c.rev[p] = make([]VC, ex.NumReal(p))
-	}
+	c := &Clocks{ex: ex, fwd: rowIndex(ex), rev: rowIndex(ex)}
 	order := ex.LinearExtension()
 
+	// A pass takes row k of its flat array for the k-th event of the order,
+	// as the per-event allocations it replaces were laid out, so events
+	// close in causal order (an interval's members, which cut builds read
+	// together) keep their rows close in memory.
+	fwd := make([]int, len(order)*n)
+
 	// Forward pass: T(e) = max(T(program predecessor), T(message senders)),
-	// then T(e)[proc(e)] = pos(e).
-	for _, e := range order {
-		t := make(VC, n)
+	// then T(e)[proc(e)] = pos(e). Rows start zeroed, so the program
+	// predecessor's row is copied rather than merged.
+	for k, e := range order {
+		t := VC(fwd[k*n : (k+1)*n : (k+1)*n])
 		if e.Pos > 1 {
-			t.MaxInto(c.fwd[e.Proc][e.Pos-2])
+			copy(t, c.fwd[e.Proc][e.Pos-2])
 		}
 		for _, from := range ex.MsgPredecessors(e) {
 			t.MaxInto(c.fwd[from.Proc][from.Pos-1])
@@ -175,11 +175,12 @@ func New(ex *poset.Execution) *Clocks {
 
 	// Backward pass: T^R(e) = max(T^R(program successor), T^R(message
 	// receivers)), then T^R(e)[proc(e)] = NumReal(proc(e)) - pos(e) + 1.
-	for i := len(order) - 1; i >= 0; i-- {
-		e := order[i]
-		t := make(VC, n)
+	rev := make([]int, len(order)*n)
+	for k := len(order) - 1; k >= 0; k-- {
+		e := order[k]
+		t := VC(rev[k*n : (k+1)*n : (k+1)*n])
 		if e.Pos < ex.NumReal(e.Proc) {
-			t.MaxInto(c.rev[e.Proc][e.Pos])
+			copy(t, c.rev[e.Proc][e.Pos])
 		}
 		for _, to := range ex.MsgSuccessors(e) {
 			t.MaxInto(c.rev[to.Proc][to.Pos-1])
@@ -188,6 +189,18 @@ func New(ex *poset.Execution) *Clocks {
 		c.rev[e.Proc][e.Pos-1] = t
 	}
 	return c
+}
+
+// rowIndex returns an empty row slot [p][pos-1] for every real event of ex,
+// the slots of all processes cut from one array.
+func rowIndex(ex *poset.Execution) [][]VC {
+	slots := make([]VC, ex.NumEvents())
+	idx := make([][]VC, ex.NumProcs())
+	for p := range idx {
+		k := ex.NumReal(p)
+		idx[p], slots = slots[:k:k], slots[k:]
+	}
+	return idx
 }
 
 // NewLazyRebased returns Clocks over ex whose forward table is supplied by
