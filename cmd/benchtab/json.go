@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"io"
+	"os"
 	"runtime"
 
 	"causet/internal/bench"
@@ -264,6 +265,20 @@ func buildJSONReport(trials, reps, workers int, seed int64, reg *obs.Registry, t
 	}
 	rep.Metrics = reg.Snapshot()
 	return rep, nil
+}
+
+// jsonOutput opens the -json destination before the sweep runs, so a bad
+// path fails fast: out itself for "-", else the created file, which closeOut
+// closes.
+func jsonOutput(out io.Writer, dest string) (w io.Writer, closeOut func() error, err error) {
+	if dest == "-" {
+		return out, func() error { return nil }, nil
+	}
+	f, err := os.Create(dest)
+	if err != nil {
+		return nil, nil, err
+	}
+	return f, f.Close, nil
 }
 
 // writeJSONReport marshals the report, indented, with a trailing newline.

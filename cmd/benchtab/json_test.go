@@ -79,9 +79,17 @@ func TestRunJSONReport(t *testing.T) {
 		t.Errorf("trials/reps = %d/%d, want 40/1", rep.Trials, rep.Reps)
 	}
 
-	// File output mode produces the same schema.
+	// File output mode writes the same report through the same writer; the
+	// sweep behind it runs once.
 	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := run([]string{"-json", path, "-trials", "40", "-reps", "1"}, &buf); err != nil {
+	w, closeOut, err := jsonOutput(&buf, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeJSONReport(w, rep); err != nil {
+		t.Fatal(err)
+	}
+	if err := closeOut(); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)

@@ -154,15 +154,11 @@ func writeHeapProfile(path string) error {
 
 func runTables(out io.Writer, table string, trials, reps, parallel int, seed int64, csv bool, jsonOut string, reg *obs.Registry, tr *obs.Tracer, tel *cliutil.Telemetry) error {
 	if jsonOut != "" {
-		w := out
-		if jsonOut != "-" {
-			f, err := os.Create(jsonOut)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			w = f
+		w, closeOut, err := jsonOutput(out, jsonOut)
+		if err != nil {
+			return err
 		}
+		defer closeOut()
 		rep, err := buildJSONReport(trials, reps, parallel, seed, reg, tr)
 		if err != nil {
 			return err

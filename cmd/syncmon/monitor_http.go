@@ -190,9 +190,9 @@ type monitorState struct {
 }
 
 // sparkPrefixes orders series for the sparkline panel: detection-latency
-// and violation telemetry first, then the incremental hot-path meters
-// (monitor.check_ns window, online.snapshot_reuses/_rebuilds counters),
-// then the engines' own meters.
+// and violation telemetry first, then the online monitor's meters
+// (monitor.check_ns window, online.settlements and the other online.*
+// counters), then the engines' own meters.
 var sparkPrefixes = []string{"online.detect_latency", "monitor.", "online.", "syncmon.", "alert.", "runtime.", "tsdb."}
 
 // sparks selects up to maxSparks series (preferred prefixes first, then

@@ -15,6 +15,7 @@ package bench
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"time"
 
@@ -273,37 +274,57 @@ func ComplexitySweepObs(ns []int, reps int, seed int64, reg *obs.Registry, tr *o
 type AmortRow struct {
 	Procs       int
 	Events      int
-	SetupNs     float64 // vclock.New + cut construction for all intervals
-	PerPairNs   float64 // one 8-relation Fast evaluation
+	SetupNs     float64 // median of core.NewAnalysis + both intervals' cut builds
+	PerPairNs   float64 // median of one 8-relation Fast evaluation
 	BreakEvenAt int     // pairs after which setup is amortized below 50% of total
 }
 
-// SetupAmortization runs E6 on ring workloads of growing size.
+// medianTime times f at least 20 times and for at least 5 ms in total, and
+// returns the median: E6's cells are microseconds long, so one unrepeated
+// timing moves with whatever else the host does.
+func medianTime(f func()) time.Duration {
+	var times []time.Duration
+	for begin := time.Now(); len(times) < 20 || time.Since(begin) < 5*time.Millisecond; {
+		start := time.Now()
+		f()
+		times = append(times, time.Since(start))
+	}
+	slices.Sort(times)
+	return times[len(times)/2]
+}
+
+// SetupAmortization runs E6 on ring workloads of growing size. The set-up is
+// core.NewAnalysis (the forward and reverse timestamp passes) plus the cut
+// builds of both intervals, on a fresh Analysis each repetition, so every
+// build is cold. Generating the workload, choosing the pair and validating
+// the two intervals are outside the timing. Both columns are medians
+// (medianTime).
 func SetupAmortization(sizes []int, seed int64) []AmortRow {
 	rows := make([]AmortRow, 0, len(sizes))
 	for _, n := range sizes {
 		res := sim.MustGenerate(sim.Config{Pattern: sim.Ring, Procs: n, Rounds: 4, Seed: seed})
-		start := time.Now()
-		a := core.NewAnalysis(res.Exec) // forward + reverse timestamp passes
 		xe, ye, err := sim.ExtremalPair(res.Exec)
 		if err != nil {
 			panic(err)
 		}
 		x := interval.MustNew(res.Exec, xe)
 		y := interval.MustNew(res.Exec, ye)
-		a.Cuts(x)
-		a.Cuts(y)
-		setup := time.Since(start)
+		var a *core.Analysis
+		setup := medianTime(func() {
+			a = core.NewAnalysis(res.Exec)
+			a.Cuts(x)
+			a.Cuts(y)
+		})
 
 		fast := core.NewFast(a)
 		const reps = 200
-		evalStart := time.Now()
-		for rep := 0; rep < reps; rep++ {
-			for _, rel := range core.Relations() {
-				fast.Eval(rel, x, y)
+		perPair := float64(medianTime(func() {
+			for rep := 0; rep < reps; rep++ {
+				for _, rel := range core.Relations() {
+					fast.Eval(rel, x, y)
+				}
 			}
-		}
-		perPair := float64(time.Since(evalStart).Nanoseconds()) / reps
+		}).Nanoseconds()) / reps
 
 		row := AmortRow{
 			Procs:     n,

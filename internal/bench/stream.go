@@ -199,7 +199,8 @@ func runCold(res *sim.Result, conds [][2]string) (streamRun, error) {
 					return err
 				}
 			}
-			settled[i] = monitor.Evaluate(c, mon.Analysis(), mon.Interval).State
+			a := mon.Analysis()
+			settled[i] = monitor.Evaluate(c, monitor.AnalysisOperands(a, mon.Interval), a.FastCounters()).State
 		}
 		return nil
 	}

@@ -57,19 +57,41 @@ const (
 	numEvalKinds
 )
 
-// evalObs holds the pre-interned comparison-accounting instruments of one
-// evaluator. All fields are nil on an uninstrumented Analysis, so record
-// degrades to three nil checks per evaluation.
-type evalObs struct {
+// EvalCounters holds the pre-interned comparison-accounting instruments of
+// one evaluator: core.<eval>.evals, core.<eval>.comparisons and its
+// per-relation split. Its zero value, and a nil *EvalCounters, record
+// nothing, so Record degrades to a few nil checks per evaluation.
+type EvalCounters struct {
 	evals       *obs.Counter
 	comparisons *obs.Counter
 	perRel      [numRelations]*obs.Counter
 }
 
-// record tallies one EvalCount outcome: the evaluation itself, its total
+// NewEvalCounters interns the instruments of the named evaluator ("naive",
+// "proxy" or "fast") on reg, which may be nil. The online monitor, which
+// decides atoms without an Analysis, records on NewEvalCounters(reg,
+// "fast").
+func NewEvalCounters(reg *obs.Registry, eval string) EvalCounters {
+	if reg == nil {
+		return EvalCounters{}
+	}
+	c := EvalCounters{
+		evals:       reg.Counter("core." + eval + ".evals"),
+		comparisons: reg.Counter("core." + eval + ".comparisons"),
+	}
+	for _, rel := range Relations() {
+		c.perRel[rel] = reg.Counter("core." + eval + ".comparisons." + rel.String())
+	}
+	return c
+}
+
+// Record tallies one evaluation of rel: the evaluation itself, its total
 // comparison spend, and the per-relation spend the Theorem 19/20 bound
 // tables read back out of a registry snapshot.
-func (m *evalObs) record(rel Relation, checks int64) {
+func (m *EvalCounters) Record(rel Relation, checks int64) {
+	if m == nil {
+		return
+	}
 	m.evals.Add(1)
 	m.comparisons.Add(checks)
 	m.perRel[rel].Add(checks)
@@ -81,7 +103,7 @@ type analysisObs struct {
 	tracer     *obs.Tracer
 	cutBuilds  *obs.Counter
 	cutBuildNs *obs.Histogram
-	evals      [numEvalKinds]evalObs
+	evals      [numEvalKinds]EvalCounters
 
 	// Fused-kernel instruments (see EvalProfile / EvalTable1): profile
 	// and Table-1 evaluations plus their total comparison spend. Shared
@@ -128,14 +150,14 @@ func (a *Analysis) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	a.met.fusedComparisons = reg.Counter("core.fused.comparisons")
 	a.met.witnessExtractions = reg.Counter("core.witness_extractions")
 	for k, name := range [numEvalKinds]string{"naive", "proxy", "fast"} {
-		eo := &a.met.evals[k]
-		eo.evals = reg.Counter("core." + name + ".evals")
-		eo.comparisons = reg.Counter("core." + name + ".comparisons")
-		for _, rel := range Relations() {
-			eo.perRel[rel] = reg.Counter("core." + name + ".comparisons." + rel.String())
-		}
+		a.met.evals[k] = NewEvalCounters(reg, name)
 	}
 }
+
+// FastCounters returns the analysis's core.fast.* instruments (see
+// Instrument), for callers that run the Theorem 20 kernel on its cuts
+// through EvalCuts.
+func (a *Analysis) FastCounters() *EvalCounters { return &a.met.evals[evalFast] }
 
 // NewAnalysis computes the timestamp structure for ex. This is the one-time
 // setup cost whose amortization experiment E6 measures.
@@ -144,22 +166,10 @@ func NewAnalysis(ex *poset.Execution) *Analysis {
 }
 
 // NewAnalysisClocks builds an Analysis over ex with caller-supplied clocks
-// and an empty cut cache. When prev is non-nil the new analysis reports to
-// prev's instruments (see Instrument), so a stream that takes one analysis
-// per snapshot does not re-intern ~100 counters each time. Nothing else of
-// prev is shared: an interval's cuts are first built in the epoch that
-// completes it, before its greatest events have followers, and up-cuts built
-// then do not hold at later epochs, so carrying caches forward saves no
-// builds (DESIGN.md S25).
-//
-// This is the online hot path's constructor, paired with
+// and an empty cut cache. The online stream's cold Snapshot pairs it with
 // vclock.NewLazyRebased.
-func NewAnalysisClocks(ex *poset.Execution, clk *vclock.Clocks, prev *Analysis) *Analysis {
-	a := &Analysis{ex: ex, clk: clk}
-	if prev != nil {
-		a.met = prev.met
-	}
-	return a
+func NewAnalysisClocks(ex *poset.Execution, clk *vclock.Clocks) *Analysis {
+	return &Analysis{ex: ex, clk: clk}
 }
 
 // Execution returns the analyzed execution.
@@ -173,8 +183,6 @@ func (a *Analysis) Clocks() *vclock.Clocks { return a.clk }
 // per-event tests of Theorem 20. Construction costs O(|N_X|·|P|); every
 // field is immutable afterwards.
 type IntervalCuts struct {
-	IV *interval.Interval
-
 	InterDown cuts.Cut // C1(X) = ∩⇓X
 	UnionDown cuts.Cut // C2(X) = ∪⇓X
 	InterUp   cuts.Cut // C3(X) = ∩⇑X
@@ -291,7 +299,6 @@ func (a *Analysis) buildCuts(iv *interval.Interval) *IntervalCuts {
 	greatest := iv.PerNodeGreatest()
 	n := a.ex.NumProcs()
 	ic := &IntervalCuts{
-		IV:        iv,
 		InterDown: cuts.IntersectDown(a.clk, least),
 		UnionDown: cuts.UnionDown(a.clk, greatest),
 		InterUp:   cuts.IntersectUp(a.clk, least),

@@ -39,7 +39,19 @@ func (f *FastEvaluator) Eval(rel Relation, x, y *interval.Interval) bool {
 	return held
 }
 
-// EvalCount implements Evaluator.
+// EvalCount implements Evaluator: it runs EvalCuts on the cached cuts of x
+// and y and records the outcome on the analysis's core.fast.* counters.
+func (f *FastEvaluator) EvalCount(rel Relation, x, y *interval.Interval) (bool, int64) {
+	held, checks := EvalCuts(rel, f.a.Cuts(x), f.a.Cuts(y), x.NodeSet(), y.NodeSet())
+	f.a.met.evals[evalFast].Record(rel, checks)
+	return held, checks
+}
+
+// EvalCuts decides rel(X, Y) by Theorem 20 from the condensed cuts cx and cy
+// of X and Y and their node sets nx and ny, returning the verdict and the
+// integer comparisons spent. It is the kernel of EvalCount, which reads the
+// cuts from the Analysis cache, and of the online monitor, which assembles
+// them from per-interval summaries; it records nothing.
 //
 // The per-relation conditions, in frontier (position) convention, with
 // cx = Cuts(X), cy = Cuts(Y):
@@ -60,14 +72,10 @@ func (f *FastEvaluator) Eval(rel Relation, x, y *interval.Interval) bool {
 // Theorem 20.
 //
 // The body is deliberately straight-line — one counted loop per relation,
-// no closures or indirect calls — so a warm-cache evaluation performs zero
-// heap allocations (asserted by TestFastEvalCountZeroAllocs) and the
-// comparison loop is eligible for inlining and bounds-check elimination.
-func (f *FastEvaluator) EvalCount(rel Relation, x, y *interval.Interval) (bool, int64) {
-	cx := f.a.Cuts(x)
-	cy := f.a.Cuts(y)
-	nx := x.NodeSet()
-	ny := y.NodeSet()
+// no closures or indirect calls — so an evaluation performs zero heap
+// allocations (asserted by TestFastEvalCountZeroAllocs) and the comparison
+// loop is eligible for inlining and bounds-check elimination.
+func EvalCuts(rel Relation, cx, cy *IntervalCuts, nx, ny []int) (bool, int64) {
 	var checks int64
 
 	var held bool
@@ -140,6 +148,5 @@ func (f *FastEvaluator) EvalCount(rel Relation, x, y *interval.Interval) (bool, 
 	default:
 		panic(fmt.Sprintf("core: unknown relation %d", int(rel)))
 	}
-	f.a.met.evals[evalFast].record(rel, checks)
 	return held, checks
 }

@@ -119,6 +119,6 @@ func (n *NaiveEvaluator) EvalCount(rel Relation, x, y *interval.Interval) (bool,
 	default:
 		panic(fmt.Sprintf("core: unknown relation %d", int(rel)))
 	}
-	n.a.met.evals[evalNaive].record(rel, checks)
+	n.a.met.evals[evalNaive].Record(rel, checks)
 	return held, checks
 }

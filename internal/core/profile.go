@@ -59,7 +59,7 @@ type table1Bits uint8
 // fuseTable1 decides all eight Table 1 relations between the nonatomic
 // events condensed as cx and cy, whose node sets are nx and ny, in a single
 // pass over each node set. It is the shared kernel of EvalProfile (where
-// cx/cy are proxy cuts) and EvalTable1 (where they are the intervals' own
+// cx/cy are proxy cuts) and Table1Cuts (where they are the intervals' own
 // cuts). The conditions per relation are exactly those of
 // FastEvaluator.EvalCount; see that method's comment for the cut pairings.
 func fuseTable1(cx, cy *IntervalCuts, nx, ny []int) (table1Bits, int64) {
@@ -235,12 +235,22 @@ func (a *Analysis) EvalProfile(x, y *interval.Interval) (mask uint32, checks int
 // (no proxies) in one fused pass per node set, over the cached cuts of x
 // and y. Bit int(rel) of the returned verdicts is set iff rel(X, Y) holds.
 // It decides the same verdicts as eight FastEvaluator.EvalCount calls while
-// sharing comparisons and the early-exit mask across relations. The online
-// monitor's StrongestBetween calls it per pair; batch.Engine.Matrix decides
-// whole families by its per-node sweep instead and is tested against it.
+// sharing comparisons and the early-exit mask across relations.
+// batch.Engine.Matrix decides whole families by its per-node sweep instead
+// and is tested against it.
 func (a *Analysis) EvalTable1(x, y *interval.Interval) (verdicts uint8, checks int64) {
-	bits, checks := fuseTable1(a.Cuts(x), a.Cuts(y), x.NodeSet(), y.NodeSet())
+	verdicts, checks = Table1Cuts(a.Cuts(x), a.Cuts(y), x.NodeSet(), y.NodeSet())
 	a.met.fusedTable1.Add(1)
 	a.met.fusedComparisons.Add(checks)
+	return verdicts, checks
+}
+
+// Table1Cuts is the fused Table 1 kernel on caller-supplied cuts: it decides
+// the eight relations between the nonatomic events condensed as cx and cy,
+// whose node sets are nx and ny, and records nothing. EvalTable1 runs it on
+// the Analysis cache; the online monitor's StrongestBetween runs it on
+// cuts assembled from per-interval summaries.
+func Table1Cuts(cx, cy *IntervalCuts, nx, ny []int) (verdicts uint8, checks int64) {
+	bits, checks := fuseTable1(cx, cy, nx, ny)
 	return uint8(bits), checks
 }

@@ -159,6 +159,6 @@ func (p *ProxyEvaluator) EvalCount(rel Relation, x, y *interval.Interval) (bool,
 	default:
 		panic(fmt.Sprintf("core: unknown relation %d", int(rel)))
 	}
-	p.a.met.evals[evalProxy].record(rel, checks)
+	p.a.met.evals[evalProxy].Record(rel, checks)
 	return held, checks
 }

@@ -60,14 +60,26 @@ func New(ex *poset.Execution, events []poset.EventID) (*Interval, error) {
 			return nil, fmt.Errorf("%w: %v", ErrNotReal, e)
 		}
 	}
+	// dedup is (Proc, Pos)-sorted, so each node's events form one run; the
+	// node set is sized to the number of runs in one allocation, and first
+	// and last share another.
+	nodes := 1
+	for k := 1; k < len(dedup); k++ {
+		if dedup[k].Proc != dedup[k-1].Proc {
+			nodes++
+		}
+	}
+	n := ex.NumProcs()
+	extrema := make([]int, 2*n)
 	iv := &Interval{
 		ex:     ex,
 		events: dedup,
-		first:  make([]int, ex.NumProcs()),
-		last:   make([]int, ex.NumProcs()),
+		first:  extrema[:n:n],
+		last:   extrema[n:],
+		nodes:  make([]int, 0, nodes),
 	}
-	for i := range iv.first {
-		iv.first[i], iv.last[i] = -1, -1
+	for i := range extrema {
+		extrema[i] = -1
 	}
 	for idx, e := range dedup {
 		if iv.first[e.Proc] == -1 {

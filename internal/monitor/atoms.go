@@ -57,6 +57,46 @@ func (o AtomOperand) Resolve(a *core.Analysis, lookup func(name string) (*interv
 	return a.ProxyCuts(iv, o.Proxy).IV, nil
 }
 
+// operandsOverlap reports whether two resolved operands share an event, the
+// disjointness every relation condition assumes. A plain operand's members
+// are its interval's; a proxy L(X) or U(X) (Definition 2) has one member per
+// node of N_X, at the position its cuts record as FirstPos.
+func operandsOverlap(ox AtomOperand, x *interval.Interval, cx *core.IntervalCuts, oy AtomOperand, y *interval.Interval, cy *core.IntervalCuts) bool {
+	yProxy := oy.UseProxy
+	if !ox.UseProxy {
+		if !yProxy {
+			return x.Overlaps(y)
+		}
+		x, cx, y, cy, yProxy = y, cy, x, cx, false
+	}
+	for _, i := range x.NodeSet() {
+		pos := cx.FirstPos[i]
+		if yProxy {
+			if cy.FirstPos[i] == pos {
+				return true
+			}
+		} else if y.Contains(poset.EventID{Proc: i, Pos: pos}) {
+			return true
+		}
+	}
+	return false
+}
+
+// members returns the members of a resolved operand as an interval: iv
+// itself, or the per-node proxy of iv that o names. Only the overlap error
+// report needs a proxy as an interval.
+func members(o AtomOperand, iv *interval.Interval) *interval.Interval {
+	if !o.UseProxy {
+		return iv
+	}
+	p, err := iv.ProxyInterval(o.Proxy, interval.DefPerNode, nil)
+	if err != nil {
+		// Per-node proxies of valid intervals are never empty.
+		panic(err)
+	}
+	return p
+}
+
 // Atoms returns the relation atoms of e in left-to-right syntactic order.
 func Atoms(e Expr) []Atom {
 	var out []Atom

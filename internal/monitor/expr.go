@@ -46,9 +46,8 @@ type Expr interface {
 
 // evalEnv carries what atom evaluation needs.
 type evalEnv struct {
-	a      *core.Analysis
-	eval   core.Evaluator
-	lookup func(name string) (*interval.Interval, bool)
+	ops  Operands
+	fast *core.EvalCounters
 }
 
 // UndefinedError reports an atom referencing an interval the monitor does
@@ -69,15 +68,30 @@ func (a *atomExpr) referenced(set map[string]bool) {
 }
 
 func (a *atomExpr) eval(env *evalEnv) (bool, error) {
-	x, err := a.X.Resolve(env.a, env.lookup)
+	x, cx, err := env.operand(a.X)
 	if err != nil {
 		return false, err
 	}
-	y, err := a.Y.Resolve(env.a, env.lookup)
+	y, cy, err := env.operand(a.Y)
 	if err != nil {
 		return false, err
 	}
-	return env.a.EvalChecked(env.eval, a.Rel, x, y)
+	if operandsOverlap(a.X, x, cx, a.Y, y, cy) {
+		return false, &core.ErrOverlap{X: members(a.X, x), Y: members(a.Y, y)}
+	}
+	held, checks := core.EvalCuts(a.Rel, cx, cy, x.NodeSet(), y.NodeSet())
+	env.fast.Record(a.Rel, checks)
+	return held, nil
+}
+
+// operand resolves o to its named interval and its cuts.
+func (env *evalEnv) operand(o AtomOperand) (*interval.Interval, *core.IntervalCuts, error) {
+	iv, ok := env.ops.Interval(o.Name)
+	if !ok {
+		return nil, nil, &UndefinedError{Name: o.Name}
+	}
+	c, err := env.ops.Cuts(o, iv)
+	return iv, c, err
 }
 
 type notExpr struct{ e Expr }

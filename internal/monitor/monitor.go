@@ -171,9 +171,10 @@ func (m *Monitor) Conditions() []*Condition {
 func (m *Monitor) Check() []Result {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
+	ops := AnalysisOperands(m.a, m.lookup)
 	out := make([]Result, 0, len(m.conditions))
 	for _, c := range m.conditions {
-		out = append(out, Evaluate(c, m.a, m.lookup))
+		out = append(out, Evaluate(c, ops, m.a.FastCounters()))
 	}
 	return out
 }
@@ -185,18 +186,57 @@ func (m *Monitor) lookup(name string) (*interval.Interval, bool) {
 	return iv, ok
 }
 
-// Evaluate decides the condition c over the analysis a, resolving the
-// interval names it references through lookup: Pending while lookup misses
-// one of them, Failed when evaluation errors (e.g. overlapping operands),
-// Holds or Violated otherwise. It is the one evaluation path of both the
-// offline Monitor.Check and the online monitor's check loop.
-func Evaluate(c *Condition, a *core.Analysis, lookup func(name string) (*interval.Interval, bool)) Result {
+// Operands resolves the operands of a condition for Evaluate. The offline
+// monitor resolves them through a core.Analysis cut cache
+// (AnalysisOperands); the online monitor assembles the same cuts from
+// per-interval summaries and the stream's first-follower cells.
+type Operands interface {
+	// Interval returns the member interval of the named interval; ok is
+	// false while the name is undefined.
+	Interval(name string) (iv *interval.Interval, ok bool)
+	// Cuts returns the condensed cuts of operand o, whose named interval
+	// Interval resolved to iv: iv's own cuts, or for L(iv) and U(iv) the
+	// cuts of the per-node proxy (Definition 2).
+	Cuts(o AtomOperand, iv *interval.Interval) (*core.IntervalCuts, error)
+}
+
+// AnalysisOperands resolves operands through lookup and the cut cache of a.
+// Cuts fails with core.ErrForeignInterval for an interval outside a's
+// execution.
+func AnalysisOperands(a *core.Analysis, lookup func(name string) (*interval.Interval, bool)) Operands {
+	return analysisOperands{a: a, lookup: lookup}
+}
+
+type analysisOperands struct {
+	a      *core.Analysis
+	lookup func(name string) (*interval.Interval, bool)
+}
+
+func (o analysisOperands) Interval(name string) (*interval.Interval, bool) { return o.lookup(name) }
+
+func (o analysisOperands) Cuts(op AtomOperand, iv *interval.Interval) (*core.IntervalCuts, error) {
+	if !poset.Prefix(iv.Execution(), o.a.Execution()) {
+		return nil, core.ErrForeignInterval
+	}
+	if op.UseProxy {
+		return o.a.ProxyCuts(iv, op.Proxy).Cuts, nil
+	}
+	return o.a.Cuts(iv), nil
+}
+
+// Evaluate decides the condition c over the operands ops resolves: Pending
+// while ops misses one of the intervals c references, Failed when
+// evaluation errors (e.g. overlapping operands), Holds or Violated
+// otherwise. Each atom is decided by the Theorem 20 kernel (core.EvalCuts)
+// and recorded on fast, which may be nil. It is the one evaluation path of
+// the offline Monitor.Check and the online monitor's check loop.
+func Evaluate(c *Condition, ops Operands, fast *core.EvalCounters) Result {
 	for _, name := range c.Refs() {
-		if _, ok := lookup(name); !ok {
+		if _, ok := ops.Interval(name); !ok {
 			return Result{Name: c.Name, State: Pending}
 		}
 	}
-	held, err := c.Expr.eval(&evalEnv{a: a, eval: core.NewFast(a), lookup: lookup})
+	held, err := c.Expr.eval(&evalEnv{ops: ops, fast: fast})
 	switch {
 	case err != nil:
 		return Result{Name: c.Name, State: Failed, Err: err}
@@ -217,7 +257,7 @@ func (m *Monitor) Eval(src string) (bool, error) {
 	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return expr.eval(&evalEnv{a: m.a, eval: core.NewFast(m.a), lookup: m.lookup})
+	return expr.eval(&evalEnv{ops: AnalysisOperands(m.a, m.lookup), fast: m.a.FastCounters()})
 }
 
 // HeldTable1 reports which of the 8 Table 1 relations hold between two

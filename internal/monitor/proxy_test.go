@@ -100,9 +100,49 @@ func TestEvaluateForeignProxyFails(t *testing.T) {
 		return near, true
 	}
 	for _, src := range []string{"R1(L(far), near)", "R4(near, U(far))", "R1(far, near)"} {
-		r := Evaluate(NewCondition("c", src, MustParse(src)), a, lookup)
+		r := Evaluate(NewCondition("c", src, MustParse(src)), AnalysisOperands(a, lookup), nil)
 		if r.State != Failed || !errors.Is(r.Err, core.ErrForeignInterval) {
 			t.Errorf("%s: state = %v err = %v, want failed with %v", src, r.State, r.Err, core.ErrForeignInterval)
 		}
+	}
+}
+
+// TestOperandsOverlapMatchesMembers is the differential for the overlap
+// check Evaluate makes on resolved operands: for random, often overlapping,
+// interval pairs and every plain/L/U combination of operands, it agrees
+// with Interval.Overlaps on the operands' member intervals, the per-node
+// proxies materialized.
+func TestOperandsOverlapMatchesMembers(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	kinds := []AtomOperand{{}, {UseProxy: true, Proxy: interval.ProxyL}, {UseProxy: true, Proxy: interval.ProxyU}}
+	overlaps := 0
+	for trial := 0; trial < 300; trial++ {
+		ex := posettest.Random(r, 1+r.Intn(5), 1+r.Intn(40), 0.4)
+		x := interval.MustNew(ex, posettest.RandomInterval(r, ex, 12))
+		y := interval.MustNew(ex, posettest.RandomInterval(r, ex, 12))
+		ops := AnalysisOperands(core.NewAnalysis(ex), nil)
+		for _, ox := range kinds {
+			for _, oy := range kinds {
+				cx, err := ops.Cuts(ox, x)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cy, err := ops.Cuts(oy, y)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := members(ox, x).Overlaps(members(oy, y))
+				if got := operandsOverlap(ox, x, cx, oy, y, cy); got != want {
+					t.Fatalf("trial %d: overlap(%v of %v, %v of %v) = %v, members say %v",
+						trial, ox, x, oy, y, got, want)
+				}
+				if want {
+					overlaps++
+				}
+			}
+		}
+	}
+	if overlaps == 0 {
+		t.Fatal("no overlapping operand pair generated")
 	}
 }

@@ -314,7 +314,7 @@ func TestColdCutBuildAllocs(t *testing.T) {
 			t.Fatalf("|N_X| = %d; want %d", iv.NodeCount(), procs)
 		}
 		return testing.AllocsPerRun(20, func() {
-			core.NewAnalysisClocks(snap.Exec, snap.Analysis.Clocks(), nil).Cuts(iv)
+			core.NewAnalysisClocks(snap.Exec, snap.Analysis.Clocks()).Cuts(iv)
 		})
 	}
 	small, large := allocs(8), allocs(32)
@@ -361,63 +361,5 @@ func TestMonitorCheckWindow(t *testing.T) {
 	snap := reg.Snapshot()
 	if got := snap.Windows["monitor.check_ns"].Count; got != 2 {
 		t.Errorf("monitor.check_ns window count = %d; want 2", got)
-	}
-}
-
-// TestEpochBuildsOnlySettlingReferences pins what a snapshot epoch costs in
-// cut builds: every snapshot's analysis starts with an empty cut cache, and
-// an epoch builds cuts only for the intervals that its settling conditions
-// reference — never for intervals settled in earlier epochs.
-func TestEpochBuildsOnlySettlingReferences(t *testing.T) {
-	s := NewStream(3)
-	m := NewMonitor(s)
-	res := sim.MustGenerate(sim.Config{Pattern: sim.Ring, Procs: 3, Rounds: 4, Seed: 1})
-	phaseOf := make(map[poset.EventID]int)
-	remaining := make([]int, len(res.Phases))
-	for i, ph := range res.Phases {
-		remaining[i] = len(ph.Events)
-		for _, e := range ph.Events {
-			phaseOf[e] = i
-		}
-	}
-	refs := make(map[string][]string)
-	for i := range res.Phases[:len(res.Phases)-1] {
-		name := fmt.Sprintf("c%d", i)
-		a, b := res.Phases[i].Name, res.Phases[i+1].Name
-		if err := m.AddCondition(name, fmt.Sprintf("R1(%s, %s)", a, b)); err != nil {
-			t.Fatal(err)
-		}
-		refs[name] = []string{a, b}
-	}
-	settled := 0
-	if _, err := ReplayStepsOn(s, res.Exec, func(_ *Stream, e poset.EventID) error {
-		pi := phaseOf[e]
-		if err := m.Observe(res.Phases[pi].Name, e); err != nil {
-			return err
-		}
-		remaining[pi]--
-		if remaining[pi] != 0 {
-			return nil
-		}
-		if err := m.Complete(res.Phases[pi].Name); err != nil {
-			return err
-		}
-		want := make(map[string]bool)
-		for _, r := range m.Poll() {
-			settled++
-			for _, ref := range refs[r.Name] {
-				want[ref] = true
-			}
-		}
-		if got := s.Snapshot().Analysis.CutBuilds(); got != int64(len(want)) {
-			t.Errorf("epoch completing %s built %d interval cuts; want %d, one per interval its settling conditions reference",
-				res.Phases[pi].Name, got, len(want))
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if settled != len(refs) {
-		t.Fatalf("%d of %d conditions settled", settled, len(refs))
 	}
 }

@@ -8,7 +8,6 @@ import (
 
 	"causet/internal/core"
 	"causet/internal/hierarchy"
-	"causet/internal/interval"
 	"causet/internal/monitor"
 	"causet/internal/obs"
 	"causet/internal/obs/logx"
@@ -20,9 +19,10 @@ import (
 // only conditions reference (never observed) is freed with its last
 // reference.
 type ivState struct {
-	events   []poset.EventID
+	events   []poset.EventID // observed; dropped once the summary holds them
 	observed bool
 	complete bool
+	slot     int32        // 1 + its settlement scratch index while a pass holds one (settle.go)
 	waiters  []*condState // conditions blocked on the interval until it completes
 	refs     int          // unsettled conditions referencing the interval
 	doneAt   time.Time    // completion stamp on the monitor clock
@@ -34,8 +34,17 @@ type ivState struct {
 	seq int
 	at  time.Time
 
-	built  *interval.Interval // built once, at the interval's first evaluation
-	defErr error              // a failed build poisons the name
+	sum    summary // built once, at the interval's first evaluation
+	defErr error   // a failed build poisons the name
+}
+
+// memberEvents returns the interval's events: its summary's validated
+// member list once built, the observed events before.
+func (iv *ivState) memberEvents() []poset.EventID {
+	if iv.sum.members != nil {
+		return iv.sum.members.Events()
+	}
+	return iv.events
 }
 
 // condState is one condition name's record. Settlement drops the compiled
@@ -54,14 +63,18 @@ type condState struct {
 // each verdict exactly once and the condition is never re-evaluated.
 //
 // The check loop is indexed: Complete promotes exactly the conditions it
-// unblocked onto a ready queue, and Poll drains that queue over the current
-// snapshot through monitor.Evaluate, the offline monitor's evaluation path.
-// Conditions are compiled once; each interval is built once, at its first
-// evaluation, and cached in its record, and by verdict stability the built
-// interval stays valid for every later snapshot. A settlement therefore
-// costs the same however many intervals were ever defined. The offline
-// monitor over the finished execution is the differential reference for
-// every verdict (see TestIncrementalSnapshotAgreement).
+// unblocked onto a ready queue, and Poll drains that queue through
+// monitor.Evaluate, the offline monitor's evaluation path. Conditions are
+// compiled once. Each interval gets a summary at its first evaluation: its
+// validated member list, its per-node extremes and the Lemma 16 folds of
+// their forward rows, all final at completion. A settling Poll reads the
+// extremes' first-follower cells once per referenced interval and decides
+// every atom with the Theorem 20 kernel on cuts assembled from the two
+// (settle.go); it takes no snapshot and builds no core.Analysis. A
+// settlement therefore costs the same however many intervals were ever
+// defined. The offline monitor over the finished execution is the
+// differential reference for every verdict (see
+// TestIncrementalSnapshotAgreement).
 type Monitor struct {
 	stream *Stream
 
@@ -102,6 +115,13 @@ type Monitor struct {
 	lastAppraise        int
 	// newResults accumulates verdicts since the last Poll.
 	newResults []monitor.Result
+
+	// Settlement scratch (settle.go), reused by every settling Poll and
+	// StrongestBetween: the first used entries hold the up rows and cuts of
+	// the intervals the current pass prepared.
+	scratch []settleCuts
+	used    int
+	fast    core.EvalCounters // core.fast.* for the atoms Poll decides
 }
 
 // NewMonitor creates an online monitor over the stream.
@@ -134,12 +154,15 @@ func (m *Monitor) SetLogger(lg *logx.Logger) {
 // and the online.detect_latency_hist_ns histogram (full distribution), and
 // every Poll records its wall-clock cost in the monitor.check_ns window —
 // the steady-state cost is the index drain, so this is the series that
-// shows the amortization working. The series set does not depend on the
-// number of conditions; per-condition latency is in the condition_settled
-// log event.
+// shows the amortization working — and every atom Poll decides is counted
+// on core.fast.evals and core.fast.comparisons (with the per-relation
+// split), as the offline evaluator counts it. The series set does not
+// depend on the number of conditions; per-condition latency is in the
+// condition_settled log event.
 func (m *Monitor) Instrument(reg *obs.Registry) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.fast = core.NewEvalCounters(reg, "fast")
 	m.metSettlements = reg.Counter("online.settlements")
 	m.violWin = reg.Window("online.violation_window", 256)
 	m.detectWin = reg.Window("online.detect_latency_ns", 256)
@@ -410,67 +433,47 @@ func (m *Monitor) Poll() []monitor.Result {
 	return out
 }
 
-// buildLocked returns the named completed interval, building it over ex on
-// its first use. A build failure (bogus event IDs) poisons the name: the
-// error is recorded and returned to every later reference, so each condition
-// touching the interval settles Failed.
-func (m *Monitor) buildLocked(name string, ex *poset.Execution) (*interval.Interval, error) {
-	iv := m.ivs[name]
-	if iv.built == nil && iv.defErr == nil {
-		built, err := interval.New(ex, iv.events)
-		if err != nil {
-			iv.defErr = fmt.Errorf("online: interval %q: %w", name, err)
-		}
-		iv.built = built
-	}
-	return iv.built, iv.defErr
-}
-
-// builtLocked is the interval lookup monitor.Evaluate resolves names with: a
-// name resolves once its record holds a built interval.
-func (m *Monitor) builtLocked(name string) (*interval.Interval, bool) {
-	if iv := m.ivs[name]; iv != nil && iv.built != nil {
-		return iv.built, true
-	}
-	return nil, false
-}
-
 // checkIncrementalLocked drains the ready queue: each unblocked condition
-// has its intervals built (once) and is evaluated with its compiled
-// expression over the current snapshot. The snapshot is only taken when
-// something is actually ready, so a Poll with nothing to do costs O(1).
+// is evaluated once, with its compiled expression, over cuts its intervals'
+// summaries give at the current prefix. The stream is locked once for the
+// whole batch, so every cut the pass reads is taken at one prefix, as a
+// snapshot's would be. A Poll with nothing ready costs O(1).
 func (m *Monitor) checkIncrementalLocked() {
 	if len(m.ready) == 0 {
 		return
 	}
 	todo := m.ready
 	m.ready = nil
-	a := m.stream.Snapshot().Analysis
+	var ex *poset.Execution
+	m.stream.mu.Lock()
+	for _, cs := range todo {
+		if cs.c == nil {
+			continue
+		}
+		for _, ref := range cs.c.Refs() {
+			if m.prepareLocked(&ex, ref) != nil {
+				break
+			}
+		}
+	}
+	m.stream.mu.Unlock()
 	for _, cs := range todo {
 		c := cs.c
 		if c == nil {
 			continue
 		}
-		var defErr error
+		res := monitor.Result{Name: c.Name, State: monitor.Failed}
 		for _, ref := range c.Refs() {
-			if _, defErr = m.buildLocked(ref, a.Execution()); defErr != nil {
+			if res.Err = m.ivs[ref].defErr; res.Err != nil {
 				break
 			}
 		}
-		if defErr != nil {
-			m.settle(cs, monitor.Result{Name: c.Name, State: monitor.Failed, Err: defErr})
-			continue
-		}
-		res := monitor.Evaluate(c, a, m.builtLocked)
-		if res.State == monitor.Pending {
-			// Defensive: a ready condition has every reference built, so
-			// Evaluate cannot report Pending; if it ever does, re-queue
-			// rather than lose the condition.
-			m.ready = append(m.ready, cs)
-			continue
+		if res.Err == nil {
+			res = monitor.Evaluate(c, operands{m}, &m.fast)
 		}
 		m.settle(cs, res)
 	}
+	m.releaseScratchLocked()
 }
 
 // CompletedIntervals returns the names of the completed intervals, sorted.
@@ -491,8 +494,8 @@ func (m *Monitor) CompletedIntervals() []string {
 // implication order) holding between two completed intervals at the current
 // prefix — the compact online answer to Problem 4(ii). By verdict stability
 // the answer is final once both intervals are complete. The pair is decided
-// by the fused Table 1 kernel over the current snapshot, on the intervals
-// the check loop builds.
+// by the fused Table 1 kernel (core.Table1Cuts) over the cuts the check loop
+// assembles from the intervals' summaries.
 func (m *Monitor) StrongestBetween(xName, yName string) ([]core.Relation, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -504,19 +507,23 @@ func (m *Monitor) StrongestBetween(xName, yName string) ([]core.Relation, error)
 			return nil, fmt.Errorf("online: interval %q is not complete", name)
 		}
 	}
-	a := m.stream.Snapshot().Analysis
-	x, err := m.buildLocked(xName, a.Execution())
+	defer m.releaseScratchLocked()
+	var ex *poset.Execution
+	m.stream.mu.Lock()
+	err := m.prepareLocked(&ex, xName)
+	if err == nil {
+		err = m.prepareLocked(&ex, yName)
+	}
+	m.stream.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	y, err := m.buildLocked(yName, a.Execution())
-	if err != nil {
-		return nil, err
+	x, y := m.ivs[xName], m.ivs[yName]
+	if x.sum.members.Overlaps(y.sum.members) {
+		return nil, &core.ErrOverlap{X: x.sum.members, Y: y.sum.members}
 	}
-	if x.Overlaps(y) {
-		return nil, &core.ErrOverlap{X: x, Y: y}
-	}
-	verdicts, _ := a.EvalTable1(x, y)
+	verdicts, _ := core.Table1Cuts(&m.scratch[x.slot-1].cuts[0], &m.scratch[y.slot-1].cuts[0],
+		x.sum.members.NodeSet(), y.sum.members.NodeSet())
 	var held []core.Relation
 	for _, rel := range core.Relations() {
 		if verdicts&(1<<rel) != 0 {

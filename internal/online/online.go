@@ -18,13 +18,21 @@
 // the future of the execution, so they cannot be finalized online. The
 // stream instead maintains a first-follower index: for every recorded event
 // e and node i, the position of the first event on i with e ⪯ e', filled in
-// exactly once when that follower appears. T^R(e)[i] is then
-// NumReal(i) − firstFollower + 1 for any snapshot whose prefix contains the
-// follower, so snapshots derive reverse timestamps on demand instead of
-// paying the O(|E|·|P|) two-pass rebuild of vclock.New — the amortized
-// snapshot cost is O(|P|) per appended event (DESIGN.md S25). The tests
-// check the final snapshot's clocks against vclock.New over the finished
-// execution, and every verdict against the offline monitor.
+// exactly once when that follower appears. The up cut e↑ of the current
+// prefix is that position on node i, or ⊤ = NumReal(i)+1 while no follower
+// exists (T^R(e)[i] = NumReal(i) − firstFollower + 1, or 0).
+//
+// The monitor settles conditions from per-interval summaries (DESIGN.md
+// S25): Theorem 20 reads only an interval's per-node extremes and the four
+// Table 2 cuts, which Lemma 16 folds from the extremes' forward rows (final
+// when the interval completes) and their first-follower cells (read at
+// settlement). A settlement takes no snapshot and builds no core.Analysis.
+// Snapshot remains the cold API for whole-prefix analysis: it derives
+// reverse timestamps from the same index instead of paying the
+// O(|E|·|P|) two-pass rebuild of vclock.New. The tests check the final
+// snapshot's clocks against vclock.New over the finished execution, the
+// summaries' cuts against a snapshot's, and every verdict against the
+// offline monitor.
 package online
 
 import (
@@ -90,9 +98,6 @@ type Stream struct {
 	base []int
 	pins map[poset.EventID]int
 
-	prev     *core.Analysis // previous snapshot; lends its instruments
-	metDirty bool           // Instrument was called since prev was built
-
 	snap *Snapshot // cached; nil when dirty
 
 	metEvents      *obs.Counter
@@ -128,15 +133,14 @@ func (s *Stream) NumProcs() int { return s.procs }
 
 // Instrument attaches a metrics registry and/or tracer; either may be nil.
 // The registry receives online.events (appended events, across all kinds),
-// the online.event_window sliding window (the live events/sec rate), and
-// two snapshot counters: online.snapshots counts snapshot *constructions*
-// (O(|P|) copy-on-grow views whose analysis starts with an empty cut cache,
-// so a high snapshots/events ratio is no red flag — what a construction
-// adds is the cut builds of the conditions it settles, which
-// core.cut_builds counts), and online.snapshot_reuses counts Snapshot calls
-// served from the cache unchanged. Both are also forwarded to each
-// Snapshot's Analysis, so cut builds and evaluator comparison counts of
-// monitor checks land in the same registry.
+// the online.event_window sliding window (the live events/sec rate), the
+// retention counters, and two counters of the cold Snapshot API:
+// online.snapshots counts snapshot constructions and
+// online.snapshot_reuses counts Snapshot calls served from the cache
+// unchanged. Each snapshot's Analysis is instrumented against the same
+// registry and tracer, so its cut builds and comparisons land there too.
+// The online monitor settles conditions without snapshots; it counts its
+// atoms through Monitor.Instrument.
 func (s *Stream) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -149,7 +153,6 @@ func (s *Stream) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	s.metCompactions = reg.Counter("online.compactions")
 	s.metCompacted = reg.Counter("online.compacted_events")
 	s.metRetained = reg.Gauge("online.retained_events")
-	s.metDirty = true
 }
 
 // Local records an internal event on proc and returns it.
@@ -332,9 +335,9 @@ type Snapshot struct {
 // Snapshot returns the current frozen view, cached until the next append.
 // The view is copy-on-grow (the message log is shared with the builder,
 // capacity-clamped), reverse timestamps are derived on demand from the
-// first-follower index, and the analysis starts with an empty cut cache,
-// so a snapshot builds only the cuts of the intervals its settling
-// conditions reference. The returned snapshot is immune to later appends.
+// first-follower index, and the analysis starts with an empty cut cache.
+// The returned snapshot is immune to later appends. It is the cold API for
+// whole-prefix analysis; the online monitor does not take snapshots.
 func (s *Stream) Snapshot() *Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -347,9 +350,9 @@ func (s *Stream) Snapshot() *Snapshot {
 	return s.snap
 }
 
-// incrementalSnapshot builds a snapshot without copying the execution or
-// rebuilding clock tables. Caller holds the lock.
-func (s *Stream) incrementalSnapshot() *Snapshot {
+// viewLocked returns a copy-on-grow view of the recorded prefix. Caller
+// holds the lock.
+func (s *Stream) viewLocked() *poset.Execution {
 	ex, err := s.b.View()
 	if err != nil {
 		// Stream appends follow the fresh-sink discipline (messages only
@@ -357,6 +360,13 @@ func (s *Stream) incrementalSnapshot() *Snapshot {
 		// anything), so views are always available.
 		panic(err)
 	}
+	return ex
+}
+
+// incrementalSnapshot builds a snapshot without copying the execution or
+// rebuilding clock tables. Caller holds the lock.
+func (s *Stream) incrementalSnapshot() *Snapshot {
+	ex := s.viewLocked()
 	// Capture slice headers; the per-event VCs and index cells they lead to
 	// are immutable or exactly-once, so the snapshot reads stay correct
 	// however far the stream grows (see the ff field comment). Compaction
@@ -395,12 +405,8 @@ func (s *Stream) incrementalSnapshot() *Snapshot {
 		}
 	}
 	clk := vclock.NewLazyRebased(ex, fwdv, basev, revFn)
-	a := core.NewAnalysisClocks(ex, clk, s.prev)
-	if s.prev == nil || s.metDirty {
-		a.Instrument(s.metReg, s.metTracer)
-		s.metDirty = false
-	}
-	s.prev = a
+	a := core.NewAnalysisClocks(ex, clk)
+	a.Instrument(s.metReg, s.metTracer)
 	return &Snapshot{Exec: ex, Analysis: a}
 }
 

@@ -193,7 +193,7 @@ func (m *Monitor) appraiseLocked(total int) {
 			m.metReleased.Inc()
 			continue
 		}
-		for _, e := range iv.events {
+		for _, e := range iv.memberEvents() {
 			if e.Proc >= 0 && e.Proc < len(w) && e.Pos-1 < w[e.Proc] {
 				w[e.Proc] = e.Pos - 1
 			}
