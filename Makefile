@@ -65,11 +65,12 @@ stream:
 	$(GO) run ./cmd/benchtab -table e14 -reps 5
 
 # Long-horizon soak (E15): stream 100k events through the retention-
-# enabled online monitor asserting bounded heap and verdict agreement, and
-# the unretained monitor asserting flat ns/event (the CI smoke), then print
-# the full soak table up to 1M events.
+# enabled online monitor asserting bounded heap and verdict agreement, the
+# unretained monitor asserting flat ns/event, and the E15 soak shape
+# asserting at most 900 B allocated per appended event (the CI smoke), then
+# print the full soak table up to 1M events.
 soak:
-	$(GO) test -run 'TestSoakBoundedHeap|TestSoakSettlementCostFlat' -v ./internal/bench
+	$(GO) test -run 'TestSoakBoundedHeap|TestSoakSettlementCostFlat|TestSoakAllocBytesPerEvent' -v ./internal/bench
 	$(GO) run ./cmd/benchtab -table e15
 
 fuzz:

@@ -23,6 +23,7 @@ import (
 	"causet/internal/cuts"
 	"causet/internal/interval"
 	"causet/internal/obs"
+	"causet/internal/poset"
 	"causet/internal/poset/posettest"
 	"causet/internal/sim"
 )
@@ -279,61 +280,64 @@ type AmortRow struct {
 	BreakEvenAt int     // pairs after which setup is amortized below 50% of total
 }
 
-// medianTime times f at least 20 times and for at least 5 ms in total, and
-// returns the median: E6's cells are microseconds long, so one unrepeated
-// timing moves with whatever else the host does.
-func medianTime(f func()) time.Duration {
-	var times []time.Duration
-	for begin := time.Now(); len(times) < 20 || time.Since(begin) < 5*time.Millisecond; {
-		start := time.Now()
-		f()
-		times = append(times, time.Since(start))
-	}
-	slices.Sort(times)
-	return times[len(times)/2]
-}
-
 // SetupAmortization runs E6 on ring workloads of growing size. The set-up is
 // core.NewAnalysis (the forward and reverse timestamp passes) plus the cut
-// builds of both intervals, on a fresh Analysis each repetition, so every
-// build is cold. Generating the workload, choosing the pair and validating
-// the two intervals are outside the timing. Both columns are medians
-// (medianTime).
+// builds of both intervals, on a fresh Analysis each time, so every build is
+// cold. Generating the workloads, choosing the pairs and validating the
+// intervals come first and are outside the timing. Then each round times
+// every size once, set-up and then 200 evaluations of the pair, for at
+// least 40 rounds and at least 200 ms; both columns are each size's medians
+// over the rounds. A cell is microseconds long, so interleaving the sizes
+// spreads each one's samples over the whole run instead of a few
+// milliseconds of whatever else the host does.
 func SetupAmortization(sizes []int, seed int64) []AmortRow {
-	rows := make([]AmortRow, 0, len(sizes))
-	for _, n := range sizes {
+	type input struct {
+		ex             *poset.Execution
+		x, y           *interval.Interval
+		setup, perPair []time.Duration // perPair: reps evaluations
+	}
+	in := make([]input, len(sizes))
+	for k, n := range sizes {
 		res := sim.MustGenerate(sim.Config{Pattern: sim.Ring, Procs: n, Rounds: 4, Seed: seed})
 		xe, ye, err := sim.ExtremalPair(res.Exec)
 		if err != nil {
 			panic(err)
 		}
-		x := interval.MustNew(res.Exec, xe)
-		y := interval.MustNew(res.Exec, ye)
-		var a *core.Analysis
-		setup := medianTime(func() {
-			a = core.NewAnalysis(res.Exec)
-			a.Cuts(x)
-			a.Cuts(y)
-		})
-
-		fast := core.NewFast(a)
-		const reps = 200
-		perPair := float64(medianTime(func() {
+		in[k] = input{ex: res.Exec, x: interval.MustNew(res.Exec, xe), y: interval.MustNew(res.Exec, ye)}
+	}
+	const reps = 200
+	for rounds, begin := 0, time.Now(); rounds < 40 || time.Since(begin) < 200*time.Millisecond; rounds++ {
+		for k := range in {
+			c := &in[k]
+			start := time.Now()
+			a := core.NewAnalysis(c.ex)
+			a.Cuts(c.x)
+			a.Cuts(c.y)
+			c.setup = append(c.setup, time.Since(start))
+			fast := core.NewFast(a)
+			start = time.Now()
 			for rep := 0; rep < reps; rep++ {
 				for _, rel := range core.Relations() {
-					fast.Eval(rel, x, y)
+					fast.Eval(rel, c.x, c.y)
 				}
 			}
-		}).Nanoseconds()) / reps
-
-		row := AmortRow{
-			Procs:     n,
-			Events:    res.Exec.NumEvents(),
-			SetupNs:   float64(setup.Nanoseconds()),
-			PerPairNs: perPair,
+			c.perPair = append(c.perPair, time.Since(start))
 		}
-		if perPair > 0 {
-			row.BreakEvenAt = int(row.SetupNs/perPair) + 1
+	}
+	median := func(ts []time.Duration) float64 {
+		slices.Sort(ts)
+		return float64(ts[len(ts)/2].Nanoseconds())
+	}
+	rows := make([]AmortRow, 0, len(sizes))
+	for k, c := range in {
+		row := AmortRow{
+			Procs:     sizes[k],
+			Events:    c.ex.NumEvents(),
+			SetupNs:   median(c.setup),
+			PerPairNs: median(c.perPair) / reps,
+		}
+		if row.PerPairNs > 0 {
+			row.BreakEvenAt = int(row.SetupNs/row.PerPairNs) + 1
 		}
 		rows = append(rows, row)
 	}

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"runtime"
 	"time"
@@ -83,39 +84,91 @@ type soakLeg struct {
 	released    int
 }
 
-// runSoak drives the soak workload once. Unlike the E14 harness it does not
-// pre-generate an execution: the input events are created on the stream as
-// the rounds progress, so the measured heap is the monitor's working set and
-// not a pre-built poset masking it. Each round appends one causal lap of the
-// ring (proc p receives from its predecessor's send), observes every event
-// into the interval "round-r", completes it, registers the condition
-// "ordered-(r-1)": R1(round-(r-1), round-r), and polls for settlement
-// deltas, which are folded into an FNV-64a verdict-trace hash.
+// soakLoop is one monitored replay of the soak workload. Unlike the E14
+// harness it does not pre-generate an execution: the input events are
+// created on the stream as the rounds progress, so the measured heap is the
+// monitor's working set and not a pre-built poset masking it.
+type soakLoop struct {
+	procs   int
+	s       *online.Stream
+	m       *online.Monitor
+	h       hash.Hash64
+	settled int
+	prev    poset.EventID // the last event appended; the next one receives it
+}
+
+func newSoakLoop(procs int, policy *online.RetentionPolicy, reg *obs.Registry, tr *obs.Tracer) (*soakLoop, error) {
+	s := online.NewStream(procs)
+	s.Instrument(reg, tr)
+	m := online.NewMonitor(s)
+	m.Instrument(reg)
+	if policy != nil {
+		if err := m.SetRetention(*policy); err != nil {
+			return nil, err
+		}
+	}
+	return &soakLoop{procs: procs, s: s, m: m, h: fnv.New64a()}, nil
+}
+
+// lap runs round r, after rounds 0..r-1: it appends one causal lap of the
+// ring (proc p receives from its predecessor's send), observes every event into the interval
+// "round-r", completes it, registers the condition "ordered-(r-1)":
+// R1(round-(r-1), round-r), and polls for settlement deltas, which are
+// folded into an FNV-64a verdict-trace hash.
+func (d *soakLoop) lap(r int) error {
+	name := fmt.Sprintf("round-%d", r)
+	for p := 0; p < d.procs; p++ {
+		var e poset.EventID
+		var err error
+		if r == 0 && p == 0 {
+			e, err = d.s.Send(p)
+		} else {
+			e, err = d.s.Recv(p, d.prev)
+		}
+		if err != nil {
+			return fmt.Errorf("bench: soak append round %d proc %d: %w", r, p, err)
+		}
+		if err := d.m.Observe(name, e); err != nil {
+			return fmt.Errorf("bench: soak observe %s: %w", name, err)
+		}
+		d.prev = e
+	}
+	if err := d.m.Complete(name); err != nil {
+		return fmt.Errorf("bench: soak complete %s: %w", name, err)
+	}
+	if r > 0 {
+		cond := fmt.Sprintf("ordered-%d", r-1)
+		expr := fmt.Sprintf("R1(round-%d, round-%d)", r-1, r)
+		if err := d.m.AddCondition(cond, expr); err != nil {
+			return fmt.Errorf("bench: soak condition %s: %w", cond, err)
+		}
+	}
+	d.drain()
+	return nil
+}
+
+// drain folds the settlement deltas of one Poll into the verdict hash.
+func (d *soakLoop) drain() {
+	for _, r := range d.m.Poll() {
+		fmt.Fprintf(d.h, "%s=%s;", r.Name, r.State)
+		if r.Err != nil {
+			fmt.Fprintf(d.h, "err=%v;", r.Err)
+		}
+		d.settled++
+	}
+}
+
+// runSoak drives the soak workload once, sampling the live heap and the
+// retained-event count as the rounds progress.
 func runSoak(cfg SoakConfig, policy *online.RetentionPolicy, reg *obs.Registry, tr *obs.Tracer) (soakLeg, error) {
 	var leg soakLeg
 	var m0, ms runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&m0)
 
-	s := online.NewStream(cfg.Procs)
-	s.Instrument(reg, tr)
-	m := online.NewMonitor(s)
-	m.Instrument(reg)
-	if policy != nil {
-		if err := m.SetRetention(*policy); err != nil {
-			return leg, err
-		}
-	}
-
-	h := fnv.New64a()
-	drain := func() {
-		for _, r := range m.Poll() {
-			fmt.Fprintf(h, "%s=%s;", r.Name, r.State)
-			if r.Err != nil {
-				fmt.Fprintf(h, "err=%v;", r.Err)
-			}
-			leg.settled++
-		}
+	d, err := newSoakLoop(cfg.Procs, policy, reg, tr)
+	if err != nil {
+		return leg, err
 	}
 	sampleEvery := cfg.Rounds / 64
 	if sampleEvery < 1 {
@@ -133,54 +186,28 @@ func runSoak(cfg SoakConfig, policy *online.RetentionPolicy, reg *obs.Registry, 
 	}
 
 	start := time.Now()
-	var prev poset.EventID
-	havePrev := false
 	for r := 0; r < cfg.Rounds; r++ {
-		name := fmt.Sprintf("round-%d", r)
-		for p := 0; p < cfg.Procs; p++ {
-			var e poset.EventID
-			var err error
-			if !havePrev {
-				e, err = s.Send(p)
-			} else {
-				e, err = s.Recv(p, prev)
-			}
-			if err != nil {
-				return leg, fmt.Errorf("bench: soak append round %d proc %d: %w", r, p, err)
-			}
-			if err := m.Observe(name, e); err != nil {
-				return leg, fmt.Errorf("bench: soak observe %s: %w", name, err)
-			}
-			prev, havePrev = e, true
+		if err := d.lap(r); err != nil {
+			return leg, err
 		}
-		if err := m.Complete(name); err != nil {
-			return leg, fmt.Errorf("bench: soak complete %s: %w", name, err)
-		}
-		if r > 0 {
-			cond := fmt.Sprintf("ordered-%d", r-1)
-			expr := fmt.Sprintf("R1(round-%d, round-%d)", r-1, r)
-			if err := m.AddCondition(cond, expr); err != nil {
-				return leg, fmt.Errorf("bench: soak condition %s: %w", cond, err)
-			}
-		}
-		drain()
-		if ret := s.RetainedEvents(); ret > leg.retainedMax {
+		if ret := d.s.RetainedEvents(); ret > leg.retainedMax {
 			leg.retainedMax = ret
 		}
 		if r%sampleEvery == 0 {
 			sample()
 		}
 	}
-	drain()
+	d.drain()
 	leg.elapsed = time.Since(start) - sampling
 	sample()
-	leg.retainedEnd = s.RetainedEvents()
+	leg.retainedEnd = d.s.RetainedEvents()
 	if ret := leg.retainedEnd; ret > leg.retainedMax {
 		leg.retainedMax = ret
 	}
-	leg.hash = h.Sum64()
+	leg.settled = d.settled
+	leg.hash = d.h.Sum64()
 	if policy != nil {
-		leg.released = m.RetentionStats().Released
+		leg.released = d.m.RetentionStats().Released
 	}
 	return leg, nil
 }

@@ -1,10 +1,12 @@
 package bench
 
 import (
+	"runtime"
 	"sort"
 	"testing"
 
 	"causet/internal/obs"
+	"causet/internal/online"
 )
 
 // TestSoakBoundedHeap is the CI smoke for the E15 soak, two points of the
@@ -108,5 +110,42 @@ func TestSoakSettlementCostFlat(t *testing.T) {
 	t.Logf("unretained median ns/event: %.0f at 4x2000 rounds, %.0f at 4x16000 (ratio %.2f)", small, large, ratio)
 	if ratio > 2 {
 		t.Errorf("ns/event grew %.2fx from 4x2000 to 4x16000 rounds, want <= 2x", ratio)
+	}
+}
+
+// TestSoakAllocBytesPerEvent pins the bytes the online loop allocates per
+// appended event on the E15 soak shape: an 8-process ring, one
+// R1(round-(r-1), round-r) per lap, retention MaxEvents 512 and Every 128,
+// measured by runtime.MemStats.TotalAlloc over 16,000 laps after a
+// 2,000-lap warm-up. The stream's rows live in flat per-process tables that
+// compaction shifts down in place, so once warm they stop growing; a
+// compaction that copies the retained tails into fresh arrays, or a row
+// layout that allocates per event, reads about twice the 900 B bound.
+func TestSoakAllocBytesPerEvent(t *testing.T) {
+	const procs, warm, laps = 8, 2_000, 16_000
+	d, err := newSoakLoop(procs, &online.RetentionPolicy{MaxEvents: 512, Every: 128}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < warm; r++ {
+		if err := d.lap(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for r := warm; r < warm+laps; r++ {
+		if err := d.lap(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	perEvent := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(procs*laps)
+	t.Logf("allocated %.0f B per appended event over %d events", perEvent, procs*laps)
+	if d.settled != warm+laps-1 {
+		t.Errorf("settled %d conditions, want %d", d.settled, warm+laps-1)
+	}
+	if perEvent > 900 {
+		t.Errorf("soak allocates %.0f B per appended event, want <= 900", perEvent)
 	}
 }

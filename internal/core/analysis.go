@@ -167,7 +167,8 @@ func NewAnalysis(ex *poset.Execution) *Analysis {
 
 // NewAnalysisClocks builds an Analysis over ex with caller-supplied clocks
 // and an empty cut cache. The online stream's cold Snapshot pairs it with
-// vclock.NewLazyRebased.
+// vclock.NewRebased over rows copied out of the stream, so the Analysis
+// reads nothing the stream later changes.
 func NewAnalysisClocks(ex *poset.Execution, clk *vclock.Clocks) *Analysis {
 	return &Analysis{ex: ex, clk: clk}
 }

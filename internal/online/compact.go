@@ -4,15 +4,14 @@ import (
 	"fmt"
 
 	"causet/internal/poset"
-	"causet/internal/vclock"
 )
 
 // This file is the stream side of the retention subsystem (DESIGN.md S26):
 // Compact drops the per-event state — clock rows, first-follower rows,
 // sender attributions, and the builder's message edges — of a settled
-// prefix, rebasing the retained tails onto fresh backing arrays so live
-// snapshots (which alias the old arrays) are untouched. Event positions are
-// never renumbered: external EventIDs stay valid, only queries that need a
+// prefix, moving the retained tails down in place so the tables keep their
+// capacity for the appends that follow. Event positions are never
+// renumbered: external EventIDs stay valid, only queries that need a
 // dropped event's causal neighborhood become unanswerable (and say so).
 
 // Pin marks a recorded event as in-flight: the compaction watermark will
@@ -79,17 +78,6 @@ func (s *Stream) RetainedEvents() int {
 	return n
 }
 
-// compactedAny reports whether any process has compacted history. Caller
-// holds the lock.
-func (s *Stream) compactedAny() bool {
-	for _, b := range s.base {
-		if b > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Compact drops per-event state at or below the requested per-process
 // watermark w, after clamping it to the greatest safe position:
 //
@@ -142,7 +130,7 @@ func (s *Stream) Compact(w []int) (applied []int, dropped int, err error) {
 		changed = false
 		for p := 0; p < s.procs; p++ {
 			for nw[p] > s.base[p] {
-				t := s.fwd[p][nw[p]-1-s.base[p]]
+				t := s.row(s.fwd, poset.EventID{Proc: p, Pos: nw[p]})
 				ok := true
 				for q := 0; q < s.procs; q++ {
 					if t[q] > nw[q] {
@@ -170,26 +158,16 @@ func (s *Stream) Compact(w []int) (applied []int, dropped int, err error) {
 		// structures disagree, i.e. corruption.
 		panic(err)
 	}
-	// Rebase the retained tails onto fresh arrays. Live snapshots captured
-	// headers of the old arrays and keep reading them unchanged; writes
-	// after this point (appends, follower propagation) all land in the new
-	// arrays, which old snapshots cannot see — the same stale-zero contract
-	// the ff field comment describes for growth.
+	// Move the retained tails down in place. Snapshots hold copies, so no
+	// reader sees the arrays change.
 	for p := 0; p < s.procs; p++ {
 		cut := nw[p] - s.base[p]
 		if cut == 0 {
 			continue
 		}
-		keep := s.counts[p] - nw[p]
-		nf := make([]vclock.VC, keep)
-		copy(nf, s.fwd[p][cut:])
-		s.fwd[p] = nf
-		nff := make([]int64, keep*s.procs)
-		copy(nff, s.ff[p][cut*s.procs:])
-		s.ff[p] = nff
-		nm := make([]poset.EventID, keep)
-		copy(nm, s.msgFrom[p][cut:])
-		s.msgFrom[p] = nm
+		s.fwd[p] = s.fwd[p][:copy(s.fwd[p], s.fwd[p][cut*s.procs:])]
+		s.ff[p] = s.ff[p][:copy(s.ff[p], s.ff[p][cut*s.procs:])]
+		s.msgFrom[p] = s.msgFrom[p][:copy(s.msgFrom[p], s.msgFrom[p][cut:])]
 	}
 	copy(s.base, nw)
 	s.snap = nil

@@ -249,9 +249,10 @@ func FuzzIncrementalSnapshotAgreement(f *testing.F) {
 }
 
 // TestStreamAllocsPerEvent pins the append hot path's allocation budget:
-// with arena-carved vector clocks the steady-state cost must stay well
-// under one allocation per event (the pre-arena path paid at least one VC
-// make per event, plus slice growth).
+// forward clocks and first-follower cells live in flat per-process tables
+// that grow by amortized doubling, so the steady-state cost must stay well
+// under one allocation per event (a path that allocates each event's clock
+// pays at least one per event).
 func TestStreamAllocsPerEvent(t *testing.T) {
 	const procs, rounds = 8, 512
 	s := NewStream(procs)

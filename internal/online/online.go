@@ -27,19 +27,19 @@
 // Table 2 cuts, which Lemma 16 folds from the extremes' forward rows (final
 // when the interval completes) and their first-follower cells (read at
 // settlement). A settlement takes no snapshot and builds no core.Analysis.
-// Snapshot remains the cold API for whole-prefix analysis: it derives
-// reverse timestamps from the same index instead of paying the
-// O(|E|·|P|) two-pass rebuild of vclock.New. The tests check the final
-// snapshot's clocks against vclock.New over the finished execution, the
-// summaries' cuts against a snapshot's, and every verdict against the
-// offline monitor.
+// Snapshot remains the cold API for whole-prefix analysis: it copies the
+// retained forward rows and derives reverse timestamps from the same index
+// instead of running the two linear-extension passes of vclock.New. The
+// tests check the final snapshot's clocks against vclock.New over the
+// finished execution, the summaries' cuts against a snapshot's, and every
+// verdict against the offline monitor.
 package online
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
-	"sync/atomic"
 
 	"causet/internal/core"
 	"causet/internal/obs"
@@ -55,46 +55,34 @@ var (
 	ErrCompacted   = errors.New("online: event was compacted by retention (Pin in-flight sends to keep them addressable)")
 )
 
-// vcArenaEvents is how many events' worth of vector-clock backing storage
-// the stream allocates at a time: per-event clocks are immutable once
-// published and live as long as the stream, so carving them out of a shared
-// arena turns one allocation per event into one per vcArenaEvents events
-// (pinned by TestStreamAllocsPerEvent).
-const vcArenaEvents = 64
-
 // Stream is an execution under construction. Methods are safe for
-// concurrent use (a single global lock; the per-event work is amortized
-// O(|P|)).
+// concurrent use: one lock guards all of its state, and every reader of its
+// per-event rows holds it (the per-event work is amortized O(|P|)).
 type Stream struct {
 	mu     sync.Mutex
 	procs  int
 	b      *poset.Builder
 	counts []int
-	fwd    [][]vclock.VC // forward clocks, maintained incrementally
 
-	// First-follower index: ff[p] is a flat counts[p]×procs matrix; cell
-	// (pos-1)*procs + i holds the position of the first event on node i
-	// that causally follows event (p,pos), or 0 while none is recorded.
-	// Each cell is written exactly once (the value is monotone knowledge
-	// about the past and never changes afterwards), with atomic stores and
-	// loads so snapshot readers never race with the appender. A snapshot
-	// captures the slice headers under the lock; cells written after capture
-	// either land in a reallocated row (invisible to the old header) or
-	// carry positions beyond the snapshot's prefix, which the reverse-
-	// timestamp derivation filters out — stale reads are therefore exact
-	// for the capturing prefix, not just safe.
-	ff        [][]int64
+	// Per-event rows of the retained events, |P| cells each, in one flat
+	// table per process: row k of fwd[p] and of ff[p] belongs to event
+	// (p, base[p]+k+1), read through row. fwd holds the forward clocks T(e),
+	// maintained incrementally. ff is the first-follower index: cell i of
+	// event e's row holds the position of the first event on node i that
+	// causally follows e, or 0 while none is recorded; each cell is written
+	// once, and the value is monotone knowledge about the past.
+	fwd       [][]int
+	ff        [][]int
 	msgFrom   [][]poset.EventID // per event, sender of its received message (Proc < 0: none)
-	zeroFF    []int64           // procs zeros, appended to grow a ff row
-	arena     []int             // VC backing storage, carved per newVC
+	zeroRow   []int             // procs zeros, appended to grow a table by one row
 	walkStack []poset.EventID   // reused DFS stack of propagateFollower
 
 	// Retention state (Compact): base[p] counts the leading events of
 	// process p whose clock rows, first-follower rows, and sender
 	// attributions were dropped — fwd/ff/msgFrom hold only the retained
-	// tail, indexed pos-1-base[p]. Event positions stay absolute. pins maps
-	// in-flight send events to a reference count; the watermark never
-	// passes a pinned event, so a delayed Recv can still read its clock.
+	// tail. Event positions stay absolute. pins maps in-flight send events
+	// to a reference count; the watermark never passes a pinned event, so a
+	// delayed Recv can still read its clock.
 	base []int
 	pins map[poset.EventID]int
 
@@ -120,10 +108,10 @@ func NewStream(procs int) *Stream {
 		procs:   procs,
 		b:       poset.NewBuilder(procs),
 		counts:  make([]int, procs),
-		fwd:     make([][]vclock.VC, procs),
-		ff:      make([][]int64, procs),
+		fwd:     make([][]int, procs),
+		ff:      make([][]int, procs),
 		msgFrom: make([][]poset.EventID, procs),
-		zeroFF:  make([]int64, procs),
+		zeroRow: make([]int, procs),
 		base:    make([]int, procs),
 	}
 }
@@ -137,8 +125,9 @@ func (s *Stream) NumProcs() int { return s.procs }
 // retention counters, and two counters of the cold Snapshot API:
 // online.snapshots counts snapshot constructions and
 // online.snapshot_reuses counts Snapshot calls served from the cache
-// unchanged. Each snapshot's Analysis is instrumented against the same
-// registry and tracer, so its cut builds and comparisons land there too.
+// unchanged; each construction copies the retained rows (see Snapshot).
+// Each snapshot's Analysis is instrumented against the same registry and
+// tracer, so its cut builds and comparisons land there too.
 // The online monitor settles conditions without snapshots; it counts its
 // atoms through Monitor.Instrument.
 func (s *Stream) Instrument(reg *obs.Registry, tr *obs.Tracer) {
@@ -159,7 +148,7 @@ func (s *Stream) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 func (s *Stream) Local(proc int) (poset.EventID, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.append(proc, nil, poset.EventID{}, false)
+	return s.append(proc, noSender)
 }
 
 // Send records a send event on proc. The returned EventID is the handle a
@@ -167,7 +156,7 @@ func (s *Stream) Local(proc int) (poset.EventID, error) {
 func (s *Stream) Send(proc int) (poset.EventID, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.append(proc, nil, poset.EventID{}, false)
+	return s.append(proc, noSender)
 }
 
 // Recv records the receipt on proc of the message sent at send, linking the
@@ -184,7 +173,7 @@ func (s *Stream) Recv(proc int, send poset.EventID) (poset.EventID, error) {
 	if send.Pos <= s.base[send.Proc] {
 		return poset.EventID{}, fmt.Errorf("%w: send %v", ErrCompacted, send)
 	}
-	recv, err := s.append(proc, s.fwd[send.Proc][send.Pos-1-s.base[send.Proc]], send, true)
+	recv, err := s.append(proc, send)
 	if err != nil {
 		return poset.EventID{}, err
 	}
@@ -194,53 +183,39 @@ func (s *Stream) Recv(proc int, send poset.EventID) (poset.EventID, error) {
 	return recv, nil
 }
 
-// newVC carves a zeroed vector clock out of the arena. Caller holds the
-// lock. The returned VC is published into s.fwd and never written again.
-func (s *Stream) newVC() vclock.VC {
-	if len(s.arena) < s.procs {
-		s.arena = make([]int, s.procs*vcArenaEvents)
-	}
-	v := vclock.VC(s.arena[:s.procs:s.procs])
-	s.arena = s.arena[s.procs:]
-	return v
+// noSender is the msgFrom entry of an event that received no message.
+var noSender = poset.EventID{Proc: -1}
+
+// row returns event e's row of rows (s.fwd or s.ff). Caller holds the lock,
+// and e is retained.
+func (s *Stream) row(rows [][]int, e poset.EventID) []int {
+	return rows[e.Proc][(e.Pos-1-s.base[e.Proc])*s.procs:][:s.procs]
 }
 
-func (s *Stream) storeFF(e poset.EventID, i int, v int64) {
-	atomic.StoreInt64(&s.ff[e.Proc][(e.Pos-1-s.base[e.Proc])*s.procs+i], v)
-}
-
-func (s *Stream) loadFF(e poset.EventID, i int) int64 {
-	return atomic.LoadInt64(&s.ff[e.Proc][(e.Pos-1-s.base[e.Proc])*s.procs+i])
-}
-
-// append records one event, merging mergeClock (a sender's clock) when
-// non-nil and attributing the received message to sender when isRecv.
-// Caller holds the lock.
-func (s *Stream) append(proc int, mergeClock vclock.VC, sender poset.EventID, isRecv bool) (poset.EventID, error) {
+// append records one event on proc, merging the clock of from and
+// attributing the received message to it when from names a send
+// (from.Proc >= 0). Caller holds the lock.
+func (s *Stream) append(proc int, from poset.EventID) (poset.EventID, error) {
 	if proc < 0 || proc >= s.procs {
 		return poset.EventID{}, fmt.Errorf("%w: %d", ErrBadProc, proc)
 	}
 	s.snap = nil
 	e := s.b.Append(proc)
 	s.counts[proc]++
-	t := s.newVC()
-	if n := s.counts[proc]; n > 1 {
+	s.fwd[proc] = append(s.fwd[proc], s.zeroRow...)
+	s.ff[proc] = append(s.ff[proc], s.zeroRow...)
+	s.msgFrom[proc] = append(s.msgFrom[proc], from)
+	t := vclock.VC(s.row(s.fwd, e))
+	if e.Pos > 1 {
 		// The previous frontier event's row is always retained: Compact
 		// clamps the watermark to counts[p]-1, exactly so this merge works.
-		t.MaxInto(s.fwd[proc][n-2-s.base[proc]])
+		copy(t, s.row(s.fwd, poset.EventID{Proc: proc, Pos: e.Pos - 1}))
 	}
-	if mergeClock != nil {
-		t.MaxInto(mergeClock)
+	if from.Proc >= 0 {
+		t.MaxInto(s.row(s.fwd, from))
 	}
 	t[proc] = e.Pos
-	s.fwd[proc] = append(s.fwd[proc], t)
-	s.ff[proc] = append(s.ff[proc], s.zeroFF...)
-	from := poset.EventID{Proc: -1}
-	if isRecv {
-		from = sender
-	}
-	s.msgFrom[proc] = append(s.msgFrom[proc], from)
-	s.propagateFollower(e, sender, isRecv)
+	s.propagateFollower(e, from)
 	s.metEvents.Add(1)
 	s.metEventsWin.Observe(1)
 	return e, nil
@@ -254,17 +229,17 @@ func (s *Stream) append(proc int, mergeClock vclock.VC, sender poset.EventID, is
 // covered that event's causal past), so the stop is sound and every cell is
 // written exactly once, making the total index maintenance O(|E|·|P|) over
 // the whole run, amortized O(|P|) per event.
-func (s *Stream) propagateFollower(f poset.EventID, sender poset.EventID, isRecv bool) {
+func (s *Stream) propagateFollower(f, from poset.EventID) {
 	p := f.Proc
 	// Self: the first event on f's own node at-or-after f is f itself.
-	s.storeFF(f, p, int64(f.Pos))
-	if !isRecv {
+	s.row(s.ff, f)[p] = f.Pos
+	if from.Proc < 0 {
 		// The program predecessor's first follower on p is that predecessor
 		// itself, already recorded at its own append — the frontier of
 		// unknown cells is empty.
 		return
 	}
-	stack := append(s.walkStack[:0], sender)
+	stack := append(s.walkStack[:0], from)
 	for len(stack) > 0 {
 		e := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -274,10 +249,11 @@ func (s *Stream) propagateFollower(f poset.EventID, sender poset.EventID, isRecv
 			// stopping here skips no retained cell.
 			continue
 		}
-		if s.loadFF(e, p) != 0 {
+		cells := s.row(s.ff, e)
+		if cells[p] != 0 {
 			continue
 		}
-		s.storeFF(e, p, int64(f.Pos))
+		cells[p] = f.Pos
 		if e.Pos > 1 {
 			stack = append(stack, poset.EventID{Proc: e.Proc, Pos: e.Pos - 1})
 		}
@@ -299,7 +275,7 @@ func (s *Stream) Clock(e poset.EventID) (vclock.VC, error) {
 	if e.Pos <= s.base[e.Proc] {
 		return nil, fmt.Errorf("%w: %v", ErrCompacted, e)
 	}
-	return s.fwd[e.Proc][e.Pos-1-s.base[e.Proc]].Clone(), nil
+	return slices.Clone(s.row(s.fwd, e)), nil
 }
 
 // Precedes tests causality between two recorded events using the online
@@ -321,22 +297,24 @@ func (s *Stream) Precedes(a, b poset.EventID) (bool, error) {
 	if b.Pos <= s.base[b.Proc] {
 		return false, fmt.Errorf("%w: %v", ErrCompacted, b)
 	}
-	return a.Pos <= s.fwd[b.Proc][b.Pos-1-s.base[b.Proc]][a.Proc], nil
+	return a.Pos <= s.row(s.fwd, b)[a.Proc], nil
 }
 
 // Snapshot is a frozen view of the stream: the execution prefix recorded so
-// far plus its full analysis (including the lazily derived reverse
-// timestamps).
+// far plus its full analysis (including its reverse timestamps).
 type Snapshot struct {
 	Exec     *poset.Execution
 	Analysis *core.Analysis
 }
 
-// Snapshot returns the current frozen view, cached until the next append.
-// The view is copy-on-grow (the message log is shared with the builder,
-// capacity-clamped), reverse timestamps are derived on demand from the
-// first-follower index, and the analysis starts with an empty cut cache.
-// The returned snapshot is immune to later appends. It is the cold API for
+// Snapshot returns the current frozen view, cached until the next append or
+// compaction. The view is copy-on-grow (the message log is shared with the
+// builder, capacity-clamped); the clocks are copied out of the stream's
+// retained rows, forward rows as they are and reverse timestamps derived
+// from the first-follower index, which costs O(retained events·|P|) per
+// construction; and the analysis starts with an empty cut cache. The
+// returned snapshot shares no mutable state with the stream, so later
+// appends and compactions leave it unchanged. It is the cold API for
 // whole-prefix analysis; the online monitor does not take snapshots.
 func (s *Stream) Snapshot() *Snapshot {
 	s.mu.Lock()
@@ -345,7 +323,7 @@ func (s *Stream) Snapshot() *Snapshot {
 		s.metSnapReuses.Add(1)
 		return s.snap
 	}
-	s.snap = s.incrementalSnapshot()
+	s.snap = s.snapshotLocked()
 	s.metSnapshots.Add(1)
 	return s.snap
 }
@@ -363,48 +341,36 @@ func (s *Stream) viewLocked() *poset.Execution {
 	return ex
 }
 
-// incrementalSnapshot builds a snapshot without copying the execution or
-// rebuilding clock tables. Caller holds the lock.
-func (s *Stream) incrementalSnapshot() *Snapshot {
+// snapshotLocked builds a snapshot over copies of the retained rows. Caller
+// holds the lock.
+func (s *Stream) snapshotLocked() *Snapshot {
 	ex := s.viewLocked()
-	// Capture slice headers; the per-event VCs and index cells they lead to
-	// are immutable or exactly-once, so the snapshot reads stay correct
-	// however far the stream grows (see the ff field comment). Compaction
-	// replaces the backing arrays wholesale, so captured headers keep seeing
-	// the pre-compaction storage — stale zeros there are filtered by the
-	// NumReal prefix check exactly as post-capture appends are.
-	fwdv := make([][]vclock.VC, s.procs)
-	ffv := make([][]int64, s.procs)
-	var basev []int
-	if s.compactedAny() {
-		basev = append([]int(nil), s.base...)
+	n := s.procs
+	retained := 0
+	for p := range n {
+		retained += s.counts[p] - s.base[p]
 	}
-	for p := 0; p < s.procs; p++ {
-		n := s.counts[p] - s.base[p]
-		fwdv[p] = s.fwd[p][:n:n]
-		ffv[p] = s.ff[p][: n*s.procs : n*s.procs]
-	}
-	procs := s.procs
-	revFn := func(e poset.EventID, t vclock.VC) {
-		pos := e.Pos
-		if basev != nil {
-			if pos <= basev[e.Proc] {
-				panic(fmt.Sprintf("online: reverse timestamp of compacted event %v", e))
+	cells := make([]int, 2*retained*n)
+	rows := make([]vclock.VC, 2*retained)
+	fwd, rev := make([][]vclock.VC, n), make([][]vclock.VC, n)
+	for p := range n {
+		k := s.counts[p] - s.base[p]
+		fwd[p], rev[p], rows = rows[:k:k], rows[k:2*k:2*k], rows[2*k:]
+		for j := range k {
+			t, tr := vclock.VC(cells[:n:n]), vclock.VC(cells[n:2*n:2*n])
+			cells = cells[2*n:]
+			copy(t, s.fwd[p][j*n:])
+			// T^R(e)[i] counts the events on i from e's first follower there
+			// on, and is 0 while none is recorded.
+			for i, f := range s.ff[p][j*n:][:n] {
+				if f > 0 {
+					tr[i] = s.counts[i] - f + 1
+				}
 			}
-			pos -= basev[e.Proc]
-		}
-		cells := ffv[e.Proc][(pos-1)*procs : pos*procs]
-		for i := range cells {
-			// A first follower recorded after this snapshot was captured has
-			// a position beyond the prefix; within the prefix the event then
-			// has no follower on i and T^R(e)[i] is 0.
-			t[i] = 0
-			if f := int(atomic.LoadInt64(&cells[i])); f > 0 && f <= ex.NumReal(i) {
-				t[i] = ex.NumReal(i) - f + 1
-			}
+			fwd[p][j], rev[p][j] = t, tr
 		}
 	}
-	clk := vclock.NewLazyRebased(ex, fwdv, basev, revFn)
+	clk := vclock.NewRebased(ex, fwd, rev, slices.Clone(s.base))
 	a := core.NewAnalysisClocks(ex, clk)
 	a.Instrument(s.metReg, s.metTracer)
 	return &Snapshot{Exec: ex, Analysis: a}

@@ -103,7 +103,7 @@ func (s *Stream) summarizeLocked(ex *poset.Execution, events []poset.EventID) (s
 			return summary{}, fmt.Errorf("%w: %v", ErrCompacted, l)
 		}
 		first[i], last[i] = l.Pos, g.Pos
-		fold(rows[2*n:], n, k == 0, s.fwd[i][l.Pos-1-s.base[i]], s.fwd[i][g.Pos-1-s.base[i]])
+		fold(rows[2*n:], n, k == 0, s.row(s.fwd, l), s.row(s.fwd, g))
 	}
 	return summary{members: members, rows: rows}, nil
 }
@@ -112,18 +112,18 @@ func (s *Stream) summarizeLocked(ex *poset.Execution, events []poset.EventID) (s
 // into up, numFolds |P| rows, using tmp (2·|P|) as scratch. A cell no
 // follower has set yet reads as ⊤ on its node, NumReal(j)+1, exactly as a
 // snapshot taken now reads it; by verdict stability a verdict decided on it
-// is final. Caller holds s.mu, so the cells need no atomic loads.
+// is final. Caller holds s.mu.
 func (s *Stream) fillUpLocked(sum *summary, up, tmp []int) error {
 	n := s.procs
 	first, last := sum.rows[:n], sum.rows[n:2*n]
 	least, greatest := tmp[:n], tmp[n:2*n]
 	for k, i := range sum.members.NodeSet() {
-		li, gi := first[i]-1-s.base[i], last[i]-1-s.base[i]
-		if li < 0 {
-			return fmt.Errorf("%w: %v", ErrCompacted, poset.EventID{Proc: i, Pos: first[i]})
+		l := poset.EventID{Proc: i, Pos: first[i]}
+		if l.Pos <= s.base[i] {
+			return fmt.Errorf("%w: %v", ErrCompacted, l)
 		}
-		s.upRow(least, s.ff[i][li*n:][:n])
-		s.upRow(greatest, s.ff[i][gi*n:][:n])
+		s.upRow(least, s.row(s.ff, l))
+		s.upRow(greatest, s.row(s.ff, poset.EventID{Proc: i, Pos: last[i]}))
 		fold(up, n, k == 0, least, greatest)
 	}
 	return nil
@@ -131,12 +131,12 @@ func (s *Stream) fillUpLocked(sum *summary, up, tmp []int) error {
 
 // upRow reads one event's first-follower cells as the frontier of its up
 // cut e↑: a set cell is its follower's position, an unset one ⊤.
-func (s *Stream) upRow(dst []int, cells []int64) {
+func (s *Stream) upRow(dst, cells []int) {
 	counts := s.counts[:len(cells)]
 	for j, c := range cells {
 		// Both values computed, then selected: set and unset cells mix
 		// unpredictably, and a branch on each would mispredict.
-		v, top := int(c), counts[j]+1
+		v, top := c, counts[j]+1
 		if v == 0 {
 			v = top
 		}

@@ -7,15 +7,17 @@ import (
 	"causet/internal/poset"
 )
 
-// rebasedFrom derives rebased lazy clocks from fully materialized ones by
+// rebasedFrom derives rebased clocks from fully materialized ones by
 // slicing off the first base[p] rows of each process — exactly the storage
 // shape a compacted stream snapshot presents.
 func rebasedFrom(full *Clocks, ex *poset.Execution, base []int) *Clocks {
 	fwd := make([][]VC, ex.NumProcs())
+	rev := make([][]VC, ex.NumProcs())
 	for p := range fwd {
 		fwd[p] = full.fwd[p][base[p]:]
+		rev[p] = full.rev[p][base[p]:]
 	}
-	return NewLazyRebased(ex, fwd, base, func(e poset.EventID, dst VC) { copy(dst, full.TR(e)) })
+	return NewRebased(ex, fwd, rev, base)
 }
 
 func pipeline(t *testing.T) *poset.Execution {
@@ -72,7 +74,7 @@ func TestRebasedClocksAgreeOnRetainedEvents(t *testing.T) {
 }
 
 // TestTRIntoMatchesTR checks the allocation-free reverse timestamp against
-// TR on materialized and lazy clocks, dummies included, writing into a
+// TR on materialized and rebased clocks, dummies included, writing into a
 // scratch row that still holds another event's garbage.
 func TestTRIntoMatchesTR(t *testing.T) {
 	ex := pipeline(t)

@@ -123,24 +123,19 @@ func Compare(v, w VC) Ordering {
 }
 
 // Clocks holds the forward and reverse vector timestamps of every real event
-// of an execution. Construct with New (which materializes both tables) or
-// NewLazyRebased (forward table supplied by the caller, reverse timestamps
-// filled in on demand by a callback); either way the structure is immutable
-// afterwards and safe for concurrent readers.
+// of an execution. Construct with New (which computes both tables) or
+// NewRebased (both tables computed by the caller); either way the structure
+// is immutable afterwards and safe for concurrent readers.
 type Clocks struct {
 	ex  *poset.Execution
 	fwd [][]VC // fwd[p][pos-1-base[p]] = T(e) for real event (p,pos)
-	rev [][]VC // rev[p][pos-1] = T^R(e); nil in lazy mode
+	rev [][]VC // rev[p][pos-1-base[p]] = T^R(e)
 
 	// base[p] is the number of leading events of process p whose rows are
-	// absent from fwd[p] (dropped by stream compaction). nil means zero
-	// everywhere: fwd uses the plain pos-1 layout of New. Event positions
-	// stay absolute; only the storage is rebased.
+	// absent from fwd[p] and rev[p] (dropped by stream compaction). nil means
+	// zero everywhere: the plain pos-1 layout of New. Event positions stay
+	// absolute; only the storage is rebased.
 	base []int
-
-	// revFn writes T^R(e) of a real event into dst (length NumProcs) in lazy
-	// mode. It must be safe for concurrent calls.
-	revFn func(e poset.EventID, dst VC)
 }
 
 // New computes forward and reverse timestamps for all real events of ex in
@@ -203,37 +198,34 @@ func rowIndex(ex *poset.Execution) [][]VC {
 	return idx
 }
 
-// NewLazyRebased returns Clocks over ex whose forward table is supplied by
-// the caller and whose reverse timestamps are filled in on demand by revFn,
-// for a stream whose compaction dropped the first base[p] rows of each
-// process: fwd[p] holds rows only for positions base[p]+1 .. NumReal(p).
-// Positions remain absolute — callers keep addressing events by their
-// external EventIDs — and asking for the timestamp of a dropped (compacted)
-// event panics rather than reading a wrong row. A nil base means nothing was
-// dropped (the fwd[p][pos-1] layout of New); base must not be mutated
-// afterwards. revFn must write T^R(e) (Definition 14, real-event count
-// convention) of any retained real event of ex into dst and be safe for
-// concurrent calls.
+// NewRebased returns Clocks over ex whose forward and reverse tables the
+// caller computed, for a stream whose compaction dropped the first base[p]
+// rows of each process: fwd[p] and rev[p] hold rows only for positions
+// base[p]+1 .. NumReal(p). Positions remain absolute — callers keep
+// addressing events by their external EventIDs — and asking for the
+// timestamp of a dropped (compacted) event panics rather than reading a
+// wrong row. A nil base means nothing was dropped (the layout of New). The
+// Clocks keep the tables and base; the caller must not mutate them
+// afterwards.
 //
-// This is the streaming hot path's constructor: a Stream maintains forward
-// clocks incrementally as events arrive and derives reverse timestamps from
-// its first-follower index, so taking a snapshot no longer pays the
-// O(|E|·|P|) two-pass rebuild of New.
-func NewLazyRebased(ex *poset.Execution, fwd [][]VC, base []int, revFn func(e poset.EventID, dst VC)) *Clocks {
-	return &Clocks{ex: ex, fwd: fwd, base: base, revFn: revFn}
+// A Stream's cold Snapshot uses it: the stream maintains forward clocks
+// incrementally and derives reverse timestamps from its first-follower
+// index, so a snapshot does not pay the two linear-extension passes of New.
+func NewRebased(ex *poset.Execution, fwd, rev [][]VC, base []int) *Clocks {
+	return &Clocks{ex: ex, fwd: fwd, rev: rev, base: base}
 }
 
-// fwdAt returns the forward-timestamp row of real event (p, pos), applying
-// the rebase offset when the clocks come from a compacted stream.
-func (c *Clocks) fwdAt(p, pos int) VC {
+// row returns the row of real event (p, pos) in the table tab (fwd or rev),
+// applying the rebase offset when the clocks come from a compacted stream.
+func (c *Clocks) row(tab [][]VC, p, pos int) VC {
 	if c.base != nil {
 		idx := pos - 1 - c.base[p]
 		if idx < 0 {
 			panic(fmt.Sprintf("vclock: timestamp of compacted event p%d:%d (rows retained from position %d)", p, pos, c.base[p]+1))
 		}
-		return c.fwd[p][idx]
+		return tab[p][idx]
 	}
-	return c.fwd[p][pos-1]
+	return tab[p][pos-1]
 }
 
 // Execution returns the execution the clocks were computed for.
@@ -246,7 +238,7 @@ func (c *Clocks) Execution() *poset.Execution { return c.ex }
 func (c *Clocks) T(e poset.EventID) VC {
 	switch {
 	case c.ex.IsReal(e):
-		return c.fwdAt(e.Proc, e.Pos)
+		return c.row(c.fwd, e.Proc, e.Pos)
 	case c.ex.IsBottom(e):
 		return make(VC, c.ex.NumProcs())
 	case c.ex.IsTop(e):
@@ -262,11 +254,10 @@ func (c *Clocks) T(e poset.EventID) VC {
 // TR returns the reverse timestamp of e (Definition 14, real-event count
 // convention). Dummy events are supported: T^R(⊤_i) is the zero vector and
 // T^R(⊥_i)[j] = NumReal(j) for every j. The returned vector is shared for
-// real events of clocks built by New, and fresh otherwise; callers must not
-// modify it.
+// real events; callers must not modify it.
 func (c *Clocks) TR(e poset.EventID) VC {
-	if c.ex.IsReal(e) && c.rev != nil {
-		return c.rev[e.Proc][e.Pos-1]
+	if c.ex.IsReal(e) {
+		return c.row(c.rev, e.Proc, e.Pos)
 	}
 	t := make(VC, c.ex.NumProcs())
 	c.TRInto(e, t)
@@ -279,11 +270,7 @@ func (c *Clocks) TR(e poset.EventID) VC {
 func (c *Clocks) TRInto(e poset.EventID, dst VC) {
 	switch {
 	case c.ex.IsReal(e):
-		if c.rev == nil {
-			c.revFn(e, dst)
-			return
-		}
-		copy(dst, c.rev[e.Proc][e.Pos-1])
+		copy(dst, c.row(c.rev, e.Proc, e.Pos))
 	case c.ex.IsTop(e):
 		clear(dst)
 	case c.ex.IsBottom(e):
@@ -317,7 +304,7 @@ func (c *Clocks) Precedes(a, b poset.EventID) bool {
 	}
 	// Only b's row is read, so a ≺ b stays answerable even when a itself is
 	// compacted — the retained row of b already absorbed a's contribution.
-	return a.Pos <= c.fwdAt(b.Proc, b.Pos)[a.Proc]
+	return a.Pos <= c.row(c.fwd, b.Proc, b.Pos)[a.Proc]
 }
 
 // PrecedesEq reports a ⪯ b.
