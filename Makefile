@@ -67,7 +67,7 @@ stream:
 # Long-horizon soak (E15): stream 100k events through the retention-
 # enabled online monitor asserting bounded heap and verdict agreement, the
 # unretained monitor asserting flat ns/event, and the E15 soak shape
-# asserting at most 900 B allocated per appended event (the CI smoke), then
+# asserting at most 450 B allocated per appended event (the CI smoke), then
 # print the full soak table up to 1M events.
 soak:
 	$(GO) test -run 'TestSoakBoundedHeap|TestSoakSettlementCostFlat|TestSoakAllocBytesPerEvent' -v ./internal/bench
@@ -83,6 +83,7 @@ fuzz:
 	$(GO) test -fuzz FuzzReadJSONAgreement -fuzztime $(FUZZTIME) ./internal/trace/
 	$(GO) test -fuzz FuzzIncrementalSnapshotAgreement -fuzztime $(FUZZTIME) ./internal/online/
 	$(GO) test -fuzz FuzzCompactionAgreement -fuzztime $(FUZZTIME) ./internal/online/
+	$(GO) test -fuzz FuzzStreamRows -fuzztime $(FUZZTIME) ./internal/online/
 	$(GO) test -fuzz FuzzMatrixAgreement -fuzztime $(FUZZTIME) ./internal/batch/
 
 # Chaos gate: explore 64 seeded (protocol, fault plan) cases under the race

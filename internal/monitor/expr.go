@@ -28,6 +28,7 @@ package monitor
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"causet/internal/core"
@@ -156,6 +157,30 @@ func Referenced(e Expr) []string {
 		out = append(out, name)
 	}
 	sortStrings(out)
+	return out
+}
+
+// leftOperands returns the sorted, distinct names of the intervals that are
+// the left operand of some atom of e, proxied or not.
+func leftOperands(e Expr) []string {
+	out := appendLeftOperands(nil, e)
+	sortStrings(out)
+	return out
+}
+
+func appendLeftOperands(out []string, e Expr) []string {
+	switch v := e.(type) {
+	case *atomExpr:
+		if !slices.Contains(out, v.X.Name) {
+			out = append(out, v.X.Name)
+		}
+	case *notExpr:
+		out = appendLeftOperands(out, v.e)
+	case *binExpr:
+		out = appendLeftOperands(appendLeftOperands(out, v.l), v.r)
+	default:
+		panic(fmt.Sprintf("monitor: unknown expression node %T", e))
+	}
 	return out
 }
 

@@ -53,14 +53,27 @@ type Condition struct {
 	Src  string
 	Expr Expr
 
-	refs []string // Referenced(Expr), computed once by NewCondition
+	refs  []string // Referenced(Expr), computed once by NewCondition
+	lefts []string // leftOperands(Expr), likewise
 }
 
 // NewCondition makes a condition and computes its referenced intervals
 // once, so the readiness, settlement and latency paths that consult them on
 // every verdict share one list instead of rebuilding it per call.
 func NewCondition(name, src string, expr Expr) *Condition {
-	return &Condition{Name: name, Src: src, Expr: expr, refs: Referenced(expr)}
+	return &Condition{Name: name, Src: src, Expr: expr, refs: Referenced(expr), lefts: leftOperands(expr)}
+}
+
+// LeftRefs returns the sorted names of the intervals that are the left
+// operand of some atom of the condition, the only operands whose up cuts
+// an atom reads (core.EvalCuts). The slice is shared; callers must not
+// modify it. A Condition not made by NewCondition recomputes the list on
+// every call.
+func (c *Condition) LeftRefs() []string {
+	if c.lefts == nil {
+		return leftOperands(c.Expr)
+	}
+	return c.lefts
 }
 
 // Refs returns the sorted interval names the condition references. The

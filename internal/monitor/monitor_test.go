@@ -134,6 +134,15 @@ func TestConditionRefs(t *testing.T) {
 	}
 }
 
+func TestConditionLeftRefs(t *testing.T) {
+	e := MustParse("R1(b, a) && !R2(U(d), c) || R3(b, d) -> R4(L(a), c)")
+	for _, c := range []*Condition{NewCondition("n", "", e), {Name: "lit", Expr: e}} {
+		if got := strings.Join(c.LeftRefs(), ","); got != "a,b,d" {
+			t.Errorf("%s: LeftRefs = %s, want a,b,d", c.Name, got)
+		}
+	}
+}
+
 func TestMonitorEval(t *testing.T) {
 	m := fixture(t)
 	// Consecutive ring rounds: R2, R3', R4 hold; R1 backwards must not.

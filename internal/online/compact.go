@@ -7,12 +7,13 @@ import (
 )
 
 // This file is the stream side of the retention subsystem (DESIGN.md S26):
-// Compact drops the per-event state — clock rows, first-follower rows,
-// sender attributions, and the builder's message edges — of a settled
-// prefix, moving the retained tails down in place so the tables keep their
-// capacity for the appends that follow. Event positions are never
-// renumbered: external EventIDs stay valid, only queries that need a
-// dropped event's causal neighborhood become unanswerable (and say so).
+// Compact drops the per-event state — clock rows, first-follower rows, and
+// the builder's message edges — of a settled prefix by advancing each
+// ring's head and the builder's log start, so it moves no rows and the
+// rings keep their capacity for the appends that follow. Event positions
+// are never renumbered: external EventIDs stay valid, only queries that
+// need a dropped event's causal neighborhood become unanswerable (and say
+// so).
 
 // Pin marks a recorded event as in-flight: the compaction watermark will
 // not pass it until a matching Unpin. Drivers that append sends whose
@@ -44,11 +45,7 @@ func (s *Stream) Unpin(e poset.EventID) {
 func (s *Stream) TotalEvents() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := 0
-	for _, c := range s.counts {
-		n += c
-	}
-	return n
+	return s.total
 }
 
 // Counts returns a copy of the per-process event counts.
@@ -90,13 +87,15 @@ func (s *Stream) RetainedEvents() int {
 //     componentwise, i.e. nothing outside the cut causally precedes
 //     anything inside it. Downward closedness is what keeps every
 //     retained×retained causality query exact afterwards (no causal path
-//     between retained events routes through the dropped region) and makes
-//     the first-follower walk's stop-at-compacted rule lossless.
+//     between retained events routes through the dropped region).
 //
-// The applied watermark and the number of newly compacted events are
-// returned; a request the clamps reduce to a no-op returns (applied, 0, nil)
-// without touching anything. A watermark with the wrong number of
-// components is an error.
+// Compaction advances each process's ring head past its dropped rows and
+// the builder's message log past the dropped messages (Builder.CompactBelow):
+// it moves no rows, so its cost follows the number of processes and
+// retained messages, not the retained rows. The applied watermark and the
+// number of newly compacted events are returned; a request the clamps
+// reduce to a no-op returns (applied, 0, nil) without touching anything. A
+// watermark with the wrong number of components is an error.
 func (s *Stream) Compact(w []int) (applied []int, dropped int, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -158,16 +157,13 @@ func (s *Stream) Compact(w []int) (applied []int, dropped int, err error) {
 		// structures disagree, i.e. corruption.
 		panic(err)
 	}
-	// Move the retained tails down in place. Snapshots hold copies, so no
-	// reader sees the arrays change.
+	// Advance the ring heads past the dropped rows. The frontier clamp keeps
+	// at least one row retained, so the cut is shorter than the ring and one
+	// wrap suffices. Snapshots hold copies, so no reader sees a slot reused.
 	for p := 0; p < s.procs; p++ {
-		cut := nw[p] - s.base[p]
-		if cut == 0 {
-			continue
+		if s.head[p] += nw[p] - s.base[p]; s.head[p] >= s.slots[p] {
+			s.head[p] -= s.slots[p]
 		}
-		s.fwd[p] = s.fwd[p][:copy(s.fwd[p], s.fwd[p][cut*s.procs:])]
-		s.ff[p] = s.ff[p][:copy(s.ff[p], s.ff[p][cut*s.procs:])]
-		s.msgFrom[p] = s.msgFrom[p][:copy(s.msgFrom[p], s.msgFrom[p][cut:])]
 	}
 	copy(s.base, nw)
 	s.snap = nil

@@ -290,8 +290,10 @@ func (m *Monitor) Observe(name string, events ...poset.EventID) error {
 	}
 	iv.observed = true
 	iv.events = append(iv.events, events...)
-	m.lg.Debug("interval_observe",
-		logx.F("interval", name), logx.F("added", len(events)), logx.F("size", len(iv.events)))
+	if m.lg.Enabled(logx.Debug) {
+		m.lg.Debug("interval_observe",
+			logx.F("interval", name), logx.F("added", len(events)), logx.F("size", len(iv.events)))
+	}
 	if m.retainOn {
 		total := m.stream.TotalEvents()
 		iv.seq = total
@@ -330,7 +332,9 @@ func (m *Monitor) Complete(name string) error {
 		}
 	}
 	iv.waiters = nil
-	m.lg.Info("interval_complete", logx.F("interval", name), logx.F("size", len(iv.events)))
+	if m.lg.Enabled(logx.Info) {
+		m.lg.Info("interval_complete", logx.F("interval", name), logx.F("size", len(iv.events)))
+	}
 	if m.retainOn {
 		total := m.stream.TotalEvents()
 		iv.seq = total
@@ -444,19 +448,7 @@ func (m *Monitor) checkIncrementalLocked() {
 	}
 	todo := m.ready
 	m.ready = nil
-	var ex *poset.Execution
-	m.stream.mu.Lock()
-	for _, cs := range todo {
-		if cs.c == nil {
-			continue
-		}
-		for _, ref := range cs.c.Refs() {
-			if m.prepareLocked(&ex, ref) != nil {
-				break
-			}
-		}
-	}
-	m.stream.mu.Unlock()
+	m.prepareReadyLocked(todo)
 	for _, cs := range todo {
 		c := cs.c
 		if c == nil {
@@ -474,6 +466,32 @@ func (m *Monitor) checkIncrementalLocked() {
 		m.settle(cs, res)
 	}
 	m.releaseScratchLocked()
+}
+
+// prepareReadyLocked makes every interval the conditions todo reference
+// evaluable, at one prefix: the stream is locked once for the batch. Left
+// operands come first, with up rows, since theirs are the only up cuts the
+// atoms read. Caller holds m.mu.
+func (m *Monitor) prepareReadyLocked(todo []*condState) {
+	var ex *poset.Execution
+	m.stream.mu.Lock()
+	defer m.stream.mu.Unlock()
+	for _, up := range [2]bool{true, false} {
+		for _, cs := range todo {
+			if cs.c == nil {
+				continue
+			}
+			refs := cs.c.Refs()
+			if up {
+				refs = cs.c.LeftRefs()
+			}
+			for _, ref := range refs {
+				if m.prepareLocked(&ex, ref, up) != nil {
+					break
+				}
+			}
+		}
+	}
 }
 
 // CompletedIntervals returns the names of the completed intervals, sorted.
@@ -510,9 +528,9 @@ func (m *Monitor) StrongestBetween(xName, yName string) ([]core.Relation, error)
 	defer m.releaseScratchLocked()
 	var ex *poset.Execution
 	m.stream.mu.Lock()
-	err := m.prepareLocked(&ex, xName)
+	err := m.prepareLocked(&ex, xName, true)
 	if err == nil {
-		err = m.prepareLocked(&ex, yName)
+		err = m.prepareLocked(&ex, yName, false)
 	}
 	m.stream.mu.Unlock()
 	if err != nil {

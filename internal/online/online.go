@@ -57,32 +57,36 @@ var (
 
 // Stream is an execution under construction. Methods are safe for
 // concurrent use: one lock guards all of its state, and every reader of its
-// per-event rows holds it (the per-event work is amortized O(|P|)).
+// per-event rows holds it. An append merges two clock rows and stores each
+// first-follower cell it decides once, so the per-event work is O(|P|)
+// amortized; compaction moves no rows.
 type Stream struct {
 	mu     sync.Mutex
 	procs  int
 	b      *poset.Builder
 	counts []int
+	total  int // sum of counts
 
-	// Per-event rows of the retained events, |P| cells each, in one flat
-	// table per process: row k of fwd[p] and of ff[p] belongs to event
-	// (p, base[p]+k+1), read through row. fwd holds the forward clocks T(e),
-	// maintained incrementally. ff is the first-follower index: cell i of
-	// event e's row holds the position of the first event on node i that
-	// causally follows e, or 0 while none is recorded; each cell is written
-	// once, and the value is monotone knowledge about the past.
-	fwd       [][]int
-	ff        [][]int
-	msgFrom   [][]poset.EventID // per event, sender of its received message (Proc < 0: none)
-	zeroRow   []int             // procs zeros, appended to grow a table by one row
-	walkStack []poset.EventID   // reused DFS stack of propagateFollower
+	// Per-event rows of the retained events, |P| cells each, in one ring of
+	// whole rows per process: the rows of event (p, base[p]+k+1) sit in
+	// slot head[p]+k of fwd[p] and ff[p], wrapped at slots[p], read through
+	// row. fwd holds the forward clocks T(e), maintained incrementally. ff
+	// is the first-follower index: cell i of event e's row holds the
+	// position of the first event on node i that causally follows e, or 0
+	// while none is recorded; each cell is written once, by the append of
+	// that follower (see merge), and the value is monotone knowledge about
+	// the past.
+	fwd   [][]int
+	ff    [][]int
+	head  []int // slot of each ring's oldest retained row
+	slots []int // rows each ring holds
 
 	// Retention state (Compact): base[p] counts the leading events of
-	// process p whose clock rows, first-follower rows, and sender
-	// attributions were dropped — fwd/ff/msgFrom hold only the retained
-	// tail. Event positions stay absolute. pins maps in-flight send events
-	// to a reference count; the watermark never passes a pinned event, so a
-	// delayed Recv can still read its clock.
+	// process p whose clock rows and first-follower rows were dropped — the
+	// rings hold only the retained tail. Event positions stay absolute.
+	// pins maps in-flight send events to a reference count; the watermark
+	// never passes a pinned event, so a delayed Recv can still read its
+	// clock.
 	base []int
 	pins map[poset.EventID]int
 
@@ -105,14 +109,14 @@ func NewStream(procs int) *Stream {
 		panic(fmt.Sprintf("online: NewStream(%d)", procs))
 	}
 	return &Stream{
-		procs:   procs,
-		b:       poset.NewBuilder(procs),
-		counts:  make([]int, procs),
-		fwd:     make([][]int, procs),
-		ff:      make([][]int, procs),
-		msgFrom: make([][]poset.EventID, procs),
-		zeroRow: make([]int, procs),
-		base:    make([]int, procs),
+		procs:  procs,
+		b:      poset.NewBuilder(procs),
+		counts: make([]int, procs),
+		fwd:    make([][]int, procs),
+		ff:     make([][]int, procs),
+		head:   make([]int, procs),
+		slots:  make([]int, procs),
+		base:   make([]int, procs),
 	}
 }
 
@@ -148,7 +152,7 @@ func (s *Stream) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 func (s *Stream) Local(proc int) (poset.EventID, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.append(proc, noSender)
+	return s.append(proc, poset.EventID{Proc: -1})
 }
 
 // Send records a send event on proc. The returned EventID is the handle a
@@ -156,7 +160,7 @@ func (s *Stream) Local(proc int) (poset.EventID, error) {
 func (s *Stream) Send(proc int) (poset.EventID, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.append(proc, noSender)
+	return s.append(proc, poset.EventID{Proc: -1})
 }
 
 // Recv records the receipt on proc of the message sent at send, linking the
@@ -183,18 +187,18 @@ func (s *Stream) Recv(proc int, send poset.EventID) (poset.EventID, error) {
 	return recv, nil
 }
 
-// noSender is the msgFrom entry of an event that received no message.
-var noSender = poset.EventID{Proc: -1}
-
 // row returns event e's row of rows (s.fwd or s.ff). Caller holds the lock,
 // and e is retained.
 func (s *Stream) row(rows [][]int, e poset.EventID) []int {
-	return rows[e.Proc][(e.Pos-1-s.base[e.Proc])*s.procs:][:s.procs]
+	k := s.head[e.Proc] + e.Pos - 1 - s.base[e.Proc]
+	if k >= s.slots[e.Proc] {
+		k -= s.slots[e.Proc]
+	}
+	return rows[e.Proc][k*s.procs:][:s.procs]
 }
 
-// append records one event on proc, merging the clock of from and
-// attributing the received message to it when from names a send
-// (from.Proc >= 0). Caller holds the lock.
+// append records one event on proc, merging the clock of from when from
+// names a send (from.Proc >= 0). Caller holds the lock.
 func (s *Stream) append(proc int, from poset.EventID) (poset.EventID, error) {
 	if proc < 0 || proc >= s.procs {
 		return poset.EventID{}, fmt.Errorf("%w: %d", ErrBadProc, proc)
@@ -202,66 +206,78 @@ func (s *Stream) append(proc int, from poset.EventID) (poset.EventID, error) {
 	s.snap = nil
 	e := s.b.Append(proc)
 	s.counts[proc]++
-	s.fwd[proc] = append(s.fwd[proc], s.zeroRow...)
-	s.ff[proc] = append(s.ff[proc], s.zeroRow...)
-	s.msgFrom[proc] = append(s.msgFrom[proc], from)
-	t := vclock.VC(s.row(s.fwd, e))
+	s.total++
+	if s.counts[proc]-s.base[proc] > s.slots[proc] {
+		s.grow(proc)
+	}
+	t, cells := s.row(s.fwd, e), s.row(s.ff, e)
 	if e.Pos > 1 {
 		// The previous frontier event's row is always retained: Compact
 		// clamps the watermark to counts[p]-1, exactly so this merge works.
 		copy(t, s.row(s.fwd, poset.EventID{Proc: proc, Pos: e.Pos - 1}))
+	} else {
+		clear(t)
 	}
+	// The slot may hold a dropped event's cells, which would read as
+	// recorded followers.
+	clear(cells)
+	// The first event on its own node at-or-after e is e itself.
+	t[proc], cells[proc] = e.Pos, e.Pos
 	if from.Proc >= 0 {
-		t.MaxInto(s.row(s.fwd, from))
+		s.merge(e, t, s.row(s.fwd, from))
 	}
-	t[proc] = e.Pos
-	s.propagateFollower(e, from)
 	s.metEvents.Add(1)
 	s.metEventsWin.Observe(1)
 	return e, nil
 }
 
-// propagateFollower updates the first-follower index for the fresh event f:
-// every event e with e ≺ f whose first follower on f's node was unknown now
-// has one, namely f. The frontier of such events is walked backwards through
-// program-predecessor and message-sender edges, stopping at any cell already
-// known — knownness is downward closed (the walk that set a cell also
-// covered that event's causal past), so the stop is sound and every cell is
-// written exactly once, making the total index maintenance O(|E|·|P|) over
-// the whole run, amortized O(|P|) per event.
-func (s *Stream) propagateFollower(f, from poset.EventID) {
-	p := f.Proc
-	// Self: the first event on f's own node at-or-after f is f itself.
-	s.row(s.ff, f)[p] = f.Pos
-	if from.Proc < 0 {
-		// The program predecessor's first follower on p is that predecessor
-		// itself, already recorded at its own append — the frontier of
-		// unknown cells is empty.
-		return
+// grow re-lays process p's full rings from slot 0 into rings a quarter
+// larger (at least 4 rows), making room for one more row. Caller holds the
+// lock.
+func (s *Stream) grow(p int) {
+	n, h := s.procs, s.head[p]*s.procs
+	slots := max(s.slots[p]+s.slots[p]/4, 4)
+	for _, rows := range [2][][]int{s.fwd, s.ff} {
+		ring := make([]int, slots*n)
+		copy(ring[copy(ring, rows[p][h:]):], rows[p][:h])
+		rows[p] = ring
 	}
-	stack := append(s.walkStack[:0], from)
-	for len(stack) > 0 {
-		e := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if e.Pos <= s.base[e.Proc] {
-			// Compacted: the row is gone, and by downward closedness of the
-			// watermark every event in e's causal past is compacted too, so
-			// stopping here skips no retained cell.
+	s.head[p], s.slots[p] = 0, slots
+}
+
+// merge raises the fresh receive f's clock t, a copy of its program
+// predecessor's clock with f counted, to the componentwise max with its
+// sender's clock msg, and records f as the first follower on its node of
+// every event the raise newly covers. By Definition 13, e ⪯ f exactly when
+// e.Pos ≤ t[e.Proc], so those events are the ones f's clock covers and its
+// predecessor's does not: on each node q, the positions the raise of t[q]
+// passes over. No earlier event on f's node succeeds them, so their cells
+// for that node are unset, and the merge writes them without reading any.
+// Each cell is written once over the whole run, O(|E|·|P|) in total.
+// Compacted positions have no row and are skipped. Caller holds the lock.
+func (s *Stream) merge(f poset.EventID, t, msg []int) {
+	n, p := s.procs, f.Proc
+	for q, hi := range msg[:len(t)] {
+		lo := t[q]
+		if hi <= lo {
 			continue
 		}
-		cells := s.row(s.ff, e)
-		if cells[p] != 0 {
+		t[q] = hi
+		if lo = max(lo, s.base[q]); lo >= hi {
 			continue
 		}
-		cells[p] = f.Pos
-		if e.Pos > 1 {
-			stack = append(stack, poset.EventID{Proc: e.Proc, Pos: e.Pos - 1})
+		ring, slots := s.ff[q], s.slots[q]
+		k := s.head[q] + lo - s.base[q] // slot of (q, lo+1)
+		if k >= slots {
+			k -= slots
 		}
-		if from := s.msgFrom[e.Proc][e.Pos-1-s.base[e.Proc]]; from.Proc >= 0 {
-			stack = append(stack, from)
+		for range hi - lo {
+			ring[k*n+p] = f.Pos
+			if k++; k == slots {
+				k = 0
+			}
 		}
 	}
-	s.walkStack = stack[:0]
 }
 
 // Clock returns the online forward vector clock of a recorded real event —
@@ -359,10 +375,11 @@ func (s *Stream) snapshotLocked() *Snapshot {
 		for j := range k {
 			t, tr := vclock.VC(cells[:n:n]), vclock.VC(cells[n:2*n:2*n])
 			cells = cells[2*n:]
-			copy(t, s.fwd[p][j*n:])
+			e := poset.EventID{Proc: p, Pos: s.base[p] + j + 1}
+			copy(t, s.row(s.fwd, e))
 			// T^R(e)[i] counts the events on i from e's first follower there
 			// on, and is 0 while none is recorded.
-			for i, f := range s.ff[p][j*n:][:n] {
+			for i, f := range s.row(s.ff, e) {
 				if f > 0 {
 					tr[i] = s.counts[i] - f + 1
 				}

@@ -15,8 +15,11 @@ import (
 // Table 2 cuts, and by Lemma 16 every cut is a componentwise fold over the
 // extremes: the down cuts over their forward rows, final once the interval
 // completes, and the up cuts over their first-follower cells, read at
-// settlement. A completed interval keeps 6·|P| integers, and a settling Poll
-// fills 4·|P| more per referenced interval into scratch the monitor reuses.
+// settlement. An atom reads the up cuts of its left operand only
+// (core.EvalCuts), so a settling Poll fills them only for the intervals that
+// are a left operand in the pass. A completed interval keeps 6·|P| integers,
+// and a settling Poll fills 4·|P| more per left operand into scratch the
+// monitor reuses.
 
 // The four folds of a summary's down rows and of a settleCuts' up rows: the
 // componentwise min and max of the extremes' rows, over the least extremes
@@ -48,7 +51,8 @@ type summary struct {
 
 // settleCuts is one interval's entry in the settlement scratch: the up rows
 // of its extremes at the current prefix and the cuts of X, L(X) and U(X)
-// assembled over them and over its summary.
+// assembled over them and over its summary. An interval that is no left
+// operand in the pass gets no up rows, and its cuts' up fields are nil.
 type settleCuts struct {
 	rec  *ivState
 	up   []int                // numFolds |P| rows of first-follower folds, then 2·|P| of scratch
@@ -144,24 +148,30 @@ func (s *Stream) upRow(dst, cells []int) {
 	}
 }
 
-// assemble points the entry's cuts at its up rows and the summary's rows.
-func (sc *settleCuts) assemble(sum *summary, n int) {
-	row := func(rows []int, k int) cuts.Cut { return rows[k*n:][:n] }
+// assemble points the entry's cuts at the up rows up, nil when none were
+// filled, and the summary's rows.
+func (sc *settleCuts) assemble(sum *summary, up []int, n int) {
+	row := func(rows []int, k int) cuts.Cut {
+		if rows == nil {
+			return nil
+		}
+		return rows[k*n:][:n]
+	}
 	first, last := sum.rows[:n], sum.rows[n:2*n]
 	down := sum.rows[2*n:]
 	sc.cuts[0] = core.IntervalCuts{
 		InterDown: row(down, foldMinLeast), UnionDown: row(down, foldMaxGreatest),
-		InterUp: row(sc.up, foldMinLeast), UnionUp: row(sc.up, foldMaxGreatest),
+		InterUp: row(up, foldMinLeast), UnionUp: row(up, foldMaxGreatest),
 		FirstPos: first, LastPos: last,
 	}
 	sc.cuts[1] = core.IntervalCuts{ // L(X): the least extremes alone
 		InterDown: row(down, foldMinLeast), UnionDown: row(down, foldMaxLeast),
-		InterUp: row(sc.up, foldMinLeast), UnionUp: row(sc.up, foldMaxLeast),
+		InterUp: row(up, foldMinLeast), UnionUp: row(up, foldMaxLeast),
 		FirstPos: first, LastPos: first,
 	}
 	sc.cuts[2] = core.IntervalCuts{ // U(X): the greatest extremes alone
 		InterDown: row(down, foldMinGreatest), UnionDown: row(down, foldMaxGreatest),
-		InterUp: row(sc.up, foldMinGreatest), UnionUp: row(sc.up, foldMaxGreatest),
+		InterUp: row(up, foldMinGreatest), UnionUp: row(up, foldMaxGreatest),
 		FirstPos: last, LastPos: last,
 	}
 }
@@ -169,9 +179,11 @@ func (sc *settleCuts) assemble(sum *summary, n int) {
 // prepareLocked makes the named completed interval evaluable at the current
 // prefix. Its summary is built on first use, over the view *ex (taken on
 // demand); a failure poisons the name, so every condition touching it
-// settles Failed with the same error. Its up rows and cuts are filled into
-// the scratch once per settling pass. Caller holds m.mu and stream.mu.
-func (m *Monitor) prepareLocked(ex **poset.Execution, name string) error {
+// settles Failed with the same error. Its cuts are assembled into the
+// scratch once per settling pass, with up rows filled when up is set: a
+// pass prepares every left operand, with up, before any other operand.
+// Caller holds m.mu and stream.mu.
+func (m *Monitor) prepareLocked(ex **poset.Execution, name string, up bool) error {
 	iv := m.ivs[name]
 	if iv.defErr != nil || iv.slot > 0 {
 		return iv.defErr
@@ -194,14 +206,18 @@ func (m *Monitor) prepareLocked(ex **poset.Execution, name string) error {
 	}
 	sc := &m.scratch[m.used]
 	n := s.procs
-	if cap(sc.up) < (numFolds+2)*n {
-		sc.up = make([]int, (numFolds+2)*n)
+	var rows []int
+	if up {
+		if cap(sc.up) < (numFolds+2)*n {
+			sc.up = make([]int, (numFolds+2)*n)
+		}
+		rows = sc.up[:numFolds*n]
+		if err := s.fillUpLocked(&iv.sum, rows, sc.up[numFolds*n:]); err != nil {
+			iv.defErr = fmt.Errorf("online: interval %q: %w", name, err)
+			return iv.defErr
+		}
 	}
-	if err := s.fillUpLocked(&iv.sum, sc.up, sc.up[numFolds*n:]); err != nil {
-		iv.defErr = fmt.Errorf("online: interval %q: %w", name, err)
-		return iv.defErr
-	}
-	sc.assemble(&iv.sum, n)
+	sc.assemble(&iv.sum, rows, n)
 	sc.rec = iv
 	m.used++
 	iv.slot = int32(m.used)

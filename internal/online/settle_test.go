@@ -23,7 +23,7 @@ func summaryCuts(t *testing.T, m *Monitor, name string) [3]core.IntervalCuts {
 	defer m.mu.Unlock()
 	var ex *poset.Execution
 	m.stream.mu.Lock()
-	err := m.prepareLocked(&ex, name)
+	err := m.prepareLocked(&ex, name, true)
 	m.stream.mu.Unlock()
 	if err != nil {
 		t.Fatalf("prepare %s: %v", name, err)
@@ -376,6 +376,46 @@ func TestSettleAfterDirectCompactFails(t *testing.T) {
 	for _, r := range res {
 		if r.State != monitor.Failed || !errors.Is(r.Err, ErrCompacted) {
 			t.Errorf("%s = %v (%v); want Failed with ErrCompacted", r.Name, r.State, r.Err)
+		}
+	}
+}
+
+// TestSettleFillsLeftOperandsOnly pins that a settling pass fills up rows
+// only for the intervals that are the left operand of some ready atom: in
+// R1(a, b) && R4(L(a), c) the up cuts of b and c stay nil, for X, L(X) and
+// U(X) alike, so a stray read panics instead of reading stale scratch.
+func TestSettleFillsLeftOperandsOnly(t *testing.T) {
+	s := NewStream(2)
+	m := NewMonitor(s)
+	for _, name := range []string{"a", "b", "c"} {
+		for p := range 2 {
+			e, err := s.Local(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Observe(name, e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m.Complete(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.AddCondition("x", "R1(a, b) && R4(L(a), c)"); err != nil {
+		t.Fatal(err)
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.prepareReadyLocked(m.ready)
+	defer m.releaseScratchLocked()
+	for name, left := range map[string]bool{"a": true, "b": false, "c": false} {
+		for k, c := range m.scratch[m.ivs[name].slot-1].cuts {
+			if filled := c.InterUp != nil && c.UnionUp != nil; filled != left {
+				t.Errorf("%s cuts[%d]: up rows filled = %v, want %v", name, k, filled, left)
+			}
+			if c.InterDown == nil || c.UnionDown == nil {
+				t.Errorf("%s cuts[%d]: down rows missing", name, k)
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package poset
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -73,6 +74,79 @@ func TestCompactBelowDropsSenderSideEdges(t *testing.T) {
 	if post.CompactedThrough(1) != 4 {
 		t.Fatalf("post.CompactedThrough(1) = %d, want 4", post.CompactedThrough(1))
 	}
+}
+
+// TestCompactBelowAdvancesLog pins how CompactBelow drops messages. When
+// the dropped messages lead the log, it advances the log's start in the
+// same backing array, and a view taken before keeps its messages across
+// later Message calls. A dropped message recorded after a retained one (a
+// straggler) makes it copy the retained messages into a fresh log instead.
+func TestCompactBelowAdvancesLog(t *testing.T) {
+	t.Run("prefix", func(t *testing.T) {
+		b := chainBuilder(t, 5) // 10 messages in a 16-message array
+		pre, err := b.View()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := slices.Clone(pre.Messages())
+		if _, err := b.CompactBelow([]int{4, 4, 2}); err != nil {
+			t.Fatal(err)
+		}
+		if &b.msgs[0] != &pre.Messages()[4] {
+			t.Fatal("CompactBelow copied a log whose dropped messages lead it")
+		}
+		for range 3 { // written into the same array, past the view's end
+			if _, _, err := b.SendRecv(0, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if &b.msgs[0] != &pre.Messages()[4] {
+			t.Fatal("Message moved a log with spare capacity")
+		}
+		if !slices.Equal(pre.Messages(), want) {
+			t.Fatalf("pre-compaction view changed: %v, want %v", pre.Messages(), want)
+		}
+		post, err := b.View()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := post.Messages(); len(got) != 9 || !slices.Equal(got[:6], want[4:]) {
+			t.Fatalf("post-compaction log %v, want %v and three new messages", got, want[4:])
+		}
+	})
+	t.Run("straggler", func(t *testing.T) {
+		// p1's send is recorded before p0's, so compacting p0:1 alone drops
+		// the log's second message and keeps its first.
+		b := NewBuilder(2)
+		s0 := b.Append(0)
+		s1 := b.Append(1)
+		r0 := b.Append(0)
+		if err := b.Message(s1, r0); err != nil {
+			t.Fatal(err)
+		}
+		r1 := b.Append(1)
+		if err := b.Message(s0, r1); err != nil {
+			t.Fatal(err)
+		}
+		pre, err := b.View()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := slices.Clone(pre.Messages())
+		dropped, err := b.CompactBelow([]int{1, 0})
+		if err != nil || dropped != 1 {
+			t.Fatalf("CompactBelow = %d, %v; want 1 dropped", dropped, err)
+		}
+		if &b.msgs[0] == &pre.Messages()[0] {
+			t.Fatal("CompactBelow filtered the log in place")
+		}
+		if !slices.Equal(b.msgs, []Message{{From: s1, To: r0}}) {
+			t.Fatalf("log after compaction = %v, want only %v -> %v", b.msgs, s1, r0)
+		}
+		if !slices.Equal(pre.Messages(), want) {
+			t.Fatalf("pre-compaction view changed: %v, want %v", pre.Messages(), want)
+		}
+	})
 }
 
 func TestCompactBelowRejectsInconsistentCut(t *testing.T) {

@@ -277,6 +277,13 @@ func (b *Builder) View() (*Execution, error) {
 // no causal path between retained events can pass through the dropped
 // region. Watermarks are monotone: components below a previous call's
 // watermark are clamped up. The dropped count is returned.
+//
+// When the dropped messages form a prefix of the log, as they do when
+// messages are recorded in causal order, compaction advances the log's
+// start and copies nothing. Live views are unaffected: each holds a
+// capacity-clamped slice of the log, and appends write only past every
+// view's end. A dropped message recorded after a retained one makes
+// CompactBelow copy the retained messages into a fresh log instead.
 func (b *Builder) CompactBelow(w []int) (dropped int, err error) {
 	if len(w) != len(b.counts) {
 		return 0, fmt.Errorf("poset: CompactBelow watermark has %d components for %d processes", len(w), len(b.counts))
@@ -299,28 +306,37 @@ func (b *Builder) CompactBelow(w []int) (dropped int, err error) {
 			nw[p] = 0
 		}
 	}
-	for _, m := range b.msgs {
-		if m.To.Pos <= nw[m.To.Proc] && m.From.Pos > nw[m.From.Proc] {
-			return 0, fmt.Errorf("%w: %v -> %v straddles watermark %v", ErrNotDownClosed, m.From, m.To, nw)
-		}
-	}
 	// Drop every message sent from inside the cut. Consistency makes this
 	// exactly the set with either endpoint inside: a compacted receive
 	// implies a compacted send, and a retained receive of a compacted send
 	// contributes no causal path between retained events (any retained event
 	// preceding the send would itself be inside the downward-closed cut).
-	// The retained messages move to a fresh backing array: live views alias
-	// the old one (capacity-clamped), so filtering in place would corrupt
-	// their message logs.
-	kept := make([]Message, 0, len(b.msgs))
-	for _, m := range b.msgs {
-		if m.From.Pos <= nw[m.From.Proc] {
-			dropped++
-			continue
+	// head counts the leading dropped messages.
+	head := 0
+	for i, m := range b.msgs {
+		sent := m.From.Pos <= nw[m.From.Proc]
+		if !sent && m.To.Pos <= nw[m.To.Proc] {
+			return 0, fmt.Errorf("%w: %v -> %v straddles watermark %v", ErrNotDownClosed, m.From, m.To, nw)
 		}
-		kept = append(kept, m)
+		if sent {
+			dropped++
+			if head == i {
+				head++
+			}
+		}
 	}
-	b.msgs = kept
+	if dropped == head {
+		b.msgs = b.msgs[head:]
+	} else {
+		// Filtering in place would rewrite entries live views still read.
+		kept := make([]Message, 0, len(b.msgs)-dropped)
+		for _, m := range b.msgs[head:] {
+			if m.From.Pos > nw[m.From.Proc] {
+				kept = append(kept, m)
+			}
+		}
+		b.msgs = kept
+	}
 	b.droppedMsgs += dropped
 	b.compacted = nw
 	return dropped, nil
