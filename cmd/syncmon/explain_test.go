@@ -2,12 +2,16 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"causet/internal/obs/flight"
+	"causet/internal/poset"
+	"causet/internal/vclock"
 )
 
 // TestRunExplainPass: settled conditions under -explain carry witness
@@ -73,6 +77,58 @@ func TestRunExplainViolationWithFlight(t *testing.T) {
 	for _, ev := range b.Events {
 		if len(ev.Clock) != b.Procs {
 			t.Fatalf("event %+v has short clock", ev)
+		}
+	}
+}
+
+// TestRunFlightExactClocks: the flight bundle of a recorded trace carries
+// every event's exact clock, as vclock.New computes it, and the exact final
+// clocks, for a relay (p0:1 → p1:1 → p2:2, where p1:1 receives and sends on)
+// and for a receive that merges two sends.
+func TestRunFlightExactClocks(t *testing.T) {
+	relay := poset.NewBuilder(3)
+	send := relay.Append(0)
+	hop := relay.Append(1)
+	relay.Append(2)
+	last := relay.Append(2)
+	for _, m := range [][2]poset.EventID{{send, hop}, {hop, last}} {
+		if err := relay.Message(m[0], m[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prevStderr := stderrW
+	stderrW = io.Discard
+	defer func() { stderrW = prevStderr }()
+	for name, ex := range map[string]*poset.Execution{"relay": relay.MustBuild(), "multi-receive": multiReceive(t)} {
+		path := saveTrace(t, ex, map[string][]poset.EventID{"a": {{Proc: 0, Pos: 1}}, "b": {{Proc: 1, Pos: 1}}})
+		bundlePath := filepath.Join(t.TempDir(), "flight.json")
+		var buf bytes.Buffer
+		code, err := run([]string{"-trace", path, "-flight-out", bundlePath, "-cond", "back: R1(b, a)"}, &buf)
+		if err != nil || code != exitViolation {
+			t.Fatalf("%s: exit %d, err %v:\n%s", name, code, err, buf.String())
+		}
+		f, err := os.Open(bundlePath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := flight.ReadJSON(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		clk := vclock.New(ex)
+		if len(b.Events) != ex.NumEvents() {
+			t.Errorf("%s: bundle has %d events, want %d", name, len(b.Events), ex.NumEvents())
+		}
+		for _, ev := range b.Events {
+			if want := clk.T(poset.EventID{Proc: ev.Proc, Pos: ev.Pos}); ev.Approx || !slices.Equal(ev.Clock, want) {
+				t.Errorf("%s: p%d:%d clock %v (approx %v), want %v", name, ev.Proc, ev.Pos, ev.Clock, ev.Approx, want)
+			}
+		}
+		for p, got := range b.Clocks {
+			if want := clk.T(poset.EventID{Proc: p, Pos: ex.NumReal(p)}); !slices.Equal(got, want) {
+				t.Errorf("%s: final clock of p%d = %v, want %v", name, p, got, want)
+			}
 		}
 	}
 }

@@ -27,9 +27,11 @@
 //
 // Observability: -metrics dumps an internal/obs registry snapshot as JSON
 // (file path, or - for stderr) with the evaluator comparison counters behind
-// the checks; -trace-out writes a Chrome trace_event file; -log writes a
-// structured JSONL event log (interval definitions, condition settlements,
-// run outcome); -debug-addr serves net/http/pprof, expvar, /debug/metrics
+// the checks; -trace-out writes a Chrome trace_event file (one span per
+// settling pass of the monitor, plus -explain's cut builds and evidence
+// flows and the protocol spans of a -faults run); -log writes a structured
+// JSONL event log (interval definitions, condition settlements, run
+// outcome); -debug-addr serves net/http/pprof, expvar, /debug/metrics
 // (JSON), /metrics (Prometheus text 0.0.4), and /debug/monitor — the live
 // dashboard with per-process vector clocks, interval status, condition
 // verdicts, and recent violations, as auto-refreshing HTML or JSON
@@ -47,31 +49,36 @@
 // under /debug/vars, and show on the dashboard. Alerts never change the
 // exit code — the contract above stays exactly as documented.
 //
-// -retention switches the check to streaming mode for long-running monitor
-// sessions: the trace is replayed event by event through the online monitor
-// (internal/online) under a retention policy, so memory stays bounded by the
-// policy window instead of growing with the stream. The spec is a
-// comma-separated knob list — "events=N" (release settled intervals N events
-// after completion), "age=DUR" (the duration analogue, e.g. age=30s),
-// "every=N" (appraisal cadence), "abandon=N" (fail conditions waiting on
-// intervals idle for N events; opt-in because it changes verdicts). At
-// least one of events/age is required. Verdicts and the exit-status
-// contract are identical to the offline path — the retention subsystem's
-// differential tests pin that — and /debug/monitor gains a retention panel
-// (watermark, working set, released/abandoned counts) plus runtime heap
-// gauges in the sampled time-series store. With -explain the evidence is
-// derived from the whole loaded trace, which the watermark never touches, so
-// the explanations match the offline path's too.
+// Every check streams the trace: it is replayed event by event, in a linear
+// extension of its causal order, through the online monitor
+// (internal/online), which settles each condition as soon as the intervals
+// it references are complete. A receive that merges several messages
+// replays as one event. -retention gives that monitor a retention policy,
+// so memory stays bounded by the policy window instead of growing with the
+// trace. The spec is a comma-separated knob list — "events=N" (release
+// settled intervals N events after completion), "age=DUR" (the duration
+// analogue, e.g. age=30s), "every=N" (appraisal cadence), "abandon=N" (fail
+// conditions waiting on intervals idle for N events; opt-in because it
+// changes verdicts). At least one of events/age is required. Without
+// "abandon", verdicts and the exit-status contract are the same under any
+// policy — the retention subsystem's differential tests pin that — and
+// /debug/monitor gains a retention panel (watermark, working set,
+// released/abandoned counts) plus runtime heap gauges in the sampled
+// time-series store. -explain derives its evidence from the whole loaded
+// trace, which the watermark never touches, so explanations do not depend
+// on the policy either.
 //
 // -explain prints, under each settled condition, the witness cuts and
 // critical path behind every atom (internal/explain) and adds an
 // explanations panel to the dashboard; with -trace-out the evidence also
 // lands in the trace as flow arrows. -flight-out arms the violation flight
 // recorder (internal/obs/flight): when any condition is violated — or the
-// run panics — the last-K events with their live vector clocks, the final
+// run panics — the last-K events with their vector clocks, the final
 // per-process clocks, a metrics snapshot, and (when sampling is on) the
 // tsdb tail plus the alert transition history are dumped as one JSON
-// bundle. -version prints build metadata and exits.
+// bundle. A -faults run records its live runtime; a recorded trace's replay
+// records each event with its exact clock, read from the stream.
+// -version prints build metadata and exits.
 package main
 
 import (
@@ -81,6 +88,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -158,7 +166,7 @@ func run(args []string, out io.Writer) (int, error) {
 	fs.Var(&conds, "cond", "condition \"name: expression\" (repeatable)")
 	condFile := fs.String("conds", "", "file with one \"name: expression\" per line")
 	explainFlag := fs.Bool("explain", false, "print, under each settled condition, the witness cuts and critical path behind every atom (internal/explain); the /debug/monitor dashboard gains an explanations panel")
-	retention := fs.String("retention", "", "stream the trace through the online monitor under this retention policy instead of the one-shot offline check: \"events=N,age=DUR,every=N,abandon=N\" (at least one of events/age); bounds memory for long-running sessions")
+	retention := fs.String("retention", "", "give the online monitor every check streams through this retention policy: \"events=N,age=DUR,every=N,abandon=N\" (at least one of events/age); bounds memory for long-running sessions")
 	flightOut := fs.String("flight-out", "", "write a flight-recorder bundle (last-K events with live vector clocks, final clocks, metrics snapshot) as JSON to this file when a condition is violated or the run panics")
 	version := fs.Bool("version", false, "print build information and exit")
 	metricsOut := fs.String("metrics", "", "write a metrics-registry snapshot as JSON to this file (- = stderr)")
@@ -216,8 +224,8 @@ func run(args []string, out io.Writer) (int, error) {
 	var eng *alert.Engine
 	if reg != nil {
 		tel = cliutil.NewTelemetry(reg, sf.Interval())
-		// Streaming sessions are exactly the long-running monitors whose
-		// heap trend matters: put the live process heap next to the
+		// Sessions under a retention policy are the long-running monitors
+		// whose heap trend matters: put the live process heap next to the
 		// retention counters in the sampled store (and the dashboard).
 		tel.Sampler.IncludeRuntime = retPolicy != nil
 		if *alertRules != "" {
@@ -277,10 +285,12 @@ func run(args []string, out io.Writer) (int, error) {
 	if err != nil {
 		return exitError, err
 	}
+	// Recorded traces have no live runtime to hook: the replay that feeds
+	// the monitor records each event with its clock from the stream.
+	var replayRec *flight.Recorder
 	if *flightOut != "" && fr == nil {
-		// Recorded traces have no live runtime to hook, so replay the poset's
-		// linear extension through the recorder — same ring, same clocks.
-		fr = replayFlight(ex)
+		fr = flight.New(ex.NumProcs(), 0)
+		replayRec = fr
 	}
 	// Violation bundles carry the telemetry tail and alert history too.
 	fr.Attach(tel.TSDB(), eng)
@@ -323,48 +333,28 @@ func run(args []string, out io.Writer) (int, error) {
 	for name, iv := range ivs {
 		lg.Debug("interval_defined", logx.F("interval", name), logx.F("size", iv.Size()))
 	}
-	// Two check paths with one verdict contract: the offline monitor
-	// evaluates over the full recorded poset; streaming mode (-retention)
-	// replays the trace through the online monitor, whose retention policy
-	// bounds memory by releasing settled state and compacting the stream.
-	var m *monitor.Monitor
-	var om *online.Monitor
-	var stream *online.Stream
-	if retPolicy == nil {
-		m = monitor.New(ex)
-		m.Analysis().Instrument(reg, tr)
-		for name, iv := range ivs {
-			if err := m.DefineInterval(name, iv); err != nil {
-				return exitError, err
-			}
-		}
-		for _, c := range condPairs {
-			if err := m.AddCondition(c[0], c[1]); err != nil {
-				return exitError, err
-			}
-		}
-	} else {
-		stream = online.NewStream(ex.NumProcs())
-		stream.Instrument(reg, tr)
-		om = online.NewMonitor(stream)
-		om.Instrument(reg)
-		om.SetLogger(lg)
+	// Every check streams the trace through the online monitor; a -retention
+	// policy bounds its memory by releasing settled state and compacting the
+	// stream.
+	stream := online.NewStream(ex.NumProcs())
+	stream.Instrument(reg, tr)
+	om := online.NewMonitor(stream)
+	om.Instrument(reg)
+	om.SetLogger(lg)
+	if retPolicy != nil {
 		if err := om.SetRetention(*retPolicy); err != nil {
 			return exitError, err
 		}
-		for _, c := range condPairs {
-			if err := om.AddCondition(c[0], c[1]); err != nil {
-				return exitError, err
-			}
+	}
+	for _, c := range condPairs {
+		if err := om.AddCondition(c[0], c[1]); err != nil {
+			return exitError, err
 		}
 	}
 
 	var view *monitorView
 	if *debugAddr != "" {
-		view = newMonitorView(m, ex, reg, tel.TSDB(), eng)
-		if om != nil {
-			view.attachOnline(om, ivs, condPairs)
-		}
+		view = newMonitorView(om, stream, ivs, condPairs, reg, tel.TSDB(), eng)
 		extra := map[string]http.Handler{"/debug/monitor": view}
 		if tel != nil {
 			extra["/debug/tsdb"] = tsdb.Handler(tel.Store)
@@ -381,36 +371,27 @@ func run(args []string, out io.Writer) (int, error) {
 	}
 
 	// -explain derives witness/critical-path evidence for every settled
-	// condition through the cold WitnessEvaluator path. Streaming mode
-	// explains from the whole loaded trace: retention compacts only the
-	// online stream, never ex.
+	// condition through the cold WitnessEvaluator path, over the whole loaded
+	// trace: retention compacts only the online stream, never ex.
 	var expl *explain.Explainer
-	condByName := make(map[string]*monitor.Condition, len(condPairs))
 	if *explainFlag {
-		var a *core.Analysis
-		if m != nil {
-			a = m.Analysis()
-		} else {
-			a = core.NewAnalysis(ex)
-		}
+		a := core.NewAnalysis(ex)
+		a.Instrument(reg, tr)
 		expl = explain.New(a)
 		expl.Instrument(reg)
 		if tm, terr := f.Timing(ex); terr == nil {
 			expl.WithTiming(tm)
 		}
-		// AddCondition accepted every pair above, so parsing cannot fail.
-		for _, c := range condPairs {
-			condByName[c[0]] = monitor.NewCondition(c[0], c[1], monitor.MustParse(c[1]))
-		}
 	}
 	var explanations []*explain.ConditionExplanation
-	explainSettled := func(res monitor.Result) {
+	explainSettled := func(res monitor.Result, src string) {
 		if expl == nil {
 			return
 		}
 		// Best-effort: a condition that evaluated cleanly explains cleanly
 		// too; losing the evidence must not change the verdict or exit code.
-		ce, cerr := expl.Condition(condByName[res.Name], ivs)
+		// AddCondition accepted src, so parsing cannot fail.
+		ce, cerr := expl.Condition(monitor.NewCondition(res.Name, src, monitor.MustParse(src)), ivs)
 		if cerr != nil {
 			return
 		}
@@ -423,42 +404,29 @@ func run(args []string, out io.Writer) (int, error) {
 	violWin := reg.Window("syncmon.violations", 256)
 	code := exitOK
 	var violated []string
-	var results []monitor.Result
-	if m != nil {
-		results = m.Check()
-	} else {
-		results, err = streamVerdicts(stream, om, ex, ivs, condPairs)
-		if err != nil {
-			return exitError, err
-		}
+	results, err := streamVerdicts(stream, om, ex, ivs, condPairs, replayRec)
+	if err != nil {
+		return exitError, err
 	}
-	// The online monitor logs its own settlements, with source and detection
-	// latency, so the loop logs condition_settled for offline verdicts only.
-	settledLg := lg
-	if om != nil {
-		settledLg = nil
-	}
-	for _, res := range results {
-		fields := []logx.Field{logx.F("condition", res.Name), logx.F("state", res.State.String())}
+	// The online monitor logs each settlement itself, with its source and
+	// detection latency.
+	for i, res := range results {
 		switch res.State {
 		case monitor.Holds:
 			fmt.Fprintf(out, "PASS  %s\n", res.Name)
-			explainSettled(res)
-			settledLg.Info("condition_settled", fields...)
+			explainSettled(res, condPairs[i][1])
 		case monitor.Violated:
 			fmt.Fprintf(out, "FAIL  %s\n", res.Name)
-			explainSettled(res)
+			explainSettled(res, condPairs[i][1])
 			violated = append(violated, res.Name)
 			violWin.Observe(1)
-			settledLg.Warn("condition_settled", fields...)
 			code = max(code, exitViolation)
 		case monitor.Pending:
 			fmt.Fprintf(out, "SKIP  %s (references undefined intervals)\n", res.Name)
-			lg.Warn("condition_skipped", fields...)
+			lg.Warn("condition_skipped", logx.F("condition", res.Name), logx.F("state", res.State.String()))
 			code = exitError
 		case monitor.Failed:
 			fmt.Fprintf(out, "ERROR %s: %v\n", res.Name, res.Err)
-			settledLg.Error("condition_settled", append(fields, logx.F("err", res.Err))...)
 			code = exitError
 		}
 	}
@@ -466,8 +434,7 @@ func run(args []string, out io.Writer) (int, error) {
 		view.setResults(results)
 		view.setExplanations(explanations)
 	}
-	if om != nil {
-		rs := om.RetentionStats()
+	if rs := om.RetentionStats(); rs.Enabled {
 		fmt.Fprintf(stderrW, "syncmon: retention: retained=%d released=%d abandoned=%d watermark=%v\n",
 			rs.Retained, rs.Released, rs.Abandoned, rs.Watermark)
 		lg.Info("retention_stats",
@@ -546,35 +513,54 @@ func parseRetention(spec string) (online.RetentionPolicy, error) {
 // streamVerdicts replays the recorded execution event by event through the
 // online monitor, observing each event into the named intervals that contain
 // it and completing an interval once its last member has streamed past.
-// Settled verdicts are collected via Poll, the monitor's one delivery path;
-// conditions that never settle — they reference intervals the trace does
-// not define — come back Pending, which the caller prints as SKIP with exit
-// 2, exactly as the offline path does. The replay pins sends until their
-// receives land, so retention appraisals firing mid-stream can never
-// compact an in-flight message edge.
-func streamVerdicts(stream *online.Stream, om *online.Monitor, ex *poset.Execution, ivs map[string]*interval.Interval, condPairs [][2]string) ([]monitor.Result, error) {
-	memberOf := make(map[poset.EventID][]string)
-	remaining := make(map[string]int, len(ivs))
-	for name, iv := range ivs {
-		remaining[name] = iv.Size()
-		for _, e := range iv.Events() {
-			memberOf[e] = append(memberOf[e], name)
-		}
+// Settled verdicts are collected via Poll, the monitor's one delivery path,
+// and returned in the order of condPairs; conditions that never settle —
+// they reference intervals the trace does not define — come back Pending,
+// which the caller prints as SKIP with exit 2. The replay pins sends until
+// their receives land, so retention appraisals firing mid-stream can never
+// compact an in-flight message edge. A non-nil rec records each event with
+// its clock from the stream.
+func streamVerdicts(stream *online.Stream, om *online.Monitor, ex *poset.Execution, ivs map[string]*interval.Interval, condPairs [][2]string, rec *flight.Recorder) ([]monitor.Result, error) {
+	// Sorted, so the replay observes and completes intervals, and logs
+	// them, in the same order on every run.
+	names := make([]string, 0, len(ivs))
+	for name := range ivs {
+		names = append(names, name)
 	}
+	sort.Strings(names)
+	remaining := make([]int, len(names))
+	for i, name := range names {
+		remaining[i] = ivs[name].Size()
+	}
+	in := newMemberIndex(ex, ivs, names)
 	settled := make(map[string]monitor.Result, len(condPairs))
 	drain := func() {
 		for _, r := range om.Poll() {
 			settled[r.Name] = r
 		}
 	}
-	step := func(_ *online.Stream, e poset.EventID) error {
-		for _, name := range memberOf[e] {
-			if err := om.Observe(name, e); err != nil {
+	step := func(s *online.Stream, e poset.EventID) error {
+		if rec != nil {
+			kind, from := "internal", ex.MsgPredecessors(e)
+			var ref *flight.EventRef
+			if len(from) > 0 {
+				kind, ref = "recv", &flight.EventRef{Proc: from[0].Proc, Pos: from[0].Pos}
+			} else if len(ex.MsgSuccessors(e)) > 0 {
+				kind = "send"
+			}
+			// e is its process's newest event, whose row no compaction drops.
+			clock, err := s.Clock(e)
+			if err != nil {
 				return err
 			}
-			remaining[name]--
-			if remaining[name] == 0 {
-				if err := om.Complete(name); err != nil {
+			rec.RecordClock(e.Proc, e.Pos, kind, ref, clock)
+		}
+		for _, i := range in.of(e) {
+			if err := om.Observe(names[i], e); err != nil {
+				return err
+			}
+			if remaining[i]--; remaining[i] == 0 {
+				if err := om.Complete(names[i]); err != nil {
 					return err
 				}
 			}
@@ -586,35 +572,51 @@ func streamVerdicts(stream *online.Stream, om *online.Monitor, ex *poset.Executi
 		return nil, err
 	}
 	drain()
-	results := make([]monitor.Result, 0, len(condPairs))
-	for _, c := range condPairs {
+	results := make([]monitor.Result, len(condPairs))
+	for i, c := range condPairs {
+		results[i] = monitor.Result{Name: c[0], State: monitor.Pending}
 		if r, ok := settled[c[0]]; ok {
-			results = append(results, r)
-		} else {
-			results = append(results, monitor.Result{Name: c[0], State: monitor.Pending})
+			results[i] = r
 		}
 	}
 	return results, nil
 }
 
-// replayFlight reconstructs a flight-recorder view of a recorded trace by
-// replaying a linear extension of its poset through the recorder: receives
-// are events with message predecessors (the first one is the consumed
-// send), sends are events with message successors, everything else is
-// internal. The resulting ring and clocks match what a live runtime with
-// the recorder attached would have produced.
-func replayFlight(ex *poset.Execution) *flight.Recorder {
-	fr := flight.New(ex.NumProcs(), 0)
-	for _, id := range ex.LinearExtension() {
-		kind := "internal"
-		var from *flight.EventRef
-		if preds := ex.MsgPredecessors(id); len(preds) > 0 {
-			kind = "recv"
-			from = &flight.EventRef{Proc: preds[0].Proc, Pos: preds[0].Pos}
-		} else if len(ex.MsgSuccessors(id)) > 0 {
-			kind = "send"
-		}
-		fr.Record(id.Proc, id.Pos, kind, "", from)
+// memberIndex lists the intervals that contain each event of an execution,
+// as indexes into the caller's list of interval names: those of event
+// (p, k) are ids[p][at[p][k]:at[p][k+1]], in ascending order.
+type memberIndex struct{ at, ids [][]int32 }
+
+// newMemberIndex indexes the members of the named intervals.
+func newMemberIndex(ex *poset.Execution, ivs map[string]*interval.Interval, names []string) memberIndex {
+	x := memberIndex{at: make([][]int32, ex.NumProcs()), ids: make([][]int32, ex.NumProcs())}
+	for p := range x.at {
+		x.at[p] = make([]int32, ex.NumReal(p)+2)
 	}
-	return fr
+	for _, name := range names {
+		for _, e := range ivs[name].Events() {
+			x.at[e.Proc][e.Pos]++
+		}
+	}
+	// Each at[p][k] now ends event k's run; filling the runs back to front
+	// moves it to the run's start.
+	for p, at := range x.at {
+		for k := 1; k < len(at); k++ {
+			at[k] += at[k-1]
+		}
+		x.ids[p] = make([]int32, at[len(at)-1])
+	}
+	for i := len(names) - 1; i >= 0; i-- {
+		for _, e := range ivs[names[i]].Events() {
+			at := x.at[e.Proc]
+			at[e.Pos]--
+			x.ids[e.Proc][at[e.Pos]] = int32(i)
+		}
+	}
+	return x
+}
+
+// of returns the indexes of the intervals that contain e.
+func (x memberIndex) of(e poset.EventID) []int32 {
+	return x.ids[e.Proc][x.at[e.Proc][e.Pos]:x.at[e.Proc][e.Pos+1]]
 }

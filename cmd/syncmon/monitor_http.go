@@ -17,31 +17,28 @@ import (
 	"causet/internal/obs/alert"
 	"causet/internal/obs/tsdb"
 	"causet/internal/online"
-	"causet/internal/poset"
 )
 
 // monitorView serves /debug/monitor on the -debug-addr server: the live
 // monitor state as JSON (?format=json) and, by default, a self-contained
 // auto-refreshing HTML dashboard rendered with the stdlib template engine
 // — per-process vector clocks, interval status, settled/pending
-// conditions, alert-rule state, telemetry sparklines from the sampled
-// time-series store, the recent-violation list, and the per-refresh
-// metrics delta (obs.Snapshot.Diff against the previously served
-// snapshot).
+// conditions, the retention panel under a policy, alert-rule state,
+// telemetry sparklines from the sampled time-series store, the
+// recent-violation list, and the per-refresh metrics delta
+// (obs.Snapshot.Diff against the previously served snapshot).
 type monitorView struct {
-	m   *monitor.Monitor // may be nil: streaming (-retention) mode
-	ex  *poset.Execution
-	reg *obs.Registry
-	st  *tsdb.Store   // may be nil: no sparkline panel
-	eng *alert.Engine // may be nil: no alerts panel
+	om     *online.Monitor
+	stream *online.Stream
+	reg    *obs.Registry
+	st     *tsdb.Store   // may be nil: no sparkline panel
+	eng    *alert.Engine // may be nil: no alerts panel
 
-	// om is the streaming online monitor behind -retention mode; when set
-	// the dashboard gains a retention panel (policy, watermark, working
-	// set) and the interval/condition panels fall back to the static lists
-	// below, since there is no offline monitor to enumerate them.
-	om          *online.Monitor
-	staticIvs   map[string]*interval.Interval
-	staticConds [][2]string
+	// The interval and condition panels render from the trace's own tables:
+	// the online monitor releases interval state as it ages out, so they are
+	// the stable source.
+	intervals []intervalState
+	conds     [][2]string
 
 	mu           sync.Mutex
 	results      []monitor.Result
@@ -59,25 +56,16 @@ const sparkWindow = 2 * time.Minute
 // maxSparks caps the sparkline panel.
 const maxSparks = 8
 
-// newMonitorView builds the view over a monitor and its execution; reg, st,
-// and eng may each be nil (the corresponding panel is then empty), and m may
-// be nil too when the caller runs the streaming online path instead of the
-// offline monitor — attachOnline then supplies the live state.
-func newMonitorView(m *monitor.Monitor, ex *poset.Execution, reg *obs.Registry, st *tsdb.Store, eng *alert.Engine) *monitorView {
-	return &monitorView{m: m, ex: ex, reg: reg, st: st, eng: eng}
-}
-
-// attachOnline points the dashboard at a streaming online monitor: the
-// retention panel reads its RetentionStats live, and the interval and
-// condition panels render from the given static lists (the online monitor
-// releases interval state as it ages out, so the trace's own tables are the
-// stable source).
-func (v *monitorView) attachOnline(om *online.Monitor, ivs map[string]*interval.Interval, conds [][2]string) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.om = om
-	v.staticIvs = ivs
-	v.staticConds = conds
+// newMonitorView builds the view over the online monitor, its stream, and
+// the trace's intervals and conditions; reg, st, and eng may each be nil
+// (the corresponding panel is then empty).
+func newMonitorView(om *online.Monitor, s *online.Stream, ivs map[string]*interval.Interval, conds [][2]string, reg *obs.Registry, st *tsdb.Store, eng *alert.Engine) *monitorView {
+	v := &monitorView{om: om, stream: s, reg: reg, st: st, eng: eng, conds: conds}
+	for name, iv := range ivs {
+		v.intervals = append(v.intervals, intervalState{Name: name, Size: iv.Size(), Nodes: iv.NodeSet()})
+	}
+	sort.Slice(v.intervals, func(i, j int) bool { return v.intervals[i].Name < v.intervals[j].Name })
+	return v
 }
 
 // setResults publishes check results to the dashboard, appending newly
@@ -273,63 +261,27 @@ func (v *monitorView) state() monitorState {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 
-	st := monitorState{Procs: v.ex.NumProcs()}
-	if v.m != nil {
-		clk := v.m.Analysis().Clocks()
-		for p := 0; p < v.ex.NumProcs(); p++ {
-			pc := procClockState{Proc: p, Events: v.ex.NumReal(p), Clock: make([]int, v.ex.NumProcs())}
-			if n := v.ex.NumReal(p); n > 0 {
-				copy(pc.Clock, clk.T(poset.EventID{Proc: p, Pos: n}))
-			}
-			st.Clocks = append(st.Clocks, pc)
-		}
+	st := monitorState{Procs: v.stream.NumProcs(), Intervals: v.intervals}
+	counts, clocks := v.stream.Frontier()
+	for p, c := range counts {
+		st.Clocks = append(st.Clocks, procClockState{Proc: p, Events: c, Clock: clocks[p]})
 	}
 	byName := make(map[string]monitor.Result, len(v.results))
 	for _, r := range v.results {
 		byName[r.Name] = r
 	}
-	if v.m != nil {
-		for _, name := range v.m.IntervalNames() {
-			iv, ok := v.m.Interval(name)
-			if !ok {
-				continue
+	for _, c := range v.conds {
+		cs := conditionState{Name: c[0], Src: c[1], State: monitor.Pending.String()}
+		if r, ok := byName[c[0]]; ok {
+			cs.State = r.State.String()
+			if r.Err != nil {
+				cs.Err = r.Err.Error()
 			}
-			st.Intervals = append(st.Intervals, intervalState{Name: name, Size: iv.Size(), Nodes: iv.NodeSet()})
 		}
-		for _, c := range v.m.Conditions() {
-			cs := conditionState{Name: c.Name, Src: c.Src, State: monitor.Pending.String()}
-			if r, ok := byName[c.Name]; ok {
-				cs.State = r.State.String()
-				if r.Err != nil {
-					cs.Err = r.Err.Error()
-				}
-			}
-			st.Conditions = append(st.Conditions, cs)
-		}
-	} else {
-		names := make([]string, 0, len(v.staticIvs))
-		for name := range v.staticIvs {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			iv := v.staticIvs[name]
-			st.Intervals = append(st.Intervals, intervalState{Name: name, Size: iv.Size(), Nodes: iv.NodeSet()})
-		}
-		for _, c := range v.staticConds {
-			cs := conditionState{Name: c[0], Src: c[1], State: monitor.Pending.String()}
-			if r, ok := byName[c[0]]; ok {
-				cs.State = r.State.String()
-				if r.Err != nil {
-					cs.Err = r.Err.Error()
-				}
-			}
-			st.Conditions = append(st.Conditions, cs)
-		}
+		st.Conditions = append(st.Conditions, cs)
 	}
-	if v.om != nil {
-		rs := v.om.RetentionStats()
-		ret := &retentionState{
+	if rs := v.om.RetentionStats(); rs.Enabled {
+		st.Retention = &retentionState{
 			MaxEvents:    rs.Policy.MaxEvents,
 			AbandonAfter: rs.Policy.AbandonAfter,
 			Every:        rs.Policy.Every,
@@ -341,9 +293,8 @@ func (v *monitorView) state() monitorState {
 			Retained:     rs.Retained,
 		}
 		if rs.Policy.MaxAge > 0 {
-			ret.MaxAge = rs.Policy.MaxAge.String()
+			st.Retention.MaxAge = rs.Policy.MaxAge.String()
 		}
-		st.Retention = ret
 	}
 	st.Violations = append([]string(nil), v.violations...)
 	st.Explanations = append([]explanationState(nil), v.explanations...)
@@ -424,7 +375,7 @@ svg.spark { background: #181818; display: block; }
 {{range .Conditions}}<tr><td>{{.Name}}</td><td>{{.Src}}</td><td class="{{.State}}">{{.State}}{{if .Err}} — {{.Err}}{{end}}</td></tr>
 {{end}}</table>
 
-{{if .Retention}}<h2>Retention <span class="muted">(streaming mode)</span></h2>
+{{if .Retention}}<h2>Retention</h2>
 <table><tr><th>window events</th><th>window age</th><th>appraise every</th><th>abandon after</th></tr>
 <tr><td>{{.Retention.MaxEvents}}</td><td>{{if .Retention.MaxAge}}{{.Retention.MaxAge}}{{else}}–{{end}}</td><td>{{.Retention.Every}}</td><td>{{if .Retention.AbandonAfter}}{{.Retention.AbandonAfter}}{{else}}never{{end}}</td></tr></table>
 <table><tr><th>retained events</th><th>held</th><th>growing</th><th>released</th><th>abandoned</th><th>watermark</th></tr>

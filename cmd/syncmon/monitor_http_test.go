@@ -9,56 +9,83 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"causet/internal/monitor"
 	"causet/internal/obs"
+	"causet/internal/obs/alert"
+	"causet/internal/obs/tsdb"
+	"causet/internal/online"
+	"causet/internal/poset"
 	"causet/internal/trace"
+	"causet/internal/vclock"
 )
 
-// loadMonitor builds a monitor over the shared ring trace with all its
-// named intervals defined.
-func loadMonitor(t *testing.T) *monitor.Monitor {
+// newView builds a dashboard over a fresh stream and online monitor for
+// the trace at path, with the conditions registered and, when policy is
+// non-nil, that retention policy, wired to reg, st and eng (each may be
+// nil). replay streams the trace through the view's own monitor.
+func newView(t *testing.T, path string, conds [][2]string, policy *online.RetentionPolicy, reg *obs.Registry, st *tsdb.Store, eng *alert.Engine) (view *monitorView, ex *poset.Execution, replay func() ([]monitor.Result, error)) {
 	t.Helper()
-	f, err := trace.Load(writeTrace(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex, err := f.Execution()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := monitor.New(ex)
-	ivs, err := f.AllIntervals(ex)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, iv := range ivs {
-		if err := m.DefineInterval(name, iv); err != nil {
+	ex, ivs := loadTrace(t, path)
+	s := online.NewStream(ex.NumProcs())
+	s.Instrument(reg, nil)
+	om := online.NewMonitor(s)
+	om.Instrument(reg)
+	if policy != nil {
+		if err := om.SetRetention(*policy); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return m
+	for _, c := range conds {
+		if err := om.AddCondition(c[0], c[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	replay = func() ([]monitor.Result, error) { return streamVerdicts(s, om, ex, ivs, conds, nil) }
+	return newMonitorView(om, s, ivs, conds, reg, st, eng), ex, replay
+}
+
+// streamView is newView over the shared ring trace with no policy, after
+// the replay, with the verdicts.
+func streamView(t *testing.T, conds [][2]string, reg *obs.Registry) (*monitorView, *poset.Execution, []monitor.Result) {
+	t.Helper()
+	view, ex, replay := newView(t, writeTrace(t), conds, nil, reg, nil, nil)
+	results, err := replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return view, ex, results
+}
+
+// checkClocks compares the clocks panel with vclock.New over the whole
+// trace: each process's row is the clock of its last event.
+func checkClocks(t *testing.T, st monitorState, ex *poset.Execution) {
+	t.Helper()
+	if len(st.Clocks) != ex.NumProcs() {
+		t.Fatalf("clocks panel has %d rows, want %d", len(st.Clocks), ex.NumProcs())
+	}
+	clk := vclock.New(ex)
+	for p, pc := range st.Clocks {
+		want := clk.T(poset.EventID{Proc: p, Pos: ex.NumReal(p)})
+		if pc.Proc != p || pc.Events != ex.NumReal(p) || !slices.Equal(pc.Clock, []int(want)) {
+			t.Errorf("clock row %+v, want process %d with %d events and clock %v", pc, p, ex.NumReal(p), want)
+		}
+	}
 }
 
 // TestMonitorViewJSONAndHTML exercises the /debug/monitor handler directly:
 // the JSON document carries clocks, intervals, condition verdicts, and the
 // violation timeline; the default response is the self-contained HTML view.
 func TestMonitorViewJSONAndHTML(t *testing.T) {
-	m := loadMonitor(t)
-	for _, c := range [][2]string{
+	reg := obs.New()
+	view, ex, results := streamView(t, [][2]string{
 		{"ordered", "R1(ring-round-0, ring-round-1)"},
 		{"backwards", "R1(ring-round-1, ring-round-0)"},
-	} {
-		if err := m.AddCondition(c[0], c[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	reg := obs.New()
-	m.Analysis().Instrument(reg, nil)
-	view := newMonitorView(m, m.Analysis().Execution(), reg, nil, nil)
-	view.setResults(m.Check())
+	}, reg)
+	view.setResults(results)
 
 	rec := httptest.NewRecorder()
 	view.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/monitor?format=json", nil))
@@ -69,14 +96,10 @@ func TestMonitorViewJSONAndHTML(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
 		t.Fatalf("dashboard JSON invalid: %v\n%s", err, rec.Body.String())
 	}
-	if st.Procs != 3 || len(st.Clocks) != 3 {
-		t.Errorf("procs/clocks = %d/%d, want 3/3", st.Procs, len(st.Clocks))
+	if st.Procs != 3 {
+		t.Errorf("procs = %d, want 3", st.Procs)
 	}
-	for _, pc := range st.Clocks {
-		if pc.Events == 0 || len(pc.Clock) != 3 {
-			t.Errorf("clock row %+v not populated", pc)
-		}
-	}
+	checkClocks(t, st, ex)
 	if len(st.Intervals) != 2 {
 		t.Errorf("intervals = %+v, want the 2 ring rounds", st.Intervals)
 	}
@@ -90,7 +113,7 @@ func TestMonitorViewJSONAndHTML(t *testing.T) {
 	if len(st.Violations) != 1 || st.Violations[0] != "backwards" {
 		t.Errorf("recent violations = %v, want [backwards]", st.Violations)
 	}
-	if st.MetricsDelta.Counters["core.cut_builds"] < 1 {
+	if st.MetricsDelta.Counters["online.settlements"] < 1 {
 		t.Errorf("first refresh should carry the full metrics delta: %v", st.MetricsDelta.Counters)
 	}
 
@@ -111,24 +134,19 @@ func TestMonitorViewJSONAndHTML(t *testing.T) {
 }
 
 // TestMonitorViewRepeatDelta pins the per-refresh metrics delta: a second
-// refresh with no intervening work reports zero cut builds.
+// refresh with no intervening work reports zero settlements.
 func TestMonitorViewRepeatDelta(t *testing.T) {
-	m := loadMonitor(t)
-	if err := m.AddCondition("ordered", "R1(ring-round-0, ring-round-1)"); err != nil {
-		t.Fatal(err)
-	}
 	reg := obs.New()
-	m.Analysis().Instrument(reg, nil)
-	view := newMonitorView(m, m.Analysis().Execution(), reg, nil, nil)
-	view.setResults(m.Check())
+	view, _, results := streamView(t, [][2]string{{"ordered", "R1(ring-round-0, ring-round-1)"}}, reg)
+	view.setResults(results)
 
 	first := view.state()
-	if first.MetricsDelta.Counters["core.cut_builds"] < 1 {
+	if first.MetricsDelta.Counters["online.settlements"] < 1 {
 		t.Fatalf("first delta: %v", first.MetricsDelta.Counters)
 	}
 	second := view.state()
-	if d := second.MetricsDelta.Counters["core.cut_builds"]; d != 0 {
-		t.Errorf("idle refresh delta for core.cut_builds = %d, want 0", d)
+	if d := second.MetricsDelta.Counters["online.settlements"]; d != 0 {
+		t.Errorf("idle refresh delta for online.settlements = %d, want 0", d)
 	}
 }
 
@@ -186,11 +204,11 @@ func TestRunDebugServer(t *testing.T) {
 	}
 }
 
-// TestRunLogJSONL checks the -log flag end to end, in both check modes
-// (offline and streaming under -retention): every line is valid JSON with
-// the fixed prefix, each trace interval logs interval_defined once, each
-// condition logs condition_settled once, and the lifecycle events appear at
-// their documented levels.
+// TestRunLogJSONL checks the -log flag end to end, with and without a
+// -retention policy: every line is valid JSON with the fixed prefix, each
+// trace interval logs interval_defined once, each condition logs
+// condition_settled once, and the lifecycle events appear at their
+// documented levels.
 func TestRunLogJSONL(t *testing.T) {
 	path := writeTrace(t)
 	f, err := trace.Load(path)
@@ -199,14 +217,14 @@ func TestRunLogJSONL(t *testing.T) {
 	}
 	intervals := len(f.IntervalNames())
 	prevStderr := stderrW
-	stderrW = io.Discard // the streaming leg's retention summary
+	stderrW = io.Discard // the retention leg's summary
 	defer func() { stderrW = prevStderr }()
 	for _, mode := range []struct {
 		name  string
 		extra []string
 	}{
-		{"offline", nil},
-		{"streaming", []string{"-retention", "events=8,every=4"}},
+		{"default", nil},
+		{"retention", []string{"-retention", "events=8,every=4"}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			logPath := filepath.Join(t.TempDir(), "events.jsonl")

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -11,27 +12,20 @@ import (
 	"causet/internal/obs"
 	"causet/internal/obs/alert"
 	"causet/internal/obs/tsdb"
+	"causet/internal/online"
 )
 
 // TestMonitorViewConcurrent hammers the dashboard from several goroutines —
-// HTML and JSON fetches racing against repeated settlement publications,
-// live sampler ticks into the store behind the sparklines, and alert-engine
-// evaluations behind the alerts panel. Run under -race this pins the
-// view/store/engine locking; functionally it asserts every response stays
-// well-formed mid-churn.
+// HTML and JSON fetches racing against the replay on the view's own stream
+// and monitor (appends, settlements, and the compactions of a tight
+// retention window), then repeated settlement publications, live sampler
+// ticks into the store behind the sparklines, and alert-engine evaluations
+// behind the alerts panel. Run under -race this pins the
+// view/stream/monitor/store/engine locking; functionally it asserts every
+// response stays well-formed mid-churn and the panels end on the trace's
+// final state.
 func TestMonitorViewConcurrent(t *testing.T) {
-	m := loadMonitor(t)
-	for _, c := range [][2]string{
-		{"ordered", "R1(ring-round-0, ring-round-1)"},
-		{"backwards", "R1(ring-round-1, ring-round-0)"},
-	} {
-		if err := m.AddCondition(c[0], c[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
 	reg := obs.New()
-	m.Analysis().Instrument(reg, nil)
-
 	st := tsdb.NewStore(tsdb.Options{})
 	smp := tsdb.NewSampler(reg, st, time.Second)
 	rules, err := alert.ParseRules("breach[warn]: syncmon.violations.count > 0\n")
@@ -42,8 +36,11 @@ func TestMonitorViewConcurrent(t *testing.T) {
 	eng.Instrument(reg)
 	smp.AfterSample = eng.Evaluate
 
-	view := newMonitorView(m, m.Analysis().Execution(), reg, st, eng)
-	view.setResults(m.Check())
+	view, ex, replay := newView(t, writeRing(t, 64), [][2]string{
+		{"ordered", "R1(ring-round-0, ring-round-1)"},
+		{"late", "R1(ring-round-62, ring-round-63)"},
+		{"backwards", "R1(ring-round-1, ring-round-0)"},
+	}, &online.RetentionPolicy{MaxEvents: 8, Every: 4}, reg, st, eng)
 
 	// Stamp samples near the wall clock: the sparkline panel only plots the
 	// last sparkWindow of real time.
@@ -51,51 +48,81 @@ func TestMonitorViewConcurrent(t *testing.T) {
 	violWin := reg.Window("syncmon.violations", 256)
 
 	const rounds = 50
-	var wg sync.WaitGroup
+	var started, wg sync.WaitGroup
+	started.Add(2)
 	wg.Add(3)
-	// Writer: settlements, violation observations, and sampler ticks.
+	done := make(chan struct{})
+	// Writer: once both readers have fetched, the replay, then settlement
+	// publications, violation observations, and sampler ticks.
 	go func() {
 		defer wg.Done()
+		defer close(done)
+		started.Wait()
+		results, err := replay()
+		if err != nil {
+			t.Error(err)
+			return
+		}
 		for i := 0; i < rounds; i++ {
 			violWin.Observe(1)
 			smp.SampleOnce(base.Add(time.Duration(i) * time.Millisecond))
-			view.setResults(m.Check())
+			view.setResults(results)
 		}
 	}()
-	// Reader: the JSON document must decode on every fetch.
-	go func() {
+	// Readers: each fetches until the writer is done, and at least rounds
+	// times; every response must be well-formed.
+	read := func(url string, ok func(body []byte) error) {
 		defer wg.Done()
-		for i := 0; i < rounds; i++ {
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				if i >= rounds {
+					return
+				}
+			default:
+			}
 			rec := httptest.NewRecorder()
-			view.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/monitor?format=json", nil))
-			var state monitorState
-			if err := json.Unmarshal(rec.Body.Bytes(), &state); err != nil {
-				t.Errorf("fetch %d: dashboard JSON invalid: %v", i, err)
+			view.ServeHTTP(rec, httptest.NewRequest("GET", url, nil))
+			if i == 0 {
+				started.Done()
+			}
+			if err := ok(rec.Body.Bytes()); err != nil {
+				t.Errorf("fetch %d of %s: %v", i, url, err)
 				return
 			}
 		}
-	}()
-	// Reader: the HTML view must render on every fetch.
-	go func() {
-		defer wg.Done()
-		for i := 0; i < rounds; i++ {
-			rec := httptest.NewRecorder()
-			view.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/monitor", nil))
-			if !strings.Contains(rec.Body.String(), "syncmon live monitor") {
-				t.Errorf("fetch %d: HTML view did not render", i)
-				return
-			}
+	}
+	go read("/debug/monitor?format=json", func(body []byte) error {
+		var state monitorState
+		return json.Unmarshal(body, &state)
+	})
+	go read("/debug/monitor", func(body []byte) error {
+		if !strings.Contains(string(body), "syncmon live monitor") {
+			return errors.New("HTML view did not render")
 		}
-	}()
+		return nil
+	})
 	wg.Wait()
 
-	// After the churn: the alerts panel reports the (long since fired) rule
+	// After the churn: the clocks are the trace's final ones, the stream
+	// was compacted, the alerts panel reports the (long since fired) rule,
 	// and the sparkline panel reflects the sampled store.
 	rec := httptest.NewRecorder()
 	view.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/monitor?format=json", nil))
 	var state monitorState
 	if err := json.Unmarshal(rec.Body.Bytes(), &state); err != nil {
 		t.Fatal(err)
+	}
+	checkClocks(t, state, ex)
+	if state.Retention == nil || state.Retention.Released == 0 || len(state.Retention.Watermark) == 0 {
+		t.Errorf("retention panel = %+v, want released intervals and a watermark", state.Retention)
+	}
+	verdicts := map[string]string{}
+	for _, c := range state.Conditions {
+		verdicts[c.Name] = c.State
+	}
+	if verdicts["ordered"] != "holds" || verdicts["late"] != "holds" || verdicts["backwards"] != "violated" {
+		t.Errorf("verdicts = %v", verdicts)
 	}
 	if len(state.Alerts) != 1 || state.Alerts[0].State != "firing" {
 		t.Errorf("alerts panel = %+v, want the breach rule firing", state.Alerts)

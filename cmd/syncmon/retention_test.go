@@ -5,32 +5,10 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
-
-	"causet/internal/poset"
-	"causet/internal/sim"
-	"causet/internal/trace"
 )
-
-// writeLongTrace records a ring execution with enough rounds that a tight
-// retention window actually releases intervals and compacts the stream
-// mid-replay, rather than the whole trace fitting inside the window.
-func writeLongTrace(t *testing.T, rounds int) string {
-	t.Helper()
-	res := sim.MustGenerate(sim.Config{Pattern: sim.Ring, Procs: 3, Rounds: rounds, Seed: 1})
-	named := map[string][]poset.EventID{}
-	for _, ph := range res.Phases {
-		named[ph.Name] = ph.Events
-	}
-	path := filepath.Join(t.TempDir(), "ring.json")
-	if err := trace.New(res.Exec, named).Save(path); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
 
 func TestParseRetention(t *testing.T) {
 	p, err := parseRetention("events=100, age=30s, every=16, abandon=500")
@@ -59,92 +37,100 @@ func TestParseRetention(t *testing.T) {
 	}
 }
 
-// TestRetentionExplainComposes pins that -explain composes with streaming
-// mode: the evidence comes from the whole loaded trace, so a run under a
-// retention window tight enough to release and compact early rounds prints
-// byte-identical output, explanations included, and exits with the same
-// code as the offline -explain run.
+// TestRetentionExplainComposes pins that -explain composes with a
+// retention policy: the evidence comes from the whole loaded trace, so a
+// run under a window tight enough to release and compact early rounds
+// prints byte-identical output, explanations included, and exits with the
+// same code as the run without a policy, and both print the offline
+// monitor's verdicts.
 func TestRetentionExplainComposes(t *testing.T) {
-	path := writeLongTrace(t, 8)
+	path := writeRing(t, 8)
 	prevStderr := stderrW
 	var errBuf bytes.Buffer
 	stderrW = &errBuf
 	defer func() { stderrW = prevStderr }()
 
 	// "ordered" settles once round 1 completes and no condition references
-	// rounds 2-5, so the streamed run releases early rounds and compacts
-	// below them long before "backwards" settles at round 7.
-	args := []string{"-explain",
-		"-cond", "ordered: R1(ring-round-0, ring-round-1)",
-		"-cond", "backwards: R1(ring-round-7, ring-round-6)",
+	// rounds 2-5, so the run under a policy releases early rounds and
+	// compacts below them long before "backwards" settles at round 7.
+	conds := [][2]string{
+		{"ordered", "R1(ring-round-0, ring-round-1)"},
+		{"backwards", "R1(ring-round-7, ring-round-6)"},
 	}
-	var offline, streamed bytes.Buffer
-	offCode, err := run(append([]string{"-trace", path}, args...), &offline)
+	args := append([]string{"-trace", path, "-explain"}, condArgs(conds)...)
+	var plain, retained bytes.Buffer
+	plainCode, err := run(args, &plain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stCode, err := run(append([]string{"-trace", path, "-retention", "events=8,every=4"}, args...), &streamed)
+	retCode, err := run(append(args, "-retention", "events=8,every=4"), &retained)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stCode != offCode || stCode != exitViolation {
-		t.Errorf("exit codes: offline %d, streamed %d, want both %d", offCode, stCode, exitViolation)
+	if plainCode != exitViolation || retCode != exitViolation {
+		t.Errorf("exit codes: without a policy %d, with one %d, want both %d", plainCode, retCode, exitViolation)
 	}
-	if offline.String() != streamed.String() {
-		t.Errorf("output diverges:\noffline:\n%s\nstreamed:\n%s", offline.String(), streamed.String())
+	if plain.String() != retained.String() {
+		t.Errorf("output diverges:\nwithout a policy:\n%s\nwith one:\n%s", plain.String(), retained.String())
 	}
-	for _, want := range []string{"PASS  ordered", "FAIL  backwards", "witness:"} {
-		if !strings.Contains(streamed.String(), want) {
-			t.Errorf("streamed -explain output lacks %q:\n%s", want, streamed.String())
+	var verdicts strings.Builder
+	for _, line := range strings.SplitAfter(plain.String(), "\n") {
+		if strings.HasPrefix(line, "PASS  ") || strings.HasPrefix(line, "FAIL  ") {
+			verdicts.WriteString(line)
 		}
 	}
+	if want := offlineVerdicts(t, path, conds); verdicts.String() != want {
+		t.Errorf("verdict lines:\n%s\nwant the offline monitor's\n%s", verdicts.String(), want)
+	}
+	if !strings.Contains(plain.String(), "witness:") {
+		t.Errorf("-explain output lacks the evidence:\n%s", plain.String())
+	}
 	if strings.Contains(errBuf.String(), "watermark=[0 0 0]") || !strings.Contains(errBuf.String(), "watermark=[") {
-		t.Errorf("streamed run should have compacted the stream:\n%s", errBuf.String())
+		t.Errorf("the run under a policy should have compacted the stream:\n%s", errBuf.String())
 	}
 }
 
-// TestRunRetentionStreaming pins the verdict contract across the two check
-// paths: the same trace and conditions produce byte-identical verdict lines
-// and the same exit code whether checked offline or streamed under a tight
-// retention window (small enough that early rounds are released and
-// compacted before late rounds finish).
+// TestRunRetentionStreaming pins the verdict contract across retention
+// policies: the same trace and conditions print the offline monitor's
+// verdict lines, byte for byte, and exit with its code, without a policy
+// and under a retention window small enough that early rounds are released
+// and compacted before late rounds finish.
 func TestRunRetentionStreaming(t *testing.T) {
-	path := writeLongTrace(t, 8)
+	path := writeRing(t, 8)
 	prevStderr := stderrW
 	var errBuf bytes.Buffer
 	stderrW = &errBuf
 	defer func() { stderrW = prevStderr }()
 
-	args := []string{
-		"-cond", "ordered: R1(ring-round-0, ring-round-1)",
-		"-cond", "late: R1(ring-round-5, ring-round-6)",
-		"-cond", "backwards: R1(ring-round-7, ring-round-0)",
+	conds := [][2]string{
+		{"ordered", "R1(ring-round-0, ring-round-1)"},
+		{"late", "R1(ring-round-5, ring-round-6)"},
+		{"backwards", "R1(ring-round-7, ring-round-0)"},
 	}
-	var offline bytes.Buffer
-	offCode, err := run(append([]string{"-trace", path}, args...), &offline)
-	if err != nil {
-		t.Fatal(err)
+	want := offlineVerdicts(t, path, conds)
+	if want != "PASS  ordered\nPASS  late\nFAIL  backwards\n" {
+		t.Fatalf("offline verdicts:\n%s", want)
 	}
-	var streamed bytes.Buffer
-	stCode, err := run(append([]string{"-trace", path, "-retention", "events=8,every=4"}, args...), &streamed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stCode != offCode || stCode != exitViolation {
-		t.Errorf("exit codes: offline %d, streamed %d, want both %d", offCode, stCode, exitViolation)
-	}
-	if offline.String() != streamed.String() {
-		t.Errorf("verdicts diverge:\noffline:\n%s\nstreamed:\n%s", offline.String(), streamed.String())
+	args := append([]string{"-trace", path}, condArgs(conds)...)
+	for _, extra := range [][]string{nil, {"-retention", "events=8,every=4"}} {
+		var buf bytes.Buffer
+		code, err := run(append(args, extra...), &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code != exitViolation || buf.String() != want {
+			t.Errorf("%v: exit %d, verdicts:\n%s\nwant exit %d and\n%s", extra, code, buf.String(), exitViolation, want)
+		}
 	}
 	if !strings.Contains(errBuf.String(), "syncmon: retention: retained=") {
-		t.Errorf("streamed run should report retention stats on stderr:\n%s", errBuf.String())
+		t.Errorf("the run under a policy should report retention stats on stderr:\n%s", errBuf.String())
 	}
 	if !strings.Contains(errBuf.String(), "released=") {
 		t.Errorf("retention stats line should carry the released count:\n%s", errBuf.String())
 	}
 
 	// SKIP contract: a condition on an interval the trace never defines
-	// stays Pending in streaming mode too, and errors dominate violations.
+	// stays Pending under a policy too, and errors dominate violations.
 	var skipped bytes.Buffer
 	code, err := run([]string{"-trace", path, "-retention", "events=8",
 		"-cond", "ghost: R1(nope, ring-round-0)"}, &skipped)
@@ -156,12 +142,13 @@ func TestRunRetentionStreaming(t *testing.T) {
 	}
 }
 
-// TestRetentionDashboardJSON checks the streaming-mode dashboard: with no
-// offline monitor behind the view, /debug/monitor?format=json must still
-// serve (intervals from the trace, no clocks) and carry the retention
-// section with the configured policy.
+// TestRetentionDashboardJSON checks the dashboard under a retention policy:
+// /debug/monitor?format=json serves the trace's intervals, a clock row per
+// process, and the retention section with the configured policy. The fetch
+// runs before the replay appends anything, so the rows are still zero; the
+// view tests check their values against vclock.New after a replay.
 func TestRetentionDashboardJSON(t *testing.T) {
-	path := writeLongTrace(t, 4)
+	path := writeRing(t, 4)
 	var body []byte
 	prevHook, prevStderr := debugStarted, stderrW
 	stderrW = io.Discard
@@ -190,6 +177,9 @@ func TestRetentionDashboardJSON(t *testing.T) {
 		t.Fatalf("exit %d:\n%s", code, buf.String())
 	}
 	var st struct {
+		Clocks []struct {
+			Clock []int `json:"clock"`
+		} `json:"clocks"`
 		Intervals []struct {
 			Name string `json:"name"`
 		} `json:"intervals"`
@@ -210,5 +200,8 @@ func TestRetentionDashboardJSON(t *testing.T) {
 	}
 	if len(st.Intervals) == 0 {
 		t.Errorf("streaming dashboard should list the trace's intervals:\n%s", body)
+	}
+	if len(st.Clocks) != 3 || len(st.Clocks[0].Clock) != 3 {
+		t.Errorf("dashboard should carry a 3-cell clock row per process:\n%s", body)
 	}
 }

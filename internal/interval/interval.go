@@ -42,40 +42,51 @@ func New(ex *poset.Execution, events []poset.EventID) (*Interval, error) {
 	if len(events) == 0 {
 		return nil, ErrEmpty
 	}
-	sorted := slices.Clone(events)
-	slices.SortFunc(sorted, func(a, b poset.EventID) int {
-		if c := cmp.Compare(a.Proc, b.Proc); c != 0 {
-			return c
+	n := ex.NumProcs()
+	extrema := make([]int, 2*n)
+	first, last := extrema[:n:n], extrema[n:]
+	for _, e := range events {
+		if !ex.IsReal(e) {
+			return nil, fmt.Errorf("%w: %v", ErrNotReal, e)
 		}
-		return cmp.Compare(a.Pos, b.Pos)
-	})
+		last[e.Proc]++
+	}
+	// Order the events by (Proc, Pos) with a stable counting sort on Proc,
+	// first[p] and last[p] bounding p's run. A trace lists, and a stream
+	// observes, each process's events in program order, so a run is sorted
+	// only when its input was not.
+	at := 0
+	for p, c := range last {
+		first[p], last[p], at = at, at, at+c
+	}
+	sorted := make([]poset.EventID, len(events))
+	for _, e := range events {
+		sorted[last[e.Proc]] = e
+		last[e.Proc]++
+	}
+	nodes := 0
+	for p := range first {
+		run := sorted[first[p]:last[p]]
+		if len(run) > 0 {
+			nodes++
+		}
+		if !slices.IsSortedFunc(run, byPos) {
+			slices.SortFunc(run, byPos)
+		}
+	}
 	dedup := sorted[:1]
 	for _, e := range sorted[1:] {
 		if e != dedup[len(dedup)-1] {
 			dedup = append(dedup, e)
 		}
 	}
-	for _, e := range dedup {
-		if !ex.IsReal(e) {
-			return nil, fmt.Errorf("%w: %v", ErrNotReal, e)
-		}
-	}
-	// dedup is (Proc, Pos)-sorted, so each node's events form one run; the
-	// node set is sized to the number of runs in one allocation, and first
-	// and last share another.
-	nodes := 1
-	for k := 1; k < len(dedup); k++ {
-		if dedup[k].Proc != dedup[k-1].Proc {
-			nodes++
-		}
-	}
-	n := ex.NumProcs()
-	extrema := make([]int, 2*n)
+	// The node set is sized to the number of runs in one allocation, and
+	// first and last share another.
 	iv := &Interval{
 		ex:     ex,
 		events: dedup,
-		first:  extrema[:n:n],
-		last:   extrema[n:],
+		first:  first,
+		last:   last,
 		nodes:  make([]int, 0, nodes),
 	}
 	for i := range extrema {
@@ -90,6 +101,9 @@ func New(ex *poset.Execution, events []poset.EventID) (*Interval, error) {
 	}
 	return iv, nil
 }
+
+// byPos orders the events of one process.
+func byPos(a, b poset.EventID) int { return cmp.Compare(a.Pos, b.Pos) }
 
 // MustNew is New that panics on error, for tests and fixed fixtures.
 func MustNew(ex *poset.Execution, events []poset.EventID) *Interval {

@@ -66,6 +66,19 @@ func TestDedupAndOrder(t *testing.T) {
 	if s := iv.String(); s != "{p0:1 p1:2 p2:2}" {
 		t.Errorf("String = %q", s)
 	}
+	// Runs listed out of program order, with a duplicate inside one.
+	iv = MustNew(ex, []poset.EventID{
+		{Proc: 2, Pos: 2}, {Proc: 0, Pos: 2}, {Proc: 2, Pos: 1}, {Proc: 0, Pos: 1}, {Proc: 0, Pos: 2},
+	})
+	if s := iv.String(); s != "{p0:1 p0:2 p2:1 p2:2}" {
+		t.Errorf("String = %q, want {p0:1 p0:2 p2:1 p2:2}", s)
+	}
+	if l, _ := iv.LeastOn(2); l != (poset.EventID{Proc: 2, Pos: 1}) {
+		t.Errorf("LeastOn(2) = %v, want p2:1", l)
+	}
+	if g, _ := iv.GreatestOn(0); g != (poset.EventID{Proc: 0, Pos: 2}) {
+		t.Errorf("GreatestOn(0) = %v, want p0:2", g)
+	}
 }
 
 func TestNodeSetAndExtrema(t *testing.T) {

@@ -166,7 +166,6 @@ func (r *Recorder) Record(proc, pos int, kind, label string, from *EventRef) {
 	}
 	head[proc] = pos
 	ev := Event{
-		Seq:    r.seq,
 		Proc:   proc,
 		Pos:    pos,
 		Kind:   kind,
@@ -188,6 +187,31 @@ func (r *Recorder) Record(proc, pos int, kind, label string, from *EventRef) {
 			delete(r.sent, evict)
 		}
 	}
+	r.addLocked(ev)
+}
+
+// RecordClock appends one event whose vector clock the caller knows exactly,
+// as a replay of a recorded trace does: clock becomes the event's clock and
+// proc's live clock, so no send window is consulted and the clock is never
+// approximate. from names one send a recv consumed (nil otherwise). The
+// recorder keeps clock, so the caller must not change it afterwards.
+func (r *Recorder) RecordClock(proc, pos int, kind string, from *EventRef, clock []int) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if proc < 0 || proc >= len(r.heads) {
+		return
+	}
+	copy(r.heads[proc], clock)
+	r.addLocked(Event{Proc: proc, Pos: pos, Kind: kind, From: from, Clock: clock})
+}
+
+// addLocked stamps ev with the next sequence number and puts it in the ring.
+// Caller holds r.mu.
+func (r *Recorder) addLocked(ev Event) {
+	ev.Seq = r.seq
 	if len(r.buf) < r.cap {
 		r.buf = append(r.buf, ev)
 	} else {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -83,6 +84,36 @@ func TestClockCorrectness(t *testing.T) {
 // TestApproxEviction forces the bounded send window to evict a send clock
 // and checks the dependent recv is marked approximate with a lower-bound
 // clock that still covers the send's own component.
+// TestRecordClock: events recorded with known clocks keep them exactly,
+// interleave in sequence with Record, never read as approximate, and set
+// the final per-process clocks.
+func TestRecordClock(t *testing.T) {
+	r := New(3, 8)
+	r.RecordClock(1, 1, "send", nil, []int{0, 1, 0})
+	r.RecordClock(2, 1, "send", nil, []int{0, 0, 1})
+	r.RecordClock(0, 1, "recv", &EventRef{Proc: 1, Pos: 1}, []int{1, 1, 1})
+	r.Record(0, 2, "internal", "", nil)
+	r.RecordClock(5, 1, "internal", nil, []int{0, 0, 0}) // no such process: ignored
+	b := r.Snapshot("test", nil)
+	want := [][]int{{0, 1, 0}, {0, 0, 1}, {1, 1, 1}, {2, 1, 1}}
+	if len(b.Events) != len(want) {
+		t.Fatalf("bundle holds %d events, want %d", len(b.Events), len(want))
+	}
+	for i, ev := range b.Events {
+		if ev.Seq != int64(i) || ev.Approx || !slices.Equal(ev.Clock, want[i]) {
+			t.Errorf("event %d = %+v, want seq %d clock %v, not approx", i, ev, i, want[i])
+		}
+	}
+	if b.Events[2].From == nil || *b.Events[2].From != (EventRef{Proc: 1, Pos: 1}) {
+		t.Errorf("recv From = %v, want p1:1", b.Events[2].From)
+	}
+	for p, c := range [][]int{{2, 1, 1}, {0, 1, 0}, {0, 0, 1}} {
+		if !slices.Equal(b.Clocks[p], c) {
+			t.Errorf("final clock of p%d = %v, want %v", p, b.Clocks[p], c)
+		}
+	}
+}
+
 func TestApproxEviction(t *testing.T) {
 	capacity := 4
 	r := New(2, capacity)

@@ -448,7 +448,8 @@ func (m *Monitor) checkIncrementalLocked() {
 	}
 	todo := m.ready
 	m.ready = nil
-	m.prepareReadyLocked(todo)
+	sp := m.prepareReadyLocked(todo)
+	defer sp.End()
 	for _, cs := range todo {
 		c := cs.c
 		if c == nil {
@@ -471,11 +472,13 @@ func (m *Monitor) checkIncrementalLocked() {
 // prepareReadyLocked makes every interval the conditions todo reference
 // evaluable, at one prefix: the stream is locked once for the batch. Left
 // operands come first, with up rows, since theirs are the only up cuts the
-// atoms read. Caller holds m.mu.
-func (m *Monitor) prepareReadyLocked(todo []*condState) {
+// atoms read. It returns the settling pass's span, opened on the tracer the
+// stream was instrumented with (a no-op without one). Caller holds m.mu.
+func (m *Monitor) prepareReadyLocked(todo []*condState) obs.Span {
 	var ex *poset.Execution
 	m.stream.mu.Lock()
 	defer m.stream.mu.Unlock()
+	sp := m.stream.metTracer.Begin("online", "settle")
 	for _, up := range [2]bool{true, false} {
 		for _, cs := range todo {
 			if cs.c == nil {
@@ -492,6 +495,7 @@ func (m *Monitor) prepareReadyLocked(todo []*condState) {
 			}
 		}
 	}
+	return sp
 }
 
 // CompletedIntervals returns the names of the completed intervals, sorted.

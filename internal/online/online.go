@@ -89,6 +89,9 @@ type Stream struct {
 	// clock.
 	base []int
 	pins map[poset.EventID]int
+	// compacts is set once a monitor's retention policy governs the stream
+	// (SetRetention): its rings then hold a window, not every row.
+	compacts bool
 
 	snap *Snapshot // cached; nil when dirty
 
@@ -152,7 +155,7 @@ func (s *Stream) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 func (s *Stream) Local(proc int) (poset.EventID, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.append(proc, poset.EventID{Proc: -1})
+	return s.append(proc, nil)
 }
 
 // Send records a send event on proc. The returned EventID is the handle a
@@ -160,29 +163,37 @@ func (s *Stream) Local(proc int) (poset.EventID, error) {
 func (s *Stream) Send(proc int) (poset.EventID, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.append(proc, poset.EventID{Proc: -1})
+	return s.append(proc, nil)
 }
 
-// Recv records the receipt on proc of the message sent at send, linking the
-// causal edge and merging the sender's clock.
-func (s *Stream) Recv(proc int, send poset.EventID) (poset.EventID, error) {
+// Recv records the receipt on proc of the messages sent at sends: one event
+// that links a causal edge from each send and merges each sender's clock. A
+// receive names at least one send. Every send is checked before anything is
+// recorded, so an error leaves the stream unchanged.
+func (s *Stream) Recv(proc int, sends ...poset.EventID) (poset.EventID, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if send.Proc < 0 || send.Proc >= s.procs || send.Pos < 1 || send.Pos > s.counts[send.Proc] {
-		return poset.EventID{}, fmt.Errorf("%w: %v", ErrUnknownSend, send)
+	if len(sends) == 0 {
+		return poset.EventID{}, fmt.Errorf("%w: a receive names no send", ErrUnknownSend)
 	}
-	if send.Proc == proc {
-		return poset.EventID{}, fmt.Errorf("%w: %v", ErrSelfMessage, send)
+	for _, send := range sends {
+		switch {
+		case send.Proc < 0 || send.Proc >= s.procs || send.Pos < 1 || send.Pos > s.counts[send.Proc]:
+			return poset.EventID{}, fmt.Errorf("%w: %v", ErrUnknownSend, send)
+		case send.Proc == proc:
+			return poset.EventID{}, fmt.Errorf("%w: %v", ErrSelfMessage, send)
+		case send.Pos <= s.base[send.Proc]:
+			return poset.EventID{}, fmt.Errorf("%w: send %v", ErrCompacted, send)
+		}
 	}
-	if send.Pos <= s.base[send.Proc] {
-		return poset.EventID{}, fmt.Errorf("%w: send %v", ErrCompacted, send)
-	}
-	recv, err := s.append(proc, send)
+	recv, err := s.append(proc, sends)
 	if err != nil {
 		return poset.EventID{}, err
 	}
-	if err := s.b.Message(send, recv); err != nil {
-		return poset.EventID{}, err
+	for _, send := range sends {
+		if err := s.b.Message(send, recv); err != nil {
+			return poset.EventID{}, err
+		}
 	}
 	return recv, nil
 }
@@ -197,9 +208,9 @@ func (s *Stream) row(rows [][]int, e poset.EventID) []int {
 	return rows[e.Proc][k*s.procs:][:s.procs]
 }
 
-// append records one event on proc, merging the clock of from when from
-// names a send (from.Proc >= 0). Caller holds the lock.
-func (s *Stream) append(proc int, from poset.EventID) (poset.EventID, error) {
+// append records one event on proc, merging the clock of each send in
+// sends. Caller holds the lock.
+func (s *Stream) append(proc int, sends []poset.EventID) (poset.EventID, error) {
 	if proc < 0 || proc >= s.procs {
 		return poset.EventID{}, fmt.Errorf("%w: %d", ErrBadProc, proc)
 	}
@@ -208,7 +219,7 @@ func (s *Stream) append(proc int, from poset.EventID) (poset.EventID, error) {
 	s.counts[proc]++
 	s.total++
 	if s.counts[proc]-s.base[proc] > s.slots[proc] {
-		s.grow(proc)
+		s.resize(proc, max(s.slots[proc]+s.slots[proc]/4, 4))
 	}
 	t, cells := s.row(s.fwd, e), s.row(s.ff, e)
 	if e.Pos > 1 {
@@ -223,7 +234,7 @@ func (s *Stream) append(proc int, from poset.EventID) (poset.EventID, error) {
 	clear(cells)
 	// The first event on its own node at-or-after e is e itself.
 	t[proc], cells[proc] = e.Pos, e.Pos
-	if from.Proc >= 0 {
+	for _, from := range sends {
 		s.merge(e, t, s.row(s.fwd, from))
 	}
 	s.metEvents.Add(1)
@@ -231,12 +242,14 @@ func (s *Stream) append(proc int, from poset.EventID) (poset.EventID, error) {
 	return e, nil
 }
 
-// grow re-lays process p's full rings from slot 0 into rings a quarter
-// larger (at least 4 rows), making room for one more row. Caller holds the
-// lock.
-func (s *Stream) grow(p int) {
+// resize re-lays process p's rings from slot 0 into rings of slots rows,
+// at least as many as it retains. An append grows a full ring by a quarter
+// (at least 4 rows), since doubling can leave twice the slots a retained
+// window needs; a replay onto a stream that no retention policy compacts
+// sizes each ring once, for every row its process will hold. Caller holds
+// the lock.
+func (s *Stream) resize(p, slots int) {
 	n, h := s.procs, s.head[p]*s.procs
-	slots := max(s.slots[p]+s.slots[p]/4, 4)
 	for _, rows := range [2][][]int{s.fwd, s.ff} {
 		ring := make([]int, slots*n)
 		copy(ring[copy(ring, rows[p][h:]):], rows[p][:h])
@@ -246,14 +259,17 @@ func (s *Stream) grow(p int) {
 }
 
 // merge raises the fresh receive f's clock t, a copy of its program
-// predecessor's clock with f counted, to the componentwise max with its
+// predecessor's clock with f counted, to the componentwise max with one
 // sender's clock msg, and records f as the first follower on its node of
 // every event the raise newly covers. By Definition 13, e ⪯ f exactly when
 // e.Pos ≤ t[e.Proc], so those events are the ones f's clock covers and its
 // predecessor's does not: on each node q, the positions the raise of t[q]
 // passes over. No earlier event on f's node succeeds them, so their cells
 // for that node are unset, and the merge writes them without reading any.
-// Each cell is written once over the whole run, O(|E|·|P|) in total.
+// A receive with several senders merges once per sender, and each merge
+// raises t only past what the earlier ones covered, so the positions each
+// raise passes over are still exactly such events, with their cells still
+// unset. Each cell is written once over the whole run, O(|E|·|P|) in total.
 // Compacted positions have no row and are skipped. Caller holds the lock.
 func (s *Stream) merge(f poset.EventID, t, msg []int) {
 	n, p := s.procs, f.Proc
@@ -292,6 +308,22 @@ func (s *Stream) Clock(e poset.EventID) (vclock.VC, error) {
 		return nil, fmt.Errorf("%w: %v", ErrCompacted, e)
 	}
 	return slices.Clone(s.row(s.fwd, e)), nil
+}
+
+// Frontier returns, at one prefix, each process's event count and the
+// forward clock of its newest event, all zeros for a process with none. No
+// compaction drops a process's newest row, so every clock is exact.
+func (s *Stream) Frontier() ([]int, []vclock.VC) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	clocks := make([]vclock.VC, s.procs)
+	for p, c := range s.counts {
+		clocks[p] = make(vclock.VC, s.procs)
+		if c > 0 {
+			copy(clocks[p], s.row(s.fwd, poset.EventID{Proc: p, Pos: c}))
+		}
+	}
+	return slices.Clone(s.counts), clocks
 }
 
 // Precedes tests causality between two recorded events using the online
@@ -417,30 +449,36 @@ func ReplaySteps(ex *poset.Execution, step func(s *Stream, e poset.EventID) erro
 
 // ReplayStepsOn is ReplaySteps onto a caller-supplied empty stream, so the
 // stream can be configured (instrumented, shared with a monitor, given a
-// retention policy) before the replay starts. Because the replay knows the
-// message structure up front, every send event is pinned the moment it is
-// appended and unpinned when its receive lands, so a compaction triggered
-// by the step callback (e.g. a monitor retention appraisal) can never pass
-// an in-flight send — delayed receives under reordering fault plans keep
-// working instead of failing with ErrCompacted.
+// retention policy) before the replay starts. A receive is replayed with all
+// of its message predecessors, so an event that receives several messages
+// merges them all. Because the replay knows the message structure up front,
+// every send event is pinned once per message the moment it is appended and
+// unpinned as each receive lands, so a compaction triggered by the step
+// callback (e.g. a monitor retention appraisal) can never pass an in-flight
+// send — delayed receives under reordering fault plans keep working instead
+// of failing with ErrCompacted.
 func ReplayStepsOn(s *Stream, ex *poset.Execution, step func(s *Stream, e poset.EventID) error) (*Stream, error) {
 	if s.NumProcs() != ex.NumProcs() {
 		return nil, fmt.Errorf("online: ReplayStepsOn: stream has %d processes, execution has %d", s.NumProcs(), ex.NumProcs())
 	}
-	// The stream API records one incoming edge per receive, so executions
-	// where a single event receives several messages cannot be replayed
-	// faithfully.
-	for _, m := range ex.Messages() {
-		if len(ex.MsgPredecessors(m.To)) > 1 {
-			return nil, fmt.Errorf("online: Replay: event %v receives multiple messages", m.To)
+	// A stream no retention policy compacts keeps every row it is given,
+	// so each ring is sized once for the rows its process will hold when
+	// the replay ends, and none grows.
+	s.mu.Lock()
+	for p, c := range s.counts {
+		if rows := c - s.base[p] + ex.NumReal(p); !s.compacts && rows > s.slots[p] {
+			s.resize(p, rows)
 		}
 	}
+	s.mu.Unlock()
 	for _, e := range ex.LinearExtension() {
 		if from := ex.MsgPredecessors(e); from != nil {
-			if _, err := s.Recv(e.Proc, from[0]); err != nil {
+			if _, err := s.Recv(e.Proc, from...); err != nil {
 				return nil, err
 			}
-			s.Unpin(from[0])
+			for _, send := range from {
+				s.Unpin(send)
+			}
 		} else if _, err := s.Local(e.Proc); err != nil {
 			return nil, err
 		}

@@ -3,6 +3,7 @@ package online
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"causet/internal/monitor"
 	"causet/internal/poset"
 	"causet/internal/poset/posettest"
+	"causet/internal/sim"
 	"causet/internal/vclock"
 )
 
@@ -86,6 +88,17 @@ func TestStreamErrors(t *testing.T) {
 	}
 	if _, err := s.Recv(0, send); !errors.Is(err, ErrSelfMessage) {
 		t.Errorf("self message: %v", err)
+	}
+	if _, err := s.Recv(1); !errors.Is(err, ErrUnknownSend) {
+		t.Errorf("Recv of no send: %v", err)
+	}
+	// A bad send anywhere in the list records nothing, not even the edges
+	// of the good ones before it.
+	if _, err := s.Recv(1, send, poset.EventID{Proc: 0, Pos: 7}); !errors.Is(err, ErrUnknownSend) {
+		t.Errorf("Recv with one unknown send: %v", err)
+	}
+	if got := s.Counts(); !slices.Equal(got, []int{1, 0}) || len(s.Snapshot().Exec.Messages()) != 0 {
+		t.Errorf("failed Recv changed the stream: counts %v, messages %v", got, s.Snapshot().Exec.Messages())
 	}
 	if _, err := s.Clock(poset.EventID{Proc: 0, Pos: 9}); err == nil {
 		t.Errorf("Clock of unrecorded event succeeded")
@@ -395,10 +408,11 @@ func TestStreamConcurrent(t *testing.T) {
 	}
 }
 
-// TestReplayRejectsMultiReceiveUpFront: an event that receives two
-// messages cannot be replayed through the one-edge Recv API, and the
-// replay says so before its first step, however late that event comes.
-func TestReplayRejectsMultiReceiveUpFront(t *testing.T) {
+// TestReplayMultiReceive: an event that receives two messages replays as
+// one receive that merges both senders, and the replayed stream gives the
+// offline monitor's verdicts, vclock.New's clocks and the offline strongest
+// relations.
+func TestReplayMultiReceive(t *testing.T) {
 	b := poset.NewBuilder(3)
 	for i := 0; i < 4; i++ {
 		b.Append(0)
@@ -411,25 +425,34 @@ func TestReplayRejectsMultiReceiveUpFront(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	steps := 0
-	_, err := ReplaySteps(b.MustBuild(), func(*Stream, poset.EventID) error {
-		steps++
-		return nil
-	})
-	if err == nil || !strings.Contains(err.Error(), "p0:5 receives multiple messages") {
-		t.Fatalf("err = %v, want p0:5 receives multiple messages", err)
+	res := &sim.Result{Exec: b.MustBuild(), Phases: []sim.Phase{
+		{Name: "early", Events: []poset.EventID{{Proc: 0, Pos: 1}, {Proc: 0, Pos: 2}}},
+		{Name: "senders", Events: []poset.EventID{s1, s2}},
+		{Name: "last", Events: []poset.EventID{last}},
+	}}
+	diffRuns(t, res, "multi-receive")
+	s, err := Replay(res.Exec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if steps != 0 {
-		t.Fatalf("%d steps ran before the error, want 0", steps)
+	if got := s.Snapshot().Exec.MsgPredecessors(last); !slices.Equal(got, []poset.EventID{s1, s2}) {
+		t.Errorf("replayed %v receives from %v, want [%v %v]", last, got, s1, s2)
 	}
 }
 
 // TestReplayMatchesOriginal: replaying any execution through a Stream
-// reproduces its structure and clocks exactly.
+// reproduces its structure and clocks exactly, for posettest's random
+// executions and for random DAGs, whose events receive several messages,
+// send several, and relay.
 func TestReplayMatchesOriginal(t *testing.T) {
 	r := rand.New(rand.NewSource(401))
-	for trial := 0; trial < 20; trial++ {
-		ex := posettest.Random(r, 2+r.Intn(4), 5+r.Intn(25), 0.5)
+	for trial := 0; trial < 40; trial++ {
+		var ex *poset.Execution
+		if trial < 20 {
+			ex = posettest.Random(r, 2+r.Intn(4), 5+r.Intn(25), 0.5)
+		} else {
+			ex = posettest.RandomDAG(r, 2+r.Intn(4), 5+r.Intn(40), r.Intn(60)).MustBuild()
+		}
 		s, err := Replay(ex)
 		if err != nil {
 			t.Fatal(err)
@@ -464,6 +487,36 @@ func TestReplayMatchesOriginal(t *testing.T) {
 			if f1.Eval(rel, x1, y1) != f2.Eval(rel, x2, y2) {
 				t.Fatalf("trial %d: %v differs between original and replay", trial, rel)
 			}
+		}
+	}
+}
+
+// TestReplaySizesRings: a replay sizes each ring of a stream that no
+// retention policy compacts once, for every row its process will hold, so
+// no ring grows; under a policy the rings hold a window instead.
+func TestReplaySizesRings(t *testing.T) {
+	ex := posettest.Random(rand.New(rand.NewSource(17)), 4, 400, 0.5)
+	sized := func(s *Stream, e poset.EventID) error {
+		if got, want := s.slots[e.Proc], ex.NumReal(e.Proc); got != want {
+			t.Fatalf("after %v: ring of %d rows, want %d", e, got, want)
+		}
+		return nil
+	}
+	if _, err := ReplaySteps(ex, sized); err != nil {
+		t.Fatal(err)
+	}
+	s := NewStream(ex.NumProcs())
+	m := NewMonitor(s)
+	if err := m.SetRetention(RetentionPolicy{MaxEvents: 8, Every: 4}); err != nil {
+		t.Fatal(err)
+	}
+	poll := func(*Stream, poset.EventID) error { m.Poll(); return nil }
+	if _, err := ReplayStepsOn(s, ex, poll); err != nil {
+		t.Fatal(err)
+	}
+	for p := range ex.NumProcs() {
+		if s.slots[p] >= ex.NumReal(p) {
+			t.Errorf("under a policy, process %d's ring has %d rows for %d events", p, s.slots[p], ex.NumReal(p))
 		}
 	}
 }

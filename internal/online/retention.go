@@ -47,7 +47,9 @@ type RetentionPolicy struct {
 }
 
 // SetRetention enables retention under the given policy. At least one of
-// MaxEvents / MaxAge must be positive.
+// MaxEvents / MaxAge must be positive. It marks the stream as compacted, so
+// a replay onto it leaves the rings to grow with the retained window
+// instead of sizing them for the whole execution.
 func (m *Monitor) SetRetention(p RetentionPolicy) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -67,6 +69,9 @@ func (m *Monitor) SetRetention(p RetentionPolicy) error {
 	}
 	m.retention = p
 	m.retainOn = true
+	m.stream.mu.Lock()
+	m.stream.compacts = true
+	m.stream.mu.Unlock()
 	m.lastAppraise = total
 	return nil
 }

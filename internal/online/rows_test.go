@@ -26,6 +26,7 @@ type rowsRun struct {
 	open  []poset.EventID // sends not yet received
 	pins  []poset.EventID // events pinned on s, one entry per Pin
 	grows int             // ring growths that re-laid a wrapped ring
+	multi int             // receives that merged several sends
 }
 
 func (r *rowsRun) proc(b byte) int {
@@ -46,31 +47,44 @@ func (r *rowsRun) step(op, arg byte) {
 			s.Pin(e)
 			r.pins = append(r.pins, e)
 		}
-	case 3, 4: // Recv of an open send
-		if len(r.open) == 0 {
-			return
+	case 3, 4: // Recv of one open send (3), or of two or three at once (4)
+		n := 1
+		if op&7 == 4 {
+			n = 2 + int(arg>>7)
 		}
-		i := int(arg) % len(r.open)
-		send := r.open[i]
-		r.open = slices.Delete(r.open, i, i+1)
 		p := r.proc(op >> 3)
-		if p == send.Proc {
-			p = (p + 1) % s.procs
-		}
-		got, err := s.Recv(p, send)
-		if send.Pos <= s.CompactedThrough()[send.Proc] {
-			if !errors.Is(err, ErrCompacted) {
-				t.Fatalf("Recv(%d, %v) of a compacted send: %v, want ErrCompacted", p, send, err)
+		var sends []poset.EventID
+		for k := range r.open {
+			if e := r.open[(int(arg)+k)%len(r.open)]; e.Proc != p && len(sends) < n {
+				sends = append(sends, e)
 			}
+		}
+		if len(sends) == 0 {
 			return
 		}
-		want, terr := r.twin.Recv(p, send)
-		if err != nil || terr != nil || got != want {
-			t.Fatalf("Recv(%d, %v) = %v, %v; twin %v, %v", p, send, got, err, want, terr)
+		counts := s.Counts()
+		got, err := s.Recv(p, sends...)
+		if i := slices.IndexFunc(sends, func(e poset.EventID) bool { return e.Pos <= s.CompactedThrough()[e.Proc] }); i >= 0 {
+			if !errors.Is(err, ErrCompacted) || !slices.Equal(s.Counts(), counts) {
+				t.Fatalf("Recv(%d, %v) with compacted send %v: %v, counts %v -> %v; want ErrCompacted and no event",
+					p, sends, sends[i], err, counts, s.Counts())
+			}
+			r.open = slices.DeleteFunc(r.open, func(e poset.EventID) bool { return e == sends[i] })
+			return
 		}
-		if i := slices.Index(r.pins, send); i >= 0 {
-			s.Unpin(send)
-			r.pins = slices.Delete(r.pins, i, i+1)
+		want, terr := r.twin.Recv(p, sends...)
+		if err != nil || terr != nil || got != want {
+			t.Fatalf("Recv(%d, %v) = %v, %v; twin %v, %v", p, sends, got, err, want, terr)
+		}
+		if len(sends) > 1 {
+			r.multi++
+		}
+		r.open = slices.DeleteFunc(r.open, func(e poset.EventID) bool { return slices.Contains(sends, e) })
+		for _, send := range sends {
+			if i := slices.Index(r.pins, send); i >= 0 {
+				s.Unpin(send)
+				r.pins = slices.Delete(r.pins, i, i+1)
+			}
 		}
 	case 5: // Pin one of the last few events of a process
 		p := r.proc(op >> 3)
@@ -170,10 +184,11 @@ var rowsSeeds = []struct {
 	seed  int64
 }{{1, 0}, {2, 1}, {3, 2}}
 
-// FuzzStreamRows drives Local, Send, Recv of an open send, Pin, Unpin and
-// Compact at a random watermark over a compacting stream and an
-// uncompacted twin, and after every op checks each retained event's ring
-// rows against the twin's and its first-follower cells against brute force.
+// FuzzStreamRows drives Local, Send, Recv of one open send or of two or
+// three at once, Pin, Unpin and Compact at a random watermark over a
+// compacting stream and an uncompacted twin, and after every op checks each
+// retained event's ring rows against the twin's and its first-follower
+// cells against brute force.
 func FuzzStreamRows(f *testing.F) {
 	for _, c := range rowsSeeds {
 		f.Add(c.procs, c.seed, uint16(400))
@@ -184,15 +199,22 @@ func FuzzStreamRows(f *testing.F) {
 }
 
 // TestStreamRowsWrap pins that the seed corpus exercises what
-// FuzzStreamRows is for: rings that grow after their head has wrapped.
+// FuzzStreamRows is for: rings that grow after their head has wrapped, and
+// receives that merge several sends.
 func TestStreamRowsWrap(t *testing.T) {
-	grows := 0
+	grows, multi := 0, 0
 	for _, c := range rowsSeeds {
-		grows += runRows(t, c.procs, c.seed, 400).grows
+		r := runRows(t, c.procs, c.seed, 400)
+		grows += r.grows
+		multi += r.multi
 	}
 	if grows == 0 {
 		t.Fatal("no ring grew after its head wrapped")
 	}
+	if multi == 0 {
+		t.Fatal("no receive merged several sends")
+	}
+	t.Logf("%d ring growths after a wrap, %d receives of several sends", grows, multi)
 }
 
 // TestCompactAllocs pins that compaction moves no rows and copies no

@@ -2,6 +2,7 @@ package online
 
 import (
 	"fmt"
+	"math"
 
 	"causet/internal/core"
 	"causet/internal/cuts"
@@ -55,7 +56,7 @@ type summary struct {
 // operand in the pass gets no up rows, and its cuts' up fields are nil.
 type settleCuts struct {
 	rec  *ivState
-	up   []int                // numFolds |P| rows of first-follower folds, then 2·|P| of scratch
+	up   []int                // numFolds |P| rows of first-follower folds
 	cuts [3]core.IntervalCuts // X, L(X), U(X), indexed by cutsIndex
 }
 
@@ -113,39 +114,41 @@ func (s *Stream) summarizeLocked(ex *poset.Execution, events []poset.EventID) (s
 }
 
 // fillUpLocked folds the first-follower cells of the summary's extremes
-// into up, numFolds |P| rows, using tmp (2·|P|) as scratch. A cell no
-// follower has set yet reads as ⊤ on its node, NumReal(j)+1, exactly as a
-// snapshot taken now reads it; by verdict stability a verdict decided on it
-// is final. Caller holds s.mu.
-func (s *Stream) fillUpLocked(sum *summary, up, tmp []int) error {
+// into up, numFolds |P| rows, reading each cell once. A cell no follower
+// has set yet reads as ⊤ on its node, NumReal(j)+1, exactly as a snapshot
+// taken now reads it; by verdict stability a verdict decided on it is
+// final. Caller holds s.mu.
+func (s *Stream) fillUpLocked(sum *summary, up []int) error {
 	n := s.procs
 	first, last := sum.rows[:n], sum.rows[n:2*n]
-	least, greatest := tmp[:n], tmp[n:2*n]
-	for k, i := range sum.members.NodeSet() {
+	minL, maxL := up[foldMinLeast*n:][:n], up[foldMaxLeast*n:][:n]
+	minG, maxG := up[foldMinGreatest*n:][:n], up[foldMaxGreatest*n:][:n]
+	for j := range minL {
+		minL[j], maxL[j], minG[j], maxG[j] = math.MaxInt, 0, math.MaxInt, 0
+	}
+	counts := s.counts[:n]
+	for _, i := range sum.members.NodeSet() {
 		l := poset.EventID{Proc: i, Pos: first[i]}
 		if l.Pos <= s.base[i] {
 			return fmt.Errorf("%w: %v", ErrCompacted, l)
 		}
-		s.upRow(least, s.row(s.ff, l))
-		s.upRow(greatest, s.row(s.ff, poset.EventID{Proc: i, Pos: last[i]}))
-		fold(up, n, k == 0, least, greatest)
+		least := s.row(s.ff, l)[:n]
+		greatest := s.row(s.ff, poset.EventID{Proc: i, Pos: last[i]})[:n]
+		for j, c := range counts {
+			// Both values computed, then selected: set and unset cells mix
+			// unpredictably, and a branch on each would mispredict.
+			lv, gv := least[j], greatest[j]
+			if lv == 0 {
+				lv = c + 1
+			}
+			if gv == 0 {
+				gv = c + 1
+			}
+			minL[j], maxL[j] = min(minL[j], lv), max(maxL[j], lv)
+			minG[j], maxG[j] = min(minG[j], gv), max(maxG[j], gv)
+		}
 	}
 	return nil
-}
-
-// upRow reads one event's first-follower cells as the frontier of its up
-// cut e↑: a set cell is its follower's position, an unset one ⊤.
-func (s *Stream) upRow(dst, cells []int) {
-	counts := s.counts[:len(cells)]
-	for j, c := range cells {
-		// Both values computed, then selected: set and unset cells mix
-		// unpredictably, and a branch on each would mispredict.
-		v, top := c, counts[j]+1
-		if v == 0 {
-			v = top
-		}
-		dst[j] = v
-	}
 }
 
 // assemble points the entry's cuts at the up rows up, nil when none were
@@ -208,11 +211,11 @@ func (m *Monitor) prepareLocked(ex **poset.Execution, name string, up bool) erro
 	n := s.procs
 	var rows []int
 	if up {
-		if cap(sc.up) < (numFolds+2)*n {
-			sc.up = make([]int, (numFolds+2)*n)
+		if cap(sc.up) < numFolds*n {
+			sc.up = make([]int, numFolds*n)
 		}
 		rows = sc.up[:numFolds*n]
-		if err := s.fillUpLocked(&iv.sum, rows, sc.up[numFolds*n:]); err != nil {
+		if err := s.fillUpLocked(&iv.sum, rows); err != nil {
 			iv.defErr = fmt.Errorf("online: interval %q: %w", name, err)
 			return iv.defErr
 		}

@@ -419,3 +419,41 @@ func TestSettleFillsLeftOperandsOnly(t *testing.T) {
 		}
 	}
 }
+
+// TestSettleSpan pins that each settling Poll opens one span on the tracer
+// the stream was instrumented with, and a Poll with nothing ready none.
+func TestSettleSpan(t *testing.T) {
+	s := NewStream(2)
+	tr := obs.NewTracer()
+	s.Instrument(nil, tr)
+	m := NewMonitor(s)
+	for _, name := range []string{"a", "b"} {
+		send, err := s.Send(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recv, err := s.Recv(1, send)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Observe(name, send, recv); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Complete(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.Poll()
+	for _, c := range [][2]string{{"x", "R1(a, b)"}, {"y", "R4(b, a)"}} {
+		if err := m.AddCondition(c[0], c[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if out := m.Poll(); len(out) != 2 {
+		t.Fatalf("Poll = %+v, want two settlements", out)
+	}
+	m.Poll()
+	if n := tr.Len(); n != 1 {
+		t.Errorf("tracer holds %d events after one settling pass, want 1", n)
+	}
+}

@@ -14,32 +14,6 @@ import (
 	"causet/internal/sim"
 )
 
-// randomDAG builds an execution whose messages join random events: each
-// goes from an earlier-created event to a later-created one on another
-// process, so the creation order is a linear extension and the result is
-// acyclic, while events may send and receive several messages each and
-// receives need not be their process's newest event.
-func randomDAG(r *rand.Rand, procs, events, msgs int) *poset.Builder {
-	b := poset.NewBuilder(procs)
-	created := make([]poset.EventID, events)
-	for i := range created {
-		created[i] = b.Append(r.Intn(procs))
-	}
-	for k := 0; k < msgs; k++ {
-		i, j := r.Intn(events), r.Intn(events)
-		if i > j {
-			i, j = j, i
-		}
-		if created[i].Proc == created[j].Proc {
-			continue
-		}
-		if err := b.Message(created[i], created[j]); err != nil {
-			panic(err)
-		}
-	}
-	return b
-}
-
 // adjacencyCases returns executions from every sim pattern, posettest's
 // random executions and random DAGs, named for failure messages.
 func adjacencyCases(t *testing.T) map[string]*poset.Execution {
@@ -57,7 +31,7 @@ func adjacencyCases(t *testing.T) map[string]*poset.Execution {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
 		cases[fmt.Sprintf("posettest/%d", trial)] = posettest.Random(r, 2+r.Intn(5), r.Intn(60), 0.5)
-		cases[fmt.Sprintf("dag/%d", trial)] = randomDAG(r, 2+r.Intn(5), 1+r.Intn(60), r.Intn(80)).MustBuild()
+		cases[fmt.Sprintf("dag/%d", trial)] = posettest.RandomDAG(r, 2+r.Intn(5), 1+r.Intn(60), r.Intn(80)).MustBuild()
 	}
 	return cases
 }
@@ -130,7 +104,7 @@ func TestLinearExtensionOrdersEveryEdge(t *testing.T) {
 func TestBuildRejectsCyclesInRandomDAGs(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 50; trial++ {
-		b := randomDAG(r, 2+r.Intn(4), 2+r.Intn(40), 1+r.Intn(40))
+		b := posettest.RandomDAG(r, 2+r.Intn(4), 2+r.Intn(40), 1+r.Intn(40))
 		ex, err := b.Build()
 		if err != nil {
 			t.Fatalf("trial %d: acyclic DAG rejected: %v", trial, err)

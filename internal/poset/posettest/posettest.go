@@ -38,6 +38,33 @@ func Random(r *rand.Rand, procs, events int, msgProb float64) *poset.Execution {
 	return b.MustBuild()
 }
 
+// RandomDAG builds an execution whose messages join random events: each
+// goes from an earlier-created event to a later-created one on another
+// process, so the creation order is a linear extension and the result is
+// acyclic, while events may send and receive several messages each and
+// relay what they receive, and receives need not be their process's newest
+// event. It returns the builder, so callers can add edges before building.
+func RandomDAG(r *rand.Rand, procs, events, msgs int) *poset.Builder {
+	b := poset.NewBuilder(procs)
+	created := make([]poset.EventID, events)
+	for i := range created {
+		created[i] = b.Append(r.Intn(procs))
+	}
+	for k := 0; k < msgs; k++ {
+		i, j := r.Intn(events), r.Intn(events)
+		if i > j {
+			i, j = j, i
+		}
+		if created[i].Proc == created[j].Proc {
+			continue
+		}
+		if err := b.Message(created[i], created[j]); err != nil {
+			panic(err)
+		}
+	}
+	return b
+}
+
 // RandomInterval picks a random non-empty set of up to maxSize distinct real
 // events of ex. It returns nil when ex has no real events.
 func RandomInterval(r *rand.Rand, ex *poset.Execution, maxSize int) []poset.EventID {
