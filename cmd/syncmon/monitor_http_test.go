@@ -207,8 +207,8 @@ func TestRunDebugServer(t *testing.T) {
 // TestRunLogJSONL checks the -log flag end to end, with and without a
 // -retention policy: every line is valid JSON with the fixed prefix, each
 // trace interval logs interval_defined once, each condition logs
-// condition_settled once, and the lifecycle events appear at their
-// documented levels.
+// condition_settled once, nothing is logged per event, and the lifecycle
+// events appear at their documented levels.
 func TestRunLogJSONL(t *testing.T) {
 	path := writeTrace(t)
 	f, err := trace.Load(path)
@@ -274,6 +274,14 @@ func TestRunLogJSONL(t *testing.T) {
 			}
 			if events["condition_settled"] != 2 {
 				t.Errorf("condition_settled count = %d, want 2", events["condition_settled"])
+			}
+			// Nothing is logged per member event: no event name outnumbers
+			// the intervals and conditions together, though every interval
+			// has several members.
+			for name, n := range events {
+				if n > intervals+2 {
+					t.Errorf("%s logged %d times over %d intervals and 2 conditions; want no per-event line", name, n, intervals)
+				}
 			}
 			if levels["ordered"] != "info" || levels["backwards"] != "warn" {
 				t.Errorf("settlement levels = %v, want ordered:info backwards:warn", levels)

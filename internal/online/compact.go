@@ -41,11 +41,10 @@ func (s *Stream) Unpin(e poset.EventID) {
 }
 
 // TotalEvents reports the total number of events recorded so far (including
-// compacted ones — positions are absolute).
+// compacted ones — positions are absolute). It takes no lock: the total is
+// the one field read without it (see Stream).
 func (s *Stream) TotalEvents() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.total
+	return int(s.total.Load())
 }
 
 // Counts returns a copy of the per-process event counts.

@@ -347,20 +347,67 @@ func TestSnapshotCounters(t *testing.T) {
 	}
 }
 
-// TestMonitorCheckWindow verifies the monitor.check_ns window records one
-// sample per Poll call.
+// TestMonitorCheckWindow pins what monitor.check_ns measures: settling
+// passes, not calls. A Poll with nothing ready records no sample, also when
+// a retention appraisal runs in it; each Poll that settles records exactly
+// one, however many conditions it settles.
 func TestMonitorCheckWindow(t *testing.T) {
 	reg := obs.New()
 	s := NewStream(2)
 	m := NewMonitor(s)
 	m.Instrument(reg)
+	if err := m.SetRetention(RetentionPolicy{MaxEvents: 64, Every: 1}); err != nil {
+		t.Fatal(err)
+	}
+	samples := func() int64 { return reg.Snapshot().Windows["monitor.check_ns"].Count }
 	if err := m.AddCondition("c", "R1(A, B)"); err != nil {
 		t.Fatal(err)
 	}
 	m.Poll()
 	m.Poll()
-	snap := reg.Snapshot()
-	if got := snap.Windows["monitor.check_ns"].Count; got != 2 {
-		t.Errorf("monitor.check_ns window count = %d; want 2", got)
+	for i, name := range []string{"A", "B"} {
+		e, err := s.Local(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Observe(name, e); err != nil {
+			t.Fatal(err)
+		}
+		// One more event puts the cadence due at the Poll, not the Observe.
+		if _, err := s.Local(i); err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Poll(); len(got) != 0 {
+			t.Fatalf("Poll with %s growing = %+v; want nothing settled", name, got)
+		}
+		if m.lastAppraise != s.TotalEvents() {
+			t.Fatalf("Poll ran no appraisal: last one at %d of %d events", m.lastAppraise, s.TotalEvents())
+		}
+	}
+	if got := samples(); got != 0 {
+		t.Fatalf("monitor.check_ns count = %d after empty Polls; want 0", got)
+	}
+	for _, name := range []string{"A", "B"} {
+		if err := m.Complete(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := m.Poll(); len(got) != 1 {
+		t.Fatalf("settling Poll = %+v; want c settled", got)
+	}
+	m.Poll()
+	if got := samples(); got != 1 {
+		t.Fatalf("monitor.check_ns count = %d after one settling Poll; want 1", got)
+	}
+	for _, name := range []string{"d", "e"} {
+		if err := m.AddCondition(name, "R4(A, B)"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := m.Poll(); len(got) != 2 {
+		t.Fatalf("settling Poll = %+v; want d and e settled", got)
+	}
+	if got := samples(); got != 2 {
+		t.Errorf("monitor.check_ns count = %d after two settling Polls; want 2", got)
 	}
 }

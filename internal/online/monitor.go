@@ -103,10 +103,13 @@ type Monitor struct {
 	// Retention (SetRetention; retention.go): bounded-memory mode for
 	// long-running streams. Interval records carry their window stamps;
 	// retired remembers why a name was released or abandoned so later
-	// operations fail with a clear error, and watermark caches the last
-	// applied compaction cut so Observe can reject already-compacted
-	// positions without taking the stream lock. Lock order is m.mu then
-	// stream.mu, never the reverse.
+	// operations fail with a clear error. A name has a record in ivs or a
+	// tombstone in retired, never both: appraisal deletes the record
+	// before it writes the tombstone, and nothing makes a record for a
+	// retired name, so Observe and Complete consult retired only when ivs
+	// has no record. watermark caches the last applied compaction cut so
+	// Observe can reject already-compacted positions without taking the
+	// stream lock. Lock order is m.mu then stream.mu, never the reverse.
 	retention           RetentionPolicy
 	retainOn            bool
 	retired             map[string]string
@@ -136,10 +139,13 @@ func NewMonitor(s *Stream) *Monitor {
 }
 
 // SetLogger attaches a structured event log (may be nil). The monitor
-// emits interval_observe (Debug) on growth, interval_complete (Info) on
-// freeze, and — exactly once per condition, by verdict stability —
+// emits interval_complete (Info) with the interval's final size when it
+// freezes, and — exactly once per condition, by verdict stability —
 // condition_settled with the condition source, final verdict and detection
-// latency (Info for holds, Warn for violated, Error for failed).
+// latency (Info for holds, Warn for violated, Error for failed). Retention
+// adds interval_abandoned (Warn) and compaction_failed (Error). Observe
+// logs nothing, so the log grows with intervals and conditions, not with
+// events.
 func (m *Monitor) SetLogger(lg *logx.Logger) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -151,13 +157,14 @@ func (m *Monitor) SetLogger(lg *logx.Logger) {
 // online.violation_window sliding window observes one sample per violated
 // condition (giving the dashboard a recent-violation rate), detection
 // latency lands in the online.detect_latency_ns window (recent quantiles)
-// and the online.detect_latency_hist_ns histogram (full distribution), and
-// every Poll records its wall-clock cost in the monitor.check_ns window —
-// the steady-state cost is the index drain, so this is the series that
-// shows the amortization working — and every atom Poll decides is counted
-// on core.fast.evals and core.fast.comparisons (with the per-relation
-// split), as the offline evaluator counts it. The series set does not
-// depend on the number of conditions; per-condition latency is in the
+// and the online.detect_latency_hist_ns histogram (full distribution),
+// every settling pass of Poll records its wall-clock cost in the
+// monitor.check_ns window — the settle stage's cost, one sample per pass
+// that had a condition ready; a Poll with nothing ready records nothing and
+// reads no clock — and every atom Poll decides is counted on
+// core.fast.evals and core.fast.comparisons (with the per-relation split),
+// as the offline evaluator counts it. The series set does not depend on
+// the number of conditions; per-condition latency is in the
 // condition_settled log event.
 func (m *Monitor) Instrument(reg *obs.Registry) {
 	m.mu.Lock()
@@ -269,11 +276,12 @@ func (m *Monitor) Observe(name string, events ...poset.EventID) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if why, gone := m.retired[name]; gone {
-		return retiredErr(name, why)
-	}
 	iv := m.ivs[name]
-	if iv != nil && iv.complete {
+	if iv == nil {
+		if why, gone := m.retired[name]; gone {
+			return retiredErr(name, why)
+		}
+	} else if iv.complete {
 		return fmt.Errorf("online: interval %q is already complete", name)
 	}
 	if m.watermark != nil {
@@ -290,10 +298,6 @@ func (m *Monitor) Observe(name string, events ...poset.EventID) error {
 	}
 	iv.observed = true
 	iv.events = append(iv.events, events...)
-	if m.lg.Enabled(logx.Debug) {
-		m.lg.Debug("interval_observe",
-			logx.F("interval", name), logx.F("added", len(events)), logx.F("size", len(iv.events)))
-	}
 	if m.retainOn {
 		total := m.stream.TotalEvents()
 		iv.seq = total
@@ -311,10 +315,12 @@ func (m *Monitor) Observe(name string, events ...poset.EventID) error {
 func (m *Monitor) Complete(name string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if why, gone := m.retired[name]; gone {
-		return retiredErr(name, why)
-	}
 	iv := m.ivs[name]
+	if iv == nil {
+		if why, gone := m.retired[name]; gone {
+			return retiredErr(name, why)
+		}
+	}
 	switch {
 	case iv == nil || !iv.observed:
 		return fmt.Errorf("online: interval %q was never observed", name)
@@ -414,19 +420,14 @@ func (m *Monitor) AddCondition(name, src string) error {
 // Poll runs the check loop and returns the conditions that settled since
 // the previous Poll, each exactly once. Its cost is the ready conditions'
 // evaluation, independent of how many conditions are registered, so a
-// long-horizon driver can call it per event. It records the pass in
-// monitor.check_ns and runs a retention appraisal when the cadence says so.
+// long-horizon driver can call it per event: a Poll with nothing ready
+// reads no clock and, unless a retention appraisal is due, takes no stream
+// lock. A settling pass records its cost in monitor.check_ns. Poll runs a
+// retention appraisal when the cadence says so.
 func (m *Monitor) Poll() []monitor.Result {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var t0 time.Time
-	if m.checkWin != nil {
-		t0 = time.Now()
-	}
 	m.checkIncrementalLocked()
-	if m.checkWin != nil {
-		m.checkWin.Observe(time.Since(t0).Nanoseconds())
-	}
 	if m.retainOn {
 		if total := m.stream.TotalEvents(); total-m.lastAppraise >= m.retention.Every {
 			m.appraiseLocked(total)
@@ -441,10 +442,16 @@ func (m *Monitor) Poll() []monitor.Result {
 // is evaluated once, with its compiled expression, over cuts its intervals'
 // summaries give at the current prefix. The stream is locked once for the
 // whole batch, so every cut the pass reads is taken at one prefix, as a
-// snapshot's would be. A Poll with nothing ready costs O(1).
+// snapshot's would be. A Poll with nothing ready costs O(1) and reads no
+// clock; a settling pass records its wall-clock cost, from preparation to
+// the last settlement, in monitor.check_ns.
 func (m *Monitor) checkIncrementalLocked() {
 	if len(m.ready) == 0 {
 		return
+	}
+	var t0 time.Time
+	if m.checkWin != nil {
+		t0 = time.Now()
 	}
 	todo := m.ready
 	m.ready = nil
@@ -467,6 +474,9 @@ func (m *Monitor) checkIncrementalLocked() {
 		m.settle(cs, res)
 	}
 	m.releaseScratchLocked()
+	if m.checkWin != nil {
+		m.checkWin.Observe(time.Since(t0).Nanoseconds())
+	}
 }
 
 // prepareReadyLocked makes every interval the conditions todo reference

@@ -306,6 +306,28 @@ func TestMonitorConcurrentWithCompaction(t *testing.T) {
 			}
 		}
 	}()
+	// Reader: TotalEvents takes no lock, so check that it never runs
+	// backwards and never runs ahead of the counts read after it.
+	auxWG.Add(1)
+	go func() {
+		defer auxWG.Done()
+		last := 0
+		for {
+			total := s.TotalEvents()
+			if total < last {
+				t.Errorf("TotalEvents went from %d back to %d", last, total)
+			}
+			if sum := sumCounts(s); total > sum {
+				t.Errorf("TotalEvents = %d before Counts summed to %d", total, sum)
+			}
+			last = total
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
 	growWG.Wait()
 	wg.Wait()
 	for _, res := range m.Poll() {
@@ -329,6 +351,9 @@ func TestMonitorConcurrentWithCompaction(t *testing.T) {
 	}
 	close(stop)
 	auxWG.Wait()
+	if total, sum := s.TotalEvents(), sumCounts(s); total != sum {
+		t.Errorf("TotalEvents = %d; want the sum of Counts, %d", total, sum)
+	}
 
 	if len(firstSeen) != condCount {
 		t.Fatalf("%d conditions settled, want %d: %v", len(firstSeen), condCount, firstSeen)
@@ -348,4 +373,13 @@ func TestMonitorConcurrentWithCompaction(t *testing.T) {
 	if st.Released == 0 {
 		t.Errorf("no interval was released under aggressive retention: %+v", st)
 	}
+}
+
+// sumCounts is the number of events the stream's per-process counts hold.
+func sumCounts(s *Stream) int {
+	n := 0
+	for _, c := range s.Counts() {
+		n += c
+	}
+	return n
 }

@@ -40,6 +40,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"causet/internal/core"
 	"causet/internal/obs"
@@ -56,16 +57,19 @@ var (
 )
 
 // Stream is an execution under construction. Methods are safe for
-// concurrent use: one lock guards all of its state, and every reader of its
-// per-event rows holds it. An append merges two clock rows and stores each
-// first-follower cell it decides once, so the per-event work is O(|P|)
-// amortized; compaction moves no rows.
+// concurrent use: one lock guards all of its state but the running event
+// total, and every reader of its per-event rows holds it. The total is an
+// atomic that append advances under the lock, so TotalEvents, which a
+// retention policy consults on every monitor call, reads it without the
+// lock. An append merges two clock rows and stores each first-follower cell
+// it decides once, so the per-event work is O(|P|) amortized; compaction
+// moves no rows.
 type Stream struct {
 	mu     sync.Mutex
 	procs  int
 	b      *poset.Builder
 	counts []int
-	total  int // sum of counts
+	total  atomic.Int64 // sum of counts; written under mu, read without it
 
 	// Per-event rows of the retained events, |P| cells each, in one ring of
 	// whole rows per process: the rows of event (p, base[p]+k+1) sit in
@@ -96,7 +100,6 @@ type Stream struct {
 	snap *Snapshot // cached; nil when dirty
 
 	metEvents      *obs.Counter
-	metEventsWin   *obs.Window
 	metSnapshots   *obs.Counter
 	metSnapReuses  *obs.Counter
 	metCompactions *obs.Counter
@@ -128,11 +131,13 @@ func (s *Stream) NumProcs() int { return s.procs }
 
 // Instrument attaches a metrics registry and/or tracer; either may be nil.
 // The registry receives online.events (appended events, across all kinds),
-// the online.event_window sliding window (the live events/sec rate), the
-// retention counters, and two counters of the cold Snapshot API:
+// the retention counters, and two counters of the cold Snapshot API:
 // online.snapshots counts snapshot constructions and
 // online.snapshot_reuses counts Snapshot calls served from the cache
 // unchanged; each construction copies the retained rows (see Snapshot).
+// An append reads no clock: the live events/sec is the rate of
+// online.events (/debug/tsdb?series=online.events&agg=rate, or a
+// Prometheus rate()).
 // Each snapshot's Analysis is instrumented against the same registry and
 // tracer, so its cut builds and comparisons land there too.
 // The online monitor settles conditions without snapshots; it counts its
@@ -143,7 +148,6 @@ func (s *Stream) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	s.metReg = reg
 	s.metTracer = tr
 	s.metEvents = reg.Counter("online.events")
-	s.metEventsWin = reg.Window("online.event_window", 1024)
 	s.metSnapshots = reg.Counter("online.snapshots")
 	s.metSnapReuses = reg.Counter("online.snapshot_reuses")
 	s.metCompactions = reg.Counter("online.compactions")
@@ -217,7 +221,7 @@ func (s *Stream) append(proc int, sends []poset.EventID) (poset.EventID, error) 
 	s.snap = nil
 	e := s.b.Append(proc)
 	s.counts[proc]++
-	s.total++
+	s.total.Add(1)
 	if s.counts[proc]-s.base[proc] > s.slots[proc] {
 		s.resize(proc, max(s.slots[proc]+s.slots[proc]/4, 4))
 	}
@@ -238,7 +242,6 @@ func (s *Stream) append(proc int, sends []poset.EventID) (poset.EventID, error) 
 		s.merge(e, t, s.row(s.fwd, from))
 	}
 	s.metEvents.Add(1)
-	s.metEventsWin.Observe(1)
 	return e, nil
 }
 
@@ -461,14 +464,18 @@ func ReplayStepsOn(s *Stream, ex *poset.Execution, step func(s *Stream, e poset.
 	if s.NumProcs() != ex.NumProcs() {
 		return nil, fmt.Errorf("online: ReplayStepsOn: stream has %d processes, execution has %d", s.NumProcs(), ex.NumProcs())
 	}
-	// A stream no retention policy compacts keeps every row it is given,
-	// so each ring is sized once for the rows its process will hold when
-	// the replay ends, and none grows.
+	// A stream no retention policy compacts keeps every row and message it
+	// is given, so each ring is sized once for the rows its process will
+	// hold when the replay ends, and the builder's message log once for
+	// the replayed messages; none grows.
 	s.mu.Lock()
-	for p, c := range s.counts {
-		if rows := c - s.base[p] + ex.NumReal(p); !s.compacts && rows > s.slots[p] {
-			s.resize(p, rows)
+	if !s.compacts {
+		for p, c := range s.counts {
+			if rows := c - s.base[p] + ex.NumReal(p); rows > s.slots[p] {
+				s.resize(p, rows)
+			}
 		}
+		s.b.Grow(len(ex.Messages()))
 	}
 	s.mu.Unlock()
 	for _, e := range ex.LinearExtension() {

@@ -120,6 +120,21 @@ func diffRetention(t testing.TB, res *sim.Result, label string, policy Retention
 	return compacted
 }
 
+// checkTombstones fails when a name has both a live interval record and a
+// retirement tombstone. Observe and Complete consult the tombstones only
+// when a name has no record, which is sound only while the two never
+// coexist; the retention tests call it after every call that may appraise.
+func checkTombstones(t testing.TB, m *Monitor) {
+	t.Helper()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for name := range m.ivs {
+		if why, ok := m.retired[name]; ok {
+			t.Fatalf("interval %q has a live record and a %s tombstone", name, why)
+		}
+	}
+}
+
 // TestCompactionAgreement is the differential anchor of the retention
 // subsystem: across workload patterns and seeds, a monitor running under an
 // aggressive retention policy must produce byte-identical per-event
@@ -226,6 +241,7 @@ func TestRetentionLifecycle(t *testing.T) {
 			t.Fatal(err)
 		}
 		m.Poll()
+		checkTombstones(t, m)
 	}
 
 	st := m.RetentionStats()
@@ -295,6 +311,7 @@ func TestRetentionAbandonsIdleIntervals(t *testing.T) {
 			t.Fatal(err)
 		}
 		delta = append(delta, m.Poll()...)
+		checkTombstones(t, m)
 	}
 	if len(delta) != 1 || delta[0].Name != "waits" || delta[0].State != monitor.Failed {
 		t.Fatalf("settlements = %+v; want waits=failed after abandonment", delta)
@@ -349,11 +366,13 @@ func TestRetentionBoundsMemory(t *testing.T) {
 			}
 		}
 		m.Poll()
+		checkTombstones(t, m)
 		if ret := s.RetainedEvents(); ret > maxRetained {
 			maxRetained = ret
 		}
 	}
 	m.CompactNow()
+	checkTombstones(t, m)
 	runtime.GC()
 	runtime.ReadMemStats(&m1)
 	st := m.RetentionStats()
@@ -547,6 +566,7 @@ func TestRetentionWindowRestartsAtLastUse(t *testing.T) {
 			t.Fatal(err)
 		}
 		m.Poll()
+		checkTombstones(t, m)
 		_, err := m.StrongestBetween("A", "B")
 		switch released := err != nil && strings.Contains(err.Error(), "released"); {
 		case i < 9 && err != nil:
@@ -602,8 +622,10 @@ func TestReleaseFreesIntervalRecords(t *testing.T) {
 			}
 			failed++
 		}
+		checkTombstones(t, m)
 	}
 	m.CompactNow()
+	checkTombstones(t, m)
 	if failed != 70 {
 		t.Fatalf("%d of 70 conditions settled", failed)
 	}

@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -193,6 +194,15 @@ func (b *Builder) Message(from, to EventID) error {
 	b.lastSent[from.Proc] = max(b.lastSent[from.Proc], from.Pos)
 	b.msgs = append(b.msgs, Message{From: from, To: to})
 	return nil
+}
+
+// Grow makes room in the message log for n more messages, so that many
+// Message calls append without moving the log. It moves the log at most
+// once; views keep the array they alias, capacity-clamped as before.
+func (b *Builder) Grow(n int) {
+	if n > 0 {
+		b.msgs = slices.Grow(b.msgs, n)
+	}
 }
 
 // SendRecv appends a fresh send event on fromProc and a fresh receive event

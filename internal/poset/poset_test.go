@@ -191,6 +191,41 @@ func TestBuilderErrors(t *testing.T) {
 	}
 }
 
+// TestBuilderGrow: Grow sizes the message log once, so the messages that
+// follow append without moving it, and a view taken before keeps exactly
+// the messages it had.
+func TestBuilderGrow(t *testing.T) {
+	b := NewBuilder(2)
+	send, recv, err := b.SendRecv(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := b.View()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Grow(3)
+	first := &b.msgs[0]
+	for range 3 {
+		if _, _, err := b.SendRecv(1, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if &b.msgs[0] != first {
+		t.Error("the message log moved after Grow(3) and three messages")
+	}
+	if got := before.Messages(); len(got) != 1 || got[0] != (Message{From: send, To: recv}) {
+		t.Errorf("view taken before Grow reads %v; want only %v -> %v", got, send, recv)
+	}
+	after, err := b.View()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(after.Messages()); got != 4 {
+		t.Errorf("view after the messages holds %d; want 4", got)
+	}
+}
+
 func TestBuildDetectsCycle(t *testing.T) {
 	b := NewBuilder(2)
 	a1 := b.Append(0)
