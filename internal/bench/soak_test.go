@@ -16,7 +16,8 @@ import (
 //     bounded by the policy window plus appraisal slack, independent of
 //     stream length — with cross-schedule verdict agreement;
 //   - a 20k-event stream under the unbounded cap, where the unbounded leg
-//     joins the comparison and its linear memory growth is visible.
+//     joins the comparison and its linear memory growth is visible;
+//   - between the two, the retained leg's peak heap within 2x.
 //
 // The full-scale sweep (≥1M events) runs via benchtab -table e15.
 func TestSoakBoundedHeap(t *testing.T) {
@@ -59,6 +60,14 @@ func TestSoakBoundedHeap(t *testing.T) {
 	// unbounded clock rows alone blow far past it.
 	if rows[0].RetHeapPeak > 64<<20 {
 		t.Errorf("long row retained peak heap %d bytes, want <= 64MiB", rows[0].RetHeapPeak)
+	}
+
+	// The retained leg remembers the names of one retention window, not of
+	// the run, so its heap does not grow with the stream: five times the
+	// events may not double the peak.
+	if rows[0].RetHeapPeak > 2*rows[1].RetHeapPeak {
+		t.Errorf("retained peak heap %d bytes at %d events, more than 2x the %d at %d",
+			rows[0].RetHeapPeak, rows[0].Events, rows[1].RetHeapPeak, rows[1].Events)
 	}
 
 	if !rows[1].UnbRan {

@@ -39,8 +39,6 @@ import (
 // evaluation.
 type Expr interface {
 	fmt.Stringer
-	// Referenced appends the interval names the expression mentions.
-	referenced(set map[string]bool)
 	// eval evaluates against an environment.
 	eval(env *evalEnv) (bool, error)
 }
@@ -62,11 +60,6 @@ func (e *UndefinedError) Error() string {
 
 // atomExpr is REL(operand, operand).
 type atomExpr struct{ Atom }
-
-func (a *atomExpr) referenced(set map[string]bool) {
-	set[a.X.Name] = true
-	set[a.Y.Name] = true
-}
 
 func (a *atomExpr) eval(env *evalEnv) (bool, error) {
 	x, cx, err := env.operand(a.X)
@@ -97,8 +90,7 @@ func (env *evalEnv) operand(o AtomOperand) (*interval.Interval, *core.IntervalCu
 
 type notExpr struct{ e Expr }
 
-func (n *notExpr) String() string                 { return "!" + parenthesize(n.e) }
-func (n *notExpr) referenced(set map[string]bool) { n.e.referenced(set) }
+func (n *notExpr) String() string { return "!" + parenthesize(n.e) }
 func (n *notExpr) eval(env *evalEnv) (bool, error) {
 	v, err := n.e.eval(env)
 	return !v, err
@@ -111,11 +103,6 @@ type binExpr struct {
 
 func (b *binExpr) String() string {
 	return fmt.Sprintf("%s %s %s", parenthesize(b.l), b.op, parenthesize(b.r))
-}
-
-func (b *binExpr) referenced(set map[string]bool) {
-	b.l.referenced(set)
-	b.r.referenced(set)
 }
 
 func (b *binExpr) eval(env *evalEnv) (bool, error) {
@@ -150,12 +137,7 @@ func parenthesize(e Expr) string {
 
 // Referenced returns the sorted interval names mentioned by the expression.
 func Referenced(e Expr) []string {
-	set := make(map[string]bool)
-	e.referenced(set)
-	out := make([]string, 0, len(set))
-	for name := range set {
-		out = append(out, name)
-	}
+	out := appendOperands(make([]string, 0, 2), e, false) // most conditions name two
 	sortStrings(out)
 	return out
 }
@@ -163,21 +145,30 @@ func Referenced(e Expr) []string {
 // leftOperands returns the sorted, distinct names of the intervals that are
 // the left operand of some atom of e, proxied or not.
 func leftOperands(e Expr) []string {
-	out := appendLeftOperands(nil, e)
+	out := appendOperands(nil, e, true)
 	sortStrings(out)
 	return out
 }
 
-func appendLeftOperands(out []string, e Expr) []string {
+// appendOperands appends to out the operand names of e's atoms that out
+// does not hold yet: both operands of every atom, or the left one alone
+// when leftOnly is set. A condition names a handful of intervals, so a
+// linear scan beats a set.
+func appendOperands(out []string, e Expr, leftOnly bool) []string {
 	switch v := e.(type) {
 	case *atomExpr:
-		if !slices.Contains(out, v.X.Name) {
-			out = append(out, v.X.Name)
+		for _, name := range [2]string{v.X.Name, v.Y.Name} {
+			if !slices.Contains(out, name) {
+				out = append(out, name)
+			}
+			if leftOnly {
+				break
+			}
 		}
 	case *notExpr:
-		out = appendLeftOperands(out, v.e)
+		out = appendOperands(out, v.e, leftOnly)
 	case *binExpr:
-		out = appendLeftOperands(appendLeftOperands(out, v.l), v.r)
+		out = appendOperands(appendOperands(out, v.l, leftOnly), v.r, leftOnly)
 	default:
 		panic(fmt.Sprintf("monitor: unknown expression node %T", e))
 	}

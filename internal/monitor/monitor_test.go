@@ -134,6 +134,16 @@ func TestConditionRefs(t *testing.T) {
 	}
 }
 
+// TestNewConditionAllocs pins what compiling a condition's name lists costs:
+// for a two-interval condition, the Condition and one slice per list.
+// Collecting the names through a map took two more.
+func TestNewConditionAllocs(t *testing.T) {
+	e := MustParse("R1(round-1, round-2)")
+	if n := testing.AllocsPerRun(100, func() { NewCondition("c", "", e) }); n > 3 {
+		t.Errorf("NewCondition allocates %.0f objects, want <= 3", n)
+	}
+}
+
 func TestConditionLeftRefs(t *testing.T) {
 	e := MustParse("R1(b, a) && !R2(U(d), c) || R3(b, d) -> R4(L(a), c)")
 	for _, c := range []*Condition{NewCondition("n", "", e), {Name: "lit", Expr: e}} {

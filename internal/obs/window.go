@@ -55,9 +55,18 @@ func (w *Window) Observe(v int64) {
 	if w == nil {
 		return
 	}
-	now := w.nowFn()
+	w.ObserveAt(v, w.nowFn())
+}
+
+// ObserveAt records one value stamped at, for a caller that has already
+// read the clock: a batch of observations can share one reading. No-op on
+// a nil receiver.
+func (w *Window) ObserveAt(v int64, at time.Time) {
+	if w == nil {
+		return
+	}
 	w.mu.Lock()
-	w.samples[w.head] = windowSample{at: now, v: v}
+	w.samples[w.head] = windowSample{at: at, v: v}
 	w.head = (w.head + 1) % w.capacity
 	if w.n < w.capacity {
 		w.n++

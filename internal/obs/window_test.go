@@ -71,9 +71,31 @@ func TestWindowEmptyAndSingle(t *testing.T) {
 	}
 }
 
+// TestWindowObserveAt pins that ObserveAt stamps a sample with the time it
+// is given and reads no clock of its own.
+func TestWindowObserveAt(t *testing.T) {
+	w := newWindow(4)
+	w.nowFn = func() time.Time {
+		t.Fatal("ObserveAt read the window's clock")
+		return time.Time{}
+	}
+	base := time.Unix(0, 0)
+	for i := range 3 {
+		w.ObserveAt(int64(i), base.Add(time.Duration(i)*250*time.Millisecond))
+	}
+	// 3 samples spanning 500ms → (3-1)/0.5 = 4 obs/sec.
+	if got := w.Rate(); got < 3.99 || got > 4.01 {
+		t.Errorf("Rate() = %v, want 4", got)
+	}
+	if got := w.Count(); got != 3 {
+		t.Errorf("Count() = %d, want 3", got)
+	}
+}
+
 func TestWindowNilSafety(t *testing.T) {
 	var w *Window
 	w.Observe(1)
+	w.ObserveAt(1, time.Now())
 	if w.Count() != 0 || w.Rate() != 0 || w.Quantile(0.5) != 0 {
 		t.Error("nil window is not a no-op")
 	}

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"causet/internal/core"
 	"causet/internal/hierarchy"
@@ -409,5 +410,49 @@ func TestMonitorCheckWindow(t *testing.T) {
 	}
 	if got := samples(); got != 2 {
 		t.Errorf("monitor.check_ns count = %d after two settling Polls; want 2", got)
+	}
+}
+
+// TestSettlingPassReadsClockOnce pins that a settling pass reads the monitor
+// clock once, however many conditions it settles: every settlement in the
+// pass takes that instant, so all three detection latencies are equal.
+func TestSettlingPassReadsClockOnce(t *testing.T) {
+	reg := obs.New()
+	s := NewStream(2)
+	m := NewMonitor(s)
+	m.Instrument(reg)
+	base := time.Unix(1_700_000_000, 0)
+	reads := 0
+	m.SetNow(func() time.Time {
+		reads++
+		return base.Add(time.Duration(reads) * time.Millisecond)
+	})
+	for p, name := range []string{"A", "B"} {
+		e, err := s.Local(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Observe(name, e); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Complete(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{"c1", "c2", "c3"} {
+		if err := m.AddCondition(name, "R4(A, B)"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := reads
+	if got := m.Poll(); len(got) != 3 {
+		t.Fatalf("Poll = %+v; want three settled", got)
+	}
+	if got := reads - before; got != 1 {
+		t.Errorf("a Poll settling three conditions read the monitor clock %d times; want 1", got)
+	}
+	// B completed at the second read, the pass read the third: 1 ms each.
+	if w := reg.Snapshot().Windows["online.detect_latency_ns"]; w.Count != 3 || w.Sum != 3*time.Millisecond.Nanoseconds() {
+		t.Errorf("detection latency window = %+v; want three samples of 1ms", w)
 	}
 }

@@ -49,7 +49,9 @@ func (iv *ivState) memberEvents() []poset.EventID {
 
 // condState is one condition name's record. Settlement drops the compiled
 // condition; the record stays behind as the name's tombstone, so the name
-// cannot be registered and settled twice.
+// cannot be registered again while its verdict may still be in flight.
+// Under a retention policy the tombstone goes one window after settlement
+// (retention.go); without one it stays.
 type condState struct {
 	c       *monitor.Condition // nil once settled
 	missing int                // referenced intervals not yet complete
@@ -102,8 +104,12 @@ type Monitor struct {
 
 	// Retention (SetRetention; retention.go): bounded-memory mode for
 	// long-running streams. Interval records carry their window stamps;
-	// retired remembers why a name was released or abandoned so later
-	// operations fail with a clear error. A name has a record in ivs or a
+	// retired remembers why an interval name was released or abandoned, so
+	// later operations on it fail with ErrRetired. A name retired that way,
+	// and a settled condition's tombstone in conds, stay for one retention
+	// window: ledger lists the retirements oldest first, and each appraisal
+	// forgets those out of the window, so retired and conds hold the names
+	// of one window, not of the run. A name has a record in ivs or a
 	// tombstone in retired, never both: appraisal deletes the record
 	// before it writes the tombstone, and nothing makes a record for a
 	// retired name, so Observe and Complete consult retired only when ivs
@@ -113,6 +119,7 @@ type Monitor struct {
 	retention           RetentionPolicy
 	retainOn            bool
 	retired             map[string]string
+	ledger              []retirement
 	released, abandoned int
 	watermark           []int
 	lastAppraise        int
@@ -194,12 +201,14 @@ func (m *Monitor) SetNow(now func() time.Time) {
 // settle records the final verdict of an unsettled condition and drops its
 // compiled form; the caller holds m.mu. This is the single point every
 // verdict passes through, so the settlement log event fires exactly once
-// per condition.
-func (m *Monitor) settle(cs *condState, res monitor.Result) {
+// per condition. settle reads no clock: now is the monitor clock and wall
+// the wall clock, each read once by the caller for all the settlements it
+// makes. wall stamps the violation and latency window samples, which only
+// a verdict that is not Failed records, and is zero without a registry.
+func (m *Monitor) settle(cs *condState, res monitor.Result, now, wall time.Time) {
 	c := cs.c
 	cs.c = nil
 	m.newResults = append(m.newResults, res)
-	now := m.nowFn()
 	// Detection latency is the lag to an actual verdict; a Failed settlement
 	// is an error report, and measuring it against whatever completion
 	// stamps happen to survive (some may already be released) would record
@@ -217,6 +226,7 @@ func (m *Monitor) settle(cs *condState, res monitor.Result) {
 	var total int
 	if m.retainOn {
 		total = m.stream.TotalEvents()
+		m.ledger = append(m.ledger, retirement{name: c.Name, seq: total, at: now, cond: true})
 	}
 	for _, ref := range c.Refs() {
 		iv := m.ivs[ref]
@@ -238,10 +248,10 @@ func (m *Monitor) settle(cs *condState, res monitor.Result) {
 	}
 	m.metSettlements.Inc()
 	if res.State == monitor.Violated {
-		m.violWin.Observe(1)
+		m.violWin.ObserveAt(1, wall)
 	}
 	if haveLatency {
-		m.detectWin.Observe(int64(latency))
+		m.detectWin.ObserveAt(int64(latency), wall)
 		m.detectHist.Observe(int64(latency))
 	}
 	if m.lg == nil {
@@ -373,7 +383,9 @@ func (m *Monitor) detectLatency(c *monitor.Condition, now time.Time) (time.Durat
 
 // AddCondition parses and registers a condition in the monitor DSL. The
 // source is compiled exactly once, here; checks reuse the parsed expression.
-// A name stays taken after its condition settles.
+// A name stays taken after its condition settles: for one window under a
+// retention policy, after which registering it again makes a new condition
+// whose verdict Poll delivers once; for good without one.
 func (m *Monitor) AddCondition(name, src string) error {
 	expr, err := monitor.Parse(src)
 	if err != nil {
@@ -410,7 +422,7 @@ func (m *Monitor) AddCondition(name, src string) error {
 	}
 	switch {
 	case gone != nil:
-		m.settle(cs, monitor.Result{Name: name, State: monitor.Failed, Err: gone})
+		m.settle(cs, monitor.Result{Name: name, State: monitor.Failed, Err: gone}, m.nowFn(), time.Time{})
 	case cs.missing == 0:
 		m.ready = append(m.ready, cs)
 	}
@@ -443,15 +455,20 @@ func (m *Monitor) Poll() []monitor.Result {
 // summaries give at the current prefix. The stream is locked once for the
 // whole batch, so every cut the pass reads is taken at one prefix, as a
 // snapshot's would be. A Poll with nothing ready costs O(1) and reads no
-// clock; a settling pass records its wall-clock cost, from preparation to
-// the last settlement, in monitor.check_ns.
+// clock. A settling pass reads the monitor clock once, at its start, and
+// every settlement in it takes that instant: detection latency runs to the
+// pass that decides the verdict. With a registry it also reads the wall
+// clock at its start and end, records the difference, from preparation to
+// the last settlement, in monitor.check_ns, and stamps every window sample
+// of the pass with those two readings.
 func (m *Monitor) checkIncrementalLocked() {
 	if len(m.ready) == 0 {
 		return
 	}
-	var t0 time.Time
+	now := m.nowFn()
+	var wall time.Time
 	if m.checkWin != nil {
-		t0 = time.Now()
+		wall = time.Now()
 	}
 	todo := m.ready
 	m.ready = nil
@@ -471,11 +488,12 @@ func (m *Monitor) checkIncrementalLocked() {
 		if res.Err == nil {
 			res = monitor.Evaluate(c, operands{m}, &m.fast)
 		}
-		m.settle(cs, res)
+		m.settle(cs, res, now, wall)
 	}
 	m.releaseScratchLocked()
 	if m.checkWin != nil {
-		m.checkWin.Observe(time.Since(t0).Nanoseconds())
+		end := time.Now()
+		m.checkWin.ObserveAt(end.Sub(wall).Nanoseconds(), end)
 	}
 }
 

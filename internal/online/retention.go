@@ -19,6 +19,14 @@ import (
 // (the differential agreement suite and FuzzCompactionAgreement pin this).
 // Abandonment is the one knob that does change verdicts (waiting conditions
 // settle Failed), which is why it defaults to off.
+//
+// The same window bounds the names. A released or abandoned interval and a
+// settled condition keep their name reserved for one window after they
+// retire: inside it every call on the name fails as it did at retirement
+// (ErrRetired for an interval, "already defined" for a condition). After it
+// the monitor forgets the name, which is then unknown, exactly like a name
+// never used: Observe starts a new interval, a condition referencing it
+// waits for it, and AddCondition registers a new condition under it.
 type RetentionPolicy struct {
 	// MaxEvents releases a settled completed interval once this many stream
 	// events have been appended since its completion (or since the last
@@ -47,9 +55,10 @@ type RetentionPolicy struct {
 }
 
 // SetRetention enables retention under the given policy. At least one of
-// MaxEvents / MaxAge must be positive. It marks the stream as compacted, so
-// a replay onto it leaves the rings to grow with the retained window
-// instead of sizing them for the whole execution.
+// MaxEvents / MaxAge must be positive. Intervals observed and conditions
+// settled before the first call enter the window at that call. It marks the
+// stream as compacted, so a replay onto it leaves the rings to grow with the
+// retained window instead of sizing them for the whole execution.
 func (m *Monitor) SetRetention(p RetentionPolicy) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -61,10 +70,16 @@ func (m *Monitor) SetRetention(p RetentionPolicy) error {
 	}
 	total := m.stream.TotalEvents()
 	if !m.retainOn {
-		// Intervals observed or completed before retention was enabled enter
-		// the window now.
+		// Intervals observed or completed, and conditions settled, before
+		// retention was enabled enter the window now.
 		for _, iv := range m.ivs {
 			iv.seq = total
+		}
+		now := m.nowFn()
+		for name, cs := range m.conds {
+			if cs.c == nil {
+				m.ledger = append(m.ledger, retirement{name: name, seq: total, at: now, cond: true})
+			}
 		}
 	}
 	m.retention = p
@@ -133,9 +148,54 @@ const (
 	retiredAbandoned = "abandoned"
 )
 
+// ErrRetired is the class of the error every call on a released or
+// abandoned interval gets while its name is reserved: Observe, Complete and
+// StrongestBetween on the name, the Failed result of a condition that
+// references it, and the Failed results of an abandoned interval's waiters.
+var ErrRetired = errors.New("online: interval retired by retention")
+
+// retiredError is the error of one retired interval; it says why the
+// interval went and matches ErrRetired.
+type retiredError struct{ name, why string }
+
+func (e *retiredError) Error() string {
+	return fmt.Sprintf("online: interval %q was %s by retention", e.name, e.why)
+}
+
+func (e *retiredError) Unwrap() error { return ErrRetired }
+
 // retiredErr renders the error every operation on a retired interval gets.
-func retiredErr(name, why string) error {
-	return fmt.Errorf("online: interval %q was %s by retention", name, why)
+func retiredErr(name, why string) error { return &retiredError{name: name, why: why} }
+
+// retirement is one entry of the ledger: a name that retired at stream
+// position seq and monitor time at, a settled condition's when cond is set
+// and a released or abandoned interval's otherwise.
+type retirement struct {
+	name string
+	seq  int
+	at   time.Time
+	cond bool
+}
+
+// forgetLocked drops the tombstones of the names that retired a window
+// before (total, now). The ledger is in retirement order, so its stamps
+// never decrease and the entries out of the window are a prefix; a clock
+// that steps back keeps names longer, never shorter. Caller holds m.mu.
+func (m *Monitor) forgetLocked(total int, now time.Time) {
+	k := 0
+	for ; k < len(m.ledger); k++ {
+		r := &m.ledger[k]
+		if !m.outOfWindowLocked(total, now, r.seq, r.at) {
+			break
+		}
+		if r.cond {
+			delete(m.conds, r.name)
+		} else {
+			delete(m.retired, r.name)
+		}
+		*r = retirement{} // the backing array keeps no name alive
+	}
+	m.ledger = m.ledger[k:]
 }
 
 // outOfWindowLocked reports whether a retention window starting at (seq, at)
@@ -150,13 +210,14 @@ func (m *Monitor) outOfWindowLocked(total int, now time.Time, seq int, at time.T
 	return false
 }
 
-// appraiseLocked is one retention pass over the interval records: abandon
-// idle growing intervals (opt-in), release settled intervals out of the
-// window, then compact the stream below everything still held. Caller holds
-// m.mu.
+// appraiseLocked is one retention pass: forget the names retired a window
+// ago, then, over the interval records, abandon idle growing intervals
+// (opt-in) and release settled intervals out of the window, and compact the
+// stream below everything still held. Caller holds m.mu.
 func (m *Monitor) appraiseLocked(total int) {
 	m.lastAppraise = total
 	now := m.nowFn()
+	m.forgetLocked(total, now)
 	w := make([]int, m.stream.NumProcs())
 	counts := m.stream.Counts()
 	for p := range w {
@@ -174,6 +235,7 @@ func (m *Monitor) appraiseLocked(total int) {
 			// fail its waiters so they stop pinning memory too.
 			delete(m.ivs, name)
 			m.retired[name] = retiredAbandoned
+			m.ledger = append(m.ledger, retirement{name: name, seq: total, at: now})
 			m.abandoned++
 			m.metAbandoned.Inc()
 			m.lg.Warn("interval_abandoned",
@@ -181,7 +243,7 @@ func (m *Monitor) appraiseLocked(total int) {
 			err := retiredErr(name, retiredAbandoned)
 			for _, cs := range iv.waiters {
 				if cs.c != nil {
-					m.settle(cs, monitor.Result{Name: cs.c.Name, State: monitor.Failed, Err: err})
+					m.settle(cs, monitor.Result{Name: cs.c.Name, State: monitor.Failed, Err: err}, now, time.Time{})
 				}
 			}
 			continue
@@ -194,6 +256,7 @@ func (m *Monitor) appraiseLocked(total int) {
 			// finds its operands.
 			delete(m.ivs, name)
 			m.retired[name] = retiredReleased
+			m.ledger = append(m.ledger, retirement{name: name, seq: total, at: now})
 			m.released++
 			m.metReleased.Inc()
 			continue

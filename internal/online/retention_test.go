@@ -1,6 +1,7 @@
 package online
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -196,9 +197,11 @@ func FuzzCompactionAgreement(f *testing.F) {
 }
 
 // TestRetentionLifecycle walks the scripted release path: a settled pair of
-// intervals ages out of the window, the stream compacts, and every later
-// operation on the released names fails with a clear retention error (while
-// a late condition referencing them settles Failed rather than hanging).
+// intervals ages out of the window, the stream compacts, and for one more
+// window every operation on the released names fails with a clear retention
+// error (while a late condition referencing them settles Failed rather than
+// hanging). After that window the names are forgotten: unknown, like names
+// never used.
 func TestRetentionLifecycle(t *testing.T) {
 	reg := obs.New()
 	s := NewStream(2)
@@ -236,7 +239,9 @@ func TestRetentionLifecycle(t *testing.T) {
 	}
 
 	// Age the pair out of the window: the appraisal cadence runs off Poll.
-	for i := 0; i < 24; i++ {
+	// The appraisal at event 12 releases them, 10 events after their
+	// condition settled.
+	for i := 0; i < 10; i++ {
 		if _, err := s.Local(i % 2); err != nil {
 			t.Fatal(err)
 		}
@@ -261,20 +266,23 @@ func TestRetentionLifecycle(t *testing.T) {
 		t.Errorf("monitor.released_intervals = %d; want 2", got)
 	}
 
-	if err := m.Observe("A", poset.EventID{Proc: 0, Pos: 1}); err == nil || !strings.Contains(err.Error(), "released") {
+	released := func(err error) bool {
+		return errors.Is(err, ErrRetired) && strings.Contains(err.Error(), "released")
+	}
+	if err := m.Observe("A", poset.EventID{Proc: 0, Pos: 1}); !released(err) {
 		t.Errorf("Observe on released interval: err = %v; want released error", err)
 	}
-	if err := m.Complete("A"); err == nil || !strings.Contains(err.Error(), "released") {
+	if err := m.Complete("A"); !released(err) {
 		t.Errorf("Complete on released interval: err = %v; want released error", err)
 	}
-	if _, err := m.StrongestBetween("A", "B"); err == nil || !strings.Contains(err.Error(), "released") {
+	if _, err := m.StrongestBetween("A", "B"); !released(err) {
 		t.Errorf("StrongestBetween on released intervals: err = %v; want released error", err)
 	}
 	if err := m.AddCondition("late", "R1(A, B)"); err != nil {
 		t.Fatalf("AddCondition(late): %v", err)
 	}
 	late := m.Poll()
-	if len(late) != 1 || late[0].State != monitor.Failed || late[0].Err == nil {
+	if len(late) != 1 || late[0].State != monitor.Failed || !released(late[0].Err) {
 		t.Fatalf("late condition = %+v; want immediate Failed with retention error", late)
 	}
 
@@ -282,6 +290,29 @@ func TestRetentionLifecycle(t *testing.T) {
 	if err := m.Observe("fresh", poset.EventID{Proc: 0, Pos: 1}); err == nil || !strings.Contains(err.Error(), "compacted") {
 		t.Errorf("Observe of compacted event: err = %v; want compacted error", err)
 	}
+
+	// One window after the release the names are forgotten.
+	for i := 0; i < 12; i++ {
+		if _, err := s.Local(i % 2); err != nil {
+			t.Fatal(err)
+		}
+		m.Poll()
+		checkTombstones(t, m)
+	}
+	if err := m.Complete("A"); err == nil || errors.Is(err, ErrRetired) || !strings.Contains(err.Error(), "never observed") {
+		t.Errorf("Complete on forgotten interval: err = %v; want never-observed error", err)
+	}
+	if _, err := m.StrongestBetween("A", "B"); err == nil || errors.Is(err, ErrRetired) || !strings.Contains(err.Error(), "not complete") {
+		t.Errorf("StrongestBetween on forgotten intervals: err = %v; want not-complete error", err)
+	}
+	e, err := s.Local(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Observe("A", e); err != nil {
+		t.Errorf("Observe on forgotten interval: %v; want a new interval", err)
+	}
+	checkTombstones(t, m)
 }
 
 // TestRetentionAbandonsIdleIntervals covers the growing-map leak fix: a
@@ -578,9 +609,10 @@ func TestRetentionWindowRestartsAtLastUse(t *testing.T) {
 }
 
 // TestReleaseFreesIntervalRecords pins that released and abandoned names
-// leave only their tombstones behind: conditions over an abandoned interval
-// and a never-observed one, and intervals whose Define failed, all free
-// their interval records once settled and out of the window.
+// leave only their tombstones behind, and those for one window: conditions
+// over an abandoned interval and a never-observed one, and intervals whose
+// Define failed, all free their interval records once settled and out of the
+// window, and a window later their names.
 func TestReleaseFreesIntervalRecords(t *testing.T) {
 	s := NewStream(2)
 	m := NewMonitor(s)
@@ -623,6 +655,15 @@ func TestReleaseFreesIntervalRecords(t *testing.T) {
 			failed++
 		}
 		checkTombstones(t, m)
+		if failed == 70 {
+			m.mu.Lock()
+			for name, cs := range m.conds {
+				if cs.c != nil {
+					t.Errorf("condition %s keeps its compiled form after settling", name)
+				}
+			}
+			m.mu.Unlock()
+		}
 	}
 	m.CompactNow()
 	checkTombstones(t, m)
@@ -634,15 +675,212 @@ func TestReleaseFreesIntervalRecords(t *testing.T) {
 	if len(m.ivs) != 0 {
 		t.Errorf("%d interval records survive; want none", len(m.ivs))
 	}
-	if len(m.retired) != 70 || m.abandoned != 50 || m.released != 20 {
-		t.Errorf("tombstones: %d retired (%d abandoned, %d released); want 70 (50, 20)", len(m.retired), m.abandoned, m.released)
+	// The last retirements, at event 68, are a window behind event 114.
+	if len(m.retired) != 0 || m.abandoned != 50 || m.released != 20 {
+		t.Errorf("tombstones: %d retired (%d abandoned, %d released); want 0 (50, 20)", len(m.retired), m.abandoned, m.released)
 	}
-	for name, cs := range m.conds {
-		if cs.c != nil {
-			t.Errorf("condition %s keeps its compiled form after settling", name)
+	if len(m.conds) != 0 || len(m.ready) != 0 || len(m.ledger) != 0 {
+		t.Errorf("%d condition records, %d ready, %d ledger entries; want none", len(m.conds), len(m.ready), len(m.ledger))
+	}
+}
+
+// TestLedgerForgetsAfterWindow pins the name ledger's contract: a released
+// or abandoned interval and a settled condition keep their names reserved
+// for one retention window after they retire, each giving the error it gave
+// at retirement, and one window later the monitor has forgotten them: an
+// Observe starts a new interval, a condition over a forgotten interval
+// waits for it, and a condition registered again under a settled name is a
+// new condition whose verdict Poll delivers once.
+func TestLedgerForgetsAfterWindow(t *testing.T) {
+	const window = 8
+	s := NewStream(2)
+	m := NewMonitor(s)
+	if err := m.SetRetention(RetentionPolicy{MaxEvents: window, AbandonAfter: window, Every: 1}); err != nil {
+		t.Fatal(err)
+	}
+	event := func(p int) poset.EventID {
+		t.Helper()
+		e, err := s.Local(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkTombstones(t, m)
+	}
+	var results []monitor.Result
+	poll := func() {
+		t.Helper()
+		results = append(results, m.Poll()...)
+		checkTombstones(t, m)
+	}
+	age := func(n int) {
+		t.Helper()
+		for i := range n {
+			event(i % 2)
+			poll()
 		}
 	}
-	if len(m.conds) != 70 || len(m.ready) != 0 {
-		t.Errorf("%d condition records, %d ready; want 70 tombstones, none ready", len(m.conds), len(m.ready))
+	retired := func(err error, why string) bool {
+		return errors.Is(err, ErrRetired) && strings.Contains(err.Error(), why)
+	}
+	defined := func(name string) {
+		t.Helper()
+		err := m.AddCondition(name, "R4(A, B)")
+		if err == nil || !strings.Contains(err.Error(), "already defined") {
+			t.Fatalf("AddCondition(%s) inside its window: err = %v; want already defined", name, err)
+		}
+		checkTombstones(t, m)
+	}
+
+	// Event 3: A and B are complete, c over them settles, S grows with w
+	// waiting on it.
+	a := event(0)
+	must(m.Observe("A", a))
+	must(m.Complete("A"))
+	must(m.Observe("B", event(1)))
+	must(m.Complete("B"))
+	must(m.Observe("S", event(0)))
+	must(m.AddCondition("c", "R1(A, B)"))
+	must(m.AddCondition("w", "R1(S, S)"))
+	poll()
+	if len(results) != 1 || results[0].Name != "c" {
+		t.Fatalf("settled %+v; want c", results)
+	}
+	defined("c")
+	age(window) // event 11: the last one inside c's window
+	defined("c")
+
+	// Event 12: c is forgotten a window after it settled; A and B are
+	// released and S is abandoned, a window after their last use, and w
+	// fails with S.
+	age(1)
+	m.mu.Lock()
+	_, kept := m.conds["c"]
+	m.mu.Unlock()
+	if kept {
+		t.Fatal("c outlived its window")
+	}
+	if len(results) != 2 || results[1].Name != "w" || !retired(results[1].Err, "abandoned") {
+		t.Fatalf("settled %+v; want w failed on abandoned S", results)
+	}
+	reserved := func() {
+		t.Helper()
+		if err := m.Observe("A", a); !retired(err, "released") {
+			t.Errorf("Observe(A) inside the window: err = %v; want released", err)
+		}
+		if err := m.Complete("B"); !retired(err, "released") {
+			t.Errorf("Complete(B) inside the window: err = %v; want released", err)
+		}
+		if _, err := m.StrongestBetween("A", "B"); !retired(err, "released") {
+			t.Errorf("StrongestBetween(A, B) inside the window: err = %v; want released", err)
+		}
+		if err := m.Observe("S", a); !retired(err, "abandoned") {
+			t.Errorf("Observe(S) inside the window: err = %v; want abandoned", err)
+		}
+		checkTombstones(t, m)
+		defined("w")
+	}
+	reserved()
+	age(window) // event 20: the last one inside the window
+	reserved()
+	must(m.AddCondition("late", "R1(A, S)"))
+	poll()
+	if n := len(results); results[n-1].Name != "late" || !retired(results[n-1].Err, "released") {
+		t.Fatalf("settled %+v; want late failed on released A", results)
+	}
+
+	// Event 21: A, B, S and w are forgotten; late, settled at event 20, is
+	// not.
+	age(1)
+	m.mu.Lock()
+	_, lateKept := m.conds["late"]
+	nRetired, nConds, nLedger := len(m.retired), len(m.conds), len(m.ledger)
+	m.mu.Unlock()
+	if nRetired != 0 || nConds != 1 || nLedger != 1 || !lateKept {
+		t.Fatalf("a window after retirement: %d retired, %d conditions, %d ledger entries; want 0, late, late's",
+			nRetired, nConds, nLedger)
+	}
+	before := len(results)
+	must(m.Observe("A", event(0)))
+	must(m.AddCondition("w", "R1(A, B)"))
+	must(m.AddCondition("c", "R1(A, B)"))
+	poll()
+	if err := m.Complete("B"); err == nil || errors.Is(err, ErrRetired) || !strings.Contains(err.Error(), "never observed") {
+		t.Errorf("Complete(B) after the window: err = %v; want never observed", err)
+	}
+	must(m.Complete("A"))
+	poll()
+	if len(results) != before {
+		t.Fatalf("settled %+v while B is unobserved; want w and c waiting", results[before:])
+	}
+	must(m.Observe("B", event(1)))
+	must(m.Complete("B"))
+	poll()
+	poll()
+	got := map[string]int{}
+	for _, r := range results[before:] {
+		got[r.Name]++
+		if r.State == monitor.Failed {
+			t.Errorf("%s = failed: %v; want a verdict over the new A and B", r.Name, r.Err)
+		}
+	}
+	if len(got) != 2 || got["w"] != 1 || got["c"] != 1 {
+		t.Errorf("settled %v after the window; want w and c once each", got)
+	}
+}
+
+// TestSettledBeforeRetentionEntersWindow pins that a condition settled
+// before SetRetention enters the window at that call, as an interval
+// observed before it does: its name is reserved for one window from there.
+func TestSettledBeforeRetentionEntersWindow(t *testing.T) {
+	s := NewStream(2)
+	m := NewMonitor(s)
+	for p, name := range []string{"A", "B"} {
+		e, err := s.Local(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Observe(name, e); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Complete(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.AddCondition("c", "R4(A, B)"); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Poll(); len(got) != 1 {
+		t.Fatalf("Poll = %+v; want c settled", got)
+	}
+	for range 20 {
+		if _, err := s.Local(0); err != nil {
+			t.Fatal(err)
+		}
+		m.Poll()
+	}
+	if err := m.AddCondition("c", "R4(A, B)"); err == nil {
+		t.Fatal("without a policy, a settled name was registered again")
+	}
+	if err := m.SetRetention(RetentionPolicy{MaxEvents: 8, Every: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range 9 {
+		if err := m.AddCondition("c", "R4(A, B)"); err == nil {
+			t.Fatalf("%d events after SetRetention: c registered again inside the window", i)
+		}
+		if _, err := s.Local(0); err != nil {
+			t.Fatal(err)
+		}
+		m.Poll()
+	}
+	if err := m.AddCondition("c", "R4(A, B)"); err != nil {
+		t.Errorf("a window after SetRetention: %v; want c registered again", err)
 	}
 }

@@ -125,6 +125,7 @@ func (f *File) Execution() (*poset.Execution, error) {
 			b.AppendN(p, c)
 		}
 	}
+	b.Grow(len(f.Messages))
 	for _, m := range f.Messages {
 		if err := b.Message(
 			poset.EventID{Proc: m.From.Proc, Pos: m.From.Pos},

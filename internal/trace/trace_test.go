@@ -266,3 +266,26 @@ func TestTimingRoundTrip(t *testing.T) {
 		t.Errorf("malformed times accepted")
 	}
 }
+
+// TestExecutionAllocsIndependentOfMessages pins that Execution sizes the
+// builder's message log once: a trace with eight times the messages of
+// another, over the same processes, costs the same number of allocations.
+func TestExecutionAllocsIndependentOfMessages(t *testing.T) {
+	allocs := func(rounds int) (float64, int) {
+		res := sim.MustGenerate(sim.Config{Pattern: sim.Gossip, Procs: 4, Rounds: rounds, Seed: 1})
+		f := New(res.Exec, nil)
+		n := testing.AllocsPerRun(10, func() {
+			if _, err := f.Execution(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return n, len(f.Messages)
+	}
+	small, smallMsgs := allocs(16)
+	large, largeMsgs := allocs(128)
+	t.Logf("%.0f allocs for %d messages, %.0f for %d", small, smallMsgs, large, largeMsgs)
+	if large > small {
+		t.Errorf("Execution allocates %.0f objects for %d messages, %.0f for %d; want no growth",
+			large, largeMsgs, small, smallMsgs)
+	}
+}
