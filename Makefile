@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build vet test race bench tables metrics trace explain benchdiff profile stream soak fuzz chaos alerts examples coverage clean
+.PHONY: all build vet test race bench tables metrics trace explain benchdiff profile stream soak fuzz chaos flight alerts examples coverage clean
 
 all: build vet test
 
@@ -91,6 +91,20 @@ fuzz:
 chaos:
 	$(GO) test -race ./internal/faultsim -seeds=64
 
+# Flight-recorder smoke: run the monitor against a lossy simulated execution
+# with a condition that must fail (exit 1), and check the causal black box
+# it dumps to flight_violation.json holds events with their vector clocks —
+# the same step CI's flight-recorder smoke runs.
+flight:
+	rm -f flight_violation.json
+	$(GO) run ./cmd/syncmon -faults "twophase,nodes=3,rounds=2,seed=5,drop=0.1" \
+		-explain -flight-out flight_violation.json \
+		-cond 'backwards: R1(apply-0, vote-0)'; \
+		code=$$?; test $$code -eq 1 || { echo "expected violation exit 1, got $$code"; exit 1; }
+	test -s flight_violation.json
+	grep -q '"clock": \[' flight_violation.json
+	@echo "flight bundle written to flight_violation.json"
+
 # Alerting demo: replay the seeded dup=1 chaos scenario with an alert rule
 # over the sampled violation counter (internal/obs/alert). The firing
 # transition prints as an ALERT line, the run still exits 1 — alerts never
@@ -115,4 +129,4 @@ coverage:
 	$(GO) tool cover -func=cover.out | tail -1
 
 clean:
-	rm -f cover.out test_output.txt bench_output.txt trace_ring.json trace_spans.json explain_flows.json benchtab_new.json cpu.pprof mem.pprof alerts.rules tsdb_dump.json
+	rm -f cover.out test_output.txt bench_output.txt trace_ring.json trace_spans.json explain_flows.json benchtab_new.json cpu.pprof mem.pprof alerts.rules tsdb_dump.json flight_violation.json

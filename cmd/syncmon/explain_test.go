@@ -58,22 +58,14 @@ func TestRunExplainViolationWithFlight(t *testing.T) {
 		t.Errorf("violation should still carry a witness:\n%s", out)
 	}
 
-	f, err := os.Open(bundlePath)
-	if err != nil {
-		t.Fatalf("flight bundle not written: %v", err)
-	}
-	defer f.Close()
-	b, err := flight.ReadJSON(f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := readBundle(t, bundlePath)
 	if !strings.Contains(b.Reason, "violation") || !strings.Contains(b.Reason, "backwards") {
 		t.Errorf("bundle reason = %q, want violation naming the condition", b.Reason)
 	}
 	if len(b.Events) == 0 {
 		t.Error("bundle recorded no events")
 	}
-	// The replayed trace events must carry full (non-approximate) clocks.
+	// The replayed trace events must carry full clocks.
 	for _, ev := range b.Events {
 		if len(ev.Clock) != b.Procs {
 			t.Fatalf("event %+v has short clock", ev)
@@ -107,22 +99,14 @@ func TestRunFlightExactClocks(t *testing.T) {
 		if err != nil || code != exitViolation {
 			t.Fatalf("%s: exit %d, err %v:\n%s", name, code, err, buf.String())
 		}
-		f, err := os.Open(bundlePath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := flight.ReadJSON(f)
-		f.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
+		b := readBundle(t, bundlePath)
 		clk := vclock.New(ex)
 		if len(b.Events) != ex.NumEvents() {
 			t.Errorf("%s: bundle has %d events, want %d", name, len(b.Events), ex.NumEvents())
 		}
 		for _, ev := range b.Events {
-			if want := clk.T(poset.EventID{Proc: ev.Proc, Pos: ev.Pos}); ev.Approx || !slices.Equal(ev.Clock, want) {
-				t.Errorf("%s: p%d:%d clock %v (approx %v), want %v", name, ev.Proc, ev.Pos, ev.Clock, ev.Approx, want)
+			if want := clk.T(poset.EventID{Proc: ev.Proc, Pos: ev.Pos}); !slices.Equal(ev.Clock, want) {
+				t.Errorf("%s: p%d:%d clock %v, want %v", name, ev.Proc, ev.Pos, ev.Clock, want)
 			}
 		}
 		for p, got := range b.Clocks {
@@ -131,6 +115,21 @@ func TestRunFlightExactClocks(t *testing.T) {
 			}
 		}
 	}
+}
+
+// readBundle decodes the flight bundle a run wrote to path.
+func readBundle(t *testing.T, path string) *flight.Bundle {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatalf("flight bundle not written: %v", err)
+	}
+	defer f.Close()
+	b, err := flight.ReadJSON(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // TestRunNoFlightWithoutViolation: all-PASS runs leave no bundle behind.

@@ -2,8 +2,16 @@ package main
 
 import (
 	"bytes"
+	"io"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"causet/internal/faultsim"
+	"causet/internal/obs/flight"
+	"causet/internal/poset"
+	"causet/internal/vclock"
 )
 
 // These tests pin the syncmon exit-status contract when the trace comes from
@@ -114,6 +122,60 @@ func TestFaultsDeterministicOutput(t *testing.T) {
 			first = buf.String()
 		} else if buf.String() != first {
 			t.Fatalf("run %d output differs:\n%s\nvs\n%s", i, buf.String(), first)
+		}
+	}
+}
+
+// TestFaultsFlightBundle: a -faults run records its flight bundle from the
+// replay that feeds the monitor. Arming the recorder leaves stdout as it
+// was; every event carries the clock vclock.New computes over the simulated
+// execution and the runtime's label for it, the final clocks are exact too,
+// and the ring holds the run's last DefaultCapacity events.
+func TestFaultsFlightBundle(t *testing.T) {
+	const spec = "mutex,nodes=8,rounds=20,seed=3"
+	args := []string{"-faults", spec,
+		"-cond", "back: R1(cs-n0-e1, cs-n0-e0)", "-cond", "fwd: R1(cs-n0-e0, cs-n0-e1)"}
+	prevStderr := stderrW
+	stderrW = io.Discard
+	defer func() { stderrW = prevStderr }()
+	var plain, armed bytes.Buffer
+	if code, err := run(args, &plain); err != nil || code != exitViolation {
+		t.Fatalf("exit %d, err %v:\n%s", code, err, plain.String())
+	}
+	bundlePath := filepath.Join(t.TempDir(), "flight.json")
+	if code, err := run(append(args, "-flight-out", bundlePath), &armed); err != nil || code != exitViolation {
+		t.Fatalf("-flight-out: exit %d, err %v:\n%s", code, err, armed.String())
+	}
+	if armed.String() != plain.String() {
+		t.Errorf("-flight-out changed stdout:\n%s\nvs\n%s", armed.String(), plain.String())
+	}
+
+	cfg, seed, plan, err := faultsim.ParseSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := faultsim.Run(cfg, seed, plan, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, clk := res.Exec, vclock.New(res.Exec)
+	b := readBundle(t, bundlePath)
+	if len(b.Events) != flight.DefaultCapacity || b.Dropped != 4912-256 || ex.NumEvents() != 4912 {
+		t.Errorf("bundle holds %d events and dropped %d of %d, want 256 and 4912-256",
+			len(b.Events), b.Dropped, ex.NumEvents())
+	}
+	for _, ev := range b.Events {
+		e := poset.EventID{Proc: ev.Proc, Pos: ev.Pos}
+		if want := clk.T(e); !slices.Equal(ev.Clock, want) {
+			t.Errorf("%v: clock %v, want %v", e, ev.Clock, want)
+		}
+		if ev.Label != res.Labels[e] {
+			t.Errorf("%v: label %q, want %q", e, ev.Label, res.Labels[e])
+		}
+	}
+	for p, got := range b.Clocks {
+		if want := clk.T(poset.EventID{Proc: p, Pos: ex.NumReal(p)}); !slices.Equal(got, want) {
+			t.Errorf("final clock of p%d = %v, want %v", p, got, want)
 		}
 	}
 }

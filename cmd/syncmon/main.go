@@ -76,8 +76,9 @@
 // run panics — the last-K events with their vector clocks, the final
 // per-process clocks, a metrics snapshot, and (when sampling is on) the
 // tsdb tail plus the alert transition history are dumped as one JSON
-// bundle. A -faults run records its live runtime; a recorded trace's replay
-// records each event with its exact clock, read from the stream.
+// bundle. The replay records every event, of a recorded trace or of a
+// -faults run, with its exact clock read from the stream; a -faults bundle
+// also carries the runtime's event labels.
 // -version prints build metadata and exits.
 package main
 
@@ -167,7 +168,7 @@ func run(args []string, out io.Writer) (int, error) {
 	condFile := fs.String("conds", "", "file with one \"name: expression\" per line")
 	explainFlag := fs.Bool("explain", false, "print, under each settled condition, the witness cuts and critical path behind every atom (internal/explain); the /debug/monitor dashboard gains an explanations panel")
 	retention := fs.String("retention", "", "give the online monitor every check streams through this retention policy: \"events=N,age=DUR,every=N,abandon=N\" (at least one of events/age); bounds memory for long-running sessions")
-	flightOut := fs.String("flight-out", "", "write a flight-recorder bundle (last-K events with live vector clocks, final clocks, metrics snapshot) as JSON to this file when a condition is violated or the run panics")
+	flightOut := fs.String("flight-out", "", "write a flight-recorder bundle (last-K events with exact vector clocks read from the replayed stream, final clocks, metrics snapshot) as JSON to this file when a condition is violated or the run panics")
 	version := fs.Bool("version", false, "print build information and exit")
 	metricsOut := fs.String("metrics", "", "write a metrics-registry snapshot as JSON to this file (- = stderr)")
 	traceOut := fs.String("trace-out", "", "write a Chrome trace_event JSON file (Perfetto/about://tracing)")
@@ -251,46 +252,40 @@ func run(args []string, out io.Writer) (int, error) {
 		defer tel.Stop()
 	}
 
-	// The flight recorder rides along from here so a panic anywhere below
-	// still dumps the causal black box before the process dies.
-	var fr *flight.Recorder
-	if *flightOut != "" {
-		defer func() {
-			if r := recover(); r != nil {
-				_ = fr.Dump(*flightOut, fmt.Sprintf("panic: %v", r), reg)
-				panic(r)
-			}
-		}()
-	}
-
+	// A -faults run keeps the runtime's event labels for the flight bundle.
 	var f *trace.File
+	var labels map[poset.EventID]string
 	src := *path
 	if *faults != "" {
 		src = "faultsim:" + *faults
-		if *flightOut != "" {
-			cfg, _, _, perr := faultsim.ParseSpec(*faults)
-			if perr != nil {
-				return exitError, perr
-			}
-			fr = flight.New(cfg.Nodes, 0)
+		cfg, seed, plan, perr := faultsim.ParseSpec(*faults)
+		if perr != nil {
+			return exitError, perr
 		}
-		f, err = faultsim.TraceFromSpecFlight(*faults, reg, tr, fr)
-	} else {
-		f, err = trace.Load(*path)
-	}
-	if err != nil {
+		res, rerr := faultsim.Run(cfg, seed, plan, reg, tr)
+		if rerr != nil {
+			return exitError, rerr
+		}
+		f, labels = res.TraceFile(), res.Labels
+	} else if f, err = trace.Load(*path); err != nil {
 		return exitError, err
 	}
 	ex, err := f.Execution()
 	if err != nil {
 		return exitError, err
 	}
-	// Recorded traces have no live runtime to hook: the replay that feeds
-	// the monitor records each event with its clock from the stream.
-	var replayRec *flight.Recorder
-	if *flightOut != "" && fr == nil {
+	// The replay that feeds the monitor records each event with its clock
+	// from the stream; from here on a panic still dumps the causal black box
+	// before the process dies.
+	var fr *flight.Recorder
+	if *flightOut != "" {
 		fr = flight.New(ex.NumProcs(), 0)
-		replayRec = fr
+		defer func() {
+			if r := recover(); r != nil {
+				_ = fr.Dump(*flightOut, fmt.Sprintf("panic: %v", r), reg)
+				panic(r)
+			}
+		}()
 	}
 	// Violation bundles carry the telemetry tail and alert history too.
 	fr.Attach(tel.TSDB(), eng)
@@ -404,7 +399,7 @@ func run(args []string, out io.Writer) (int, error) {
 	violWin := reg.Window("syncmon.violations", 256)
 	code := exitOK
 	var violated []string
-	results, err := streamVerdicts(stream, om, ex, ivs, condPairs, replayRec)
+	results, err := streamVerdicts(stream, om, ex, ivs, condPairs, fr, labels)
 	if err != nil {
 		return exitError, err
 	}
@@ -519,8 +514,8 @@ func parseRetention(spec string) (online.RetentionPolicy, error) {
 // which the caller prints as SKIP with exit 2. The replay pins sends until
 // their receives land, so retention appraisals firing mid-stream can never
 // compact an in-flight message edge. A non-nil rec records each event with
-// its clock from the stream.
-func streamVerdicts(stream *online.Stream, om *online.Monitor, ex *poset.Execution, ivs map[string]*interval.Interval, condPairs [][2]string, rec *flight.Recorder) ([]monitor.Result, error) {
+// its clock from the stream and its label from labels (which may be nil).
+func streamVerdicts(stream *online.Stream, om *online.Monitor, ex *poset.Execution, ivs map[string]*interval.Interval, condPairs [][2]string, rec *flight.Recorder, labels map[poset.EventID]string) ([]monitor.Result, error) {
 	// Sorted, so the replay observes and completes intervals, and logs
 	// them, in the same order on every run.
 	names := make([]string, 0, len(ivs))
@@ -553,7 +548,7 @@ func streamVerdicts(stream *online.Stream, om *online.Monitor, ex *poset.Executi
 			if err != nil {
 				return err
 			}
-			rec.RecordClock(e.Proc, e.Pos, kind, ref, clock)
+			rec.RecordClock(e.Proc, e.Pos, kind, labels[e], ref, clock)
 		}
 		for _, i := range in.of(e) {
 			if err := om.Observe(names[i], e); err != nil {

@@ -44,7 +44,7 @@ func newView(t *testing.T, path string, conds [][2]string, policy *online.Retent
 			t.Fatal(err)
 		}
 	}
-	replay = func() ([]monitor.Result, error) { return streamVerdicts(s, om, ex, ivs, conds, nil) }
+	replay = func() ([]monitor.Result, error) { return streamVerdicts(s, om, ex, ivs, conds, nil, nil) }
 	return newMonitorView(om, s, ivs, conds, reg, st, eng), ex, replay
 }
 

@@ -23,15 +23,16 @@ type CheckOptions struct {
 	// (there can be dozens on a busy mutex trace). 0 means 6.
 	NamedPairs int
 
-	// buggyDupClockMerge injects a deliberate bug into the online replay: a
+	// buggyDupClockMerge injects a deliberate bug into the online legs: a
 	// receiver-side "dedup" that records every delivery of a duplicated
 	// message as a local event, skipping the vector-clock merge and losing
-	// the causal edge. (Skipping only the second copy would be causally
-	// invisible — both copies land on the same process, so the first merge
-	// is inherited locally; the realistic failure mode is dedup logic that
-	// swallows the message before the monitor sees its edge at all.) The
-	// harness exists to catch exactly this class of mistake — the acceptance
-	// test seeds it and asserts the property check finds and shrinks it.
+	// the causal edge (dropDuplicatedEdges). (Skipping only the second copy
+	// would be causally invisible — both copies land on the same process,
+	// so the first merge is inherited locally; the realistic failure mode
+	// is dedup logic that swallows the message before the monitor sees its
+	// edge at all.) The harness exists to catch exactly this class of
+	// mistake — the acceptance test seeds it and asserts the property check
+	// finds and shrinks it.
 	buggyDupClockMerge bool
 }
 
@@ -221,9 +222,9 @@ type olCond struct{ name, src string }
 // aggressive retention policy — settled intervals released almost
 // immediately, the stream compacted every few events — which is the
 // chaos-side leg of the compaction-agreement differential. Under the
-// (test-only) injected duplicate-clock-merge bug the replay records
-// duplicated deliveries without their causal edges, which is exactly the
-// divergence the unbounded leg catches.
+// (test-only) injected duplicate-clock-merge bug both legs replay the
+// execution without the edges into duplicated deliveries, which is exactly
+// the divergence the unbounded leg catches.
 func (o CheckOptions) checkOnline(ex *poset.Execution, pairs []ivPair) error {
 	if len(pairs) == 0 {
 		return nil
@@ -259,18 +260,16 @@ func (o CheckOptions) checkOnline(ex *poset.Execution, pairs []ivPair) error {
 		offline[r.Name] = r.State
 	}
 
-	policies := []*online.RetentionPolicy{nil, {MaxEvents: 16, Every: 4}}
+	replayed := ex
 	if o.buggyDupClockMerge {
-		// The seeded bug's replay does not pin in-flight sends, so it runs
-		// the unbounded leg only.
-		policies = policies[:1]
+		replayed = dropDuplicatedEdges(ex)
 	}
-	for _, policy := range policies {
+	for _, policy := range []*online.RetentionPolicy{nil, {MaxEvents: 16, Every: 4}} {
 		leg := "online"
 		if policy != nil {
 			leg = "retained online"
 		}
-		settled, err := o.runOnline(ex, pairs, conds, policy)
+		settled, err := runOnline(replayed, pairs, conds, policy)
 		if err != nil {
 			return fmt.Errorf("%s: %w", leg, err)
 		}
@@ -294,10 +293,10 @@ func (o CheckOptions) checkOnline(ex *poset.Execution, pairs []ivPair) error {
 // Monitor under policy (nil: unbounded), growing and completing the
 // monitor's intervals in lockstep with the stream and polling after every
 // event. It returns each delivered verdict and fails when Poll delivers a
-// name twice. Outside the seeded bug the replay pins in-flight sends,
-// because fault plans reorder and duplicate deliveries and a retention
-// appraisal must never compact a send whose receive is still to come.
-func (o CheckOptions) runOnline(ex *poset.Execution, pairs []ivPair, conds []olCond, policy *online.RetentionPolicy) (map[string]monitor.State, error) {
+// name twice. The replay pins in-flight sends, because fault plans reorder
+// and duplicate deliveries and a retention appraisal must never compact a
+// send whose receive is still to come.
+func runOnline(ex *poset.Execution, pairs []ivPair, conds []olCond, policy *online.RetentionPolicy) (map[string]monitor.State, error) {
 	memberOf := make(map[poset.EventID][]string)
 	remaining := make(map[string]int, 2*len(pairs))
 	for i, pr := range pairs {
@@ -346,51 +345,29 @@ func (o CheckOptions) runOnline(ex *poset.Execution, pairs []ivPair, conds []olC
 		}
 		return drain()
 	}
-	var err error
-	if o.buggyDupClockMerge {
-		err = o.replayBuggy(s, ex, feed)
-	} else {
-		_, err = online.ReplayStepsOn(s, ex, feed)
-	}
-	if err != nil {
+	if _, err := online.ReplayStepsOn(s, ex, feed); err != nil {
 		return nil, fmt.Errorf("replay: %w", err)
 	}
 	return settled, drain()
 }
 
-// replayBuggy mirrors online.ReplayStepsOn, minus its send pinning (it runs
-// only the unbounded leg), except for the seeded bug: every delivery of a
-// message that was delivered more than once (a duplicated send) is recorded
-// as a local event — the causal edge and the clock merge silently vanish,
-// as they would under dedup logic that swallows duplicated messages before
-// the monitor records them.
-func (o CheckOptions) replayBuggy(s *online.Stream, ex *poset.Execution, feed func(*online.Stream, poset.EventID) error) error {
-	sendFor := make(map[poset.EventID]poset.EventID, len(ex.Messages()))
-	copies := make(map[poset.EventID]int)
+// dropDuplicatedEdges is the seeded bug: it rebuilds ex with every event
+// kept and the edge into each delivery of a message delivered more than
+// once (a duplicated send) left out, as dedup logic that swallows
+// duplicated messages before the monitor records them would. Each such
+// delivery replays as a local event, without its causal edge or clock merge.
+func dropDuplicatedEdges(ex *poset.Execution) *poset.Execution {
+	b := poset.NewBuilder(ex.NumProcs())
+	for p := range ex.NumProcs() {
+		for range ex.NumReal(p) {
+			b.Append(p)
+		}
+	}
 	for _, m := range ex.Messages() {
-		sendFor[m.To] = m.From
-		copies[m.From]++
-	}
-	for _, e := range ex.LinearExtension() {
-		from, isRecv := sendFor[e]
-		switch {
-		case isRecv && copies[from] > 1:
-			// THE BUG: duplicated message recorded without its edge.
-			if _, err := s.Local(e.Proc); err != nil {
-				return err
-			}
-		case isRecv:
-			if _, err := s.Recv(e.Proc, from); err != nil {
-				return err
-			}
-		default:
-			if _, err := s.Local(e.Proc); err != nil {
-				return err
-			}
-		}
-		if err := feed(s, e); err != nil {
-			return err
+		if len(ex.MsgSuccessors(m.From)) == 1 {
+			// A subset of a valid execution's edges is valid.
+			_ = b.Message(m.From, m.To)
 		}
 	}
-	return nil
+	return b.MustBuild()
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"causet/internal/obs"
-	"causet/internal/obs/flight"
 	"causet/internal/poset"
 	"causet/internal/runtime"
 	"causet/internal/trace"
@@ -68,14 +67,6 @@ func (r *Result) TraceFile() *trace.File {
 // instrumentation. The returned result is a deterministic function of
 // (cfg, seed, plan).
 func Run(cfg Config, seed int64, plan FaultPlan, reg *obs.Registry, tr *obs.Tracer) (*Result, error) {
-	return RunFlight(cfg, seed, plan, reg, tr, nil)
-}
-
-// RunFlight is Run with a violation flight recorder attached to the
-// runtime: every simulated event lands in fr's ring buffer with its live
-// vector clock, so a caller that detects a violation afterwards can dump
-// the causal black box (fr may be nil, making this identical to Run).
-func RunFlight(cfg Config, seed int64, plan FaultPlan, reg *obs.Registry, tr *obs.Tracer, fr *flight.Recorder) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -84,7 +75,6 @@ func RunFlight(cfg Config, seed int64, plan FaultPlan, reg *obs.Registry, tr *ob
 	}
 	sys := runtime.NewSystem(cfg.Nodes, 1) // inboxes unused: the sim transports
 	sys.Instrument(reg, tr)
-	sys.SetFlightRecorder(fr)
 	sim := newSim(cfg.Nodes, seed, plan, reg, tr)
 	sim.Attach(sys)
 	go sim.schedule()
@@ -151,20 +141,15 @@ func addInterval(res *Result, name string, events ...poset.EventID) {
 }
 
 // TraceFromSpec runs the chaos spec (see ParseSpec) and returns the
-// resulting trace file — the engine behind the relcheck/syncmon -faults
-// flags. reg and tr may be nil.
+// resulting trace file — the engine behind relcheck's -faults flag (syncmon
+// calls ParseSpec and Run itself, to keep the run's labels). reg and tr may
+// be nil.
 func TraceFromSpec(spec string, reg *obs.Registry, tr *obs.Tracer) (*trace.File, error) {
-	return TraceFromSpecFlight(spec, reg, tr, nil)
-}
-
-// TraceFromSpecFlight is TraceFromSpec with a flight recorder capturing the
-// simulated run (fr may be nil).
-func TraceFromSpecFlight(spec string, reg *obs.Registry, tr *obs.Tracer, fr *flight.Recorder) (*trace.File, error) {
 	cfg, seed, plan, err := ParseSpec(spec)
 	if err != nil {
 		return nil, err
 	}
-	res, err := RunFlight(cfg, seed, plan, reg, tr, fr)
+	res, err := Run(cfg, seed, plan, reg, tr)
 	if err != nil {
 		return nil, err
 	}

@@ -1,14 +1,16 @@
 // Package flight is a violation flight recorder: a fixed-capacity ring
-// buffer of the most recent runtime events, each stamped with the live
-// vector clock at its occurrence, dumped together with the final per-process
-// clocks and a metrics snapshot as one self-contained JSON bundle when a
-// monitored condition is violated or the process crashes. The bundle is the
-// causal black box an operator replays after the fact — the last K events
-// with enough ordering structure to reconstruct who knew what when.
+// buffer of the most recent events of a monitored execution, each stamped
+// with the exact vector clock its caller read for it, dumped together with
+// the final per-process clocks and a metrics snapshot as one self-contained
+// JSON bundle when a monitored condition is violated or the process crashes.
+// The bundle is the causal black box an operator replays after the fact —
+// the last K events with enough ordering structure to reconstruct who knew
+// what when. syncmon is the one producer: its replay records each event with
+// the clock the online stream holds for it.
 //
-// The recorder is deliberately independent of internal/runtime (the runtime
-// imports this package, not vice versa) and of internal/poset: events are
-// identified by (proc, pos) pairs, matching poset.EventID by convention.
+// The recorder computes no clocks of its own and is independent of
+// internal/online and internal/poset: events are identified by (proc, pos)
+// pairs, matching poset.EventID by convention.
 package flight
 
 import (
@@ -38,7 +40,7 @@ type EventRef struct {
 	Pos  int `json:"pos"`
 }
 
-// Event is one recorded runtime event.
+// Event is one recorded event.
 type Event struct {
 	Seq   int64     `json:"seq"` // global record order (monotone)
 	Proc  int       `json:"proc"`
@@ -47,12 +49,8 @@ type Event struct {
 	Label string    `json:"label,omitempty"`
 	From  *EventRef `json:"from,omitempty"` // the send this recv consumed
 	// Clock is the event's vector clock (Clock[p] = latest position of p in
-	// its causal past, own component = Pos). Approx marks a recv whose
-	// matching send clock had already been evicted from the bounded send
-	// window; its clock is then a lower bound (the local component is
-	// exact).
-	Clock  []int `json:"clock"`
-	Approx bool  `json:"approx,omitempty"`
+	// its causal past, own component = Pos).
+	Clock []int `json:"clock"`
 }
 
 // Bundle is the self-contained dump written on violation or crash.
@@ -81,21 +79,13 @@ type Bundle struct {
 // attached store.
 const TsdbTail = 60
 
-// sendWindowFactor bounds the retained send clocks to factor × capacity;
-// older sends are evicted FIFO and any recv that later references one is
-// marked Approx.
-const sendWindowFactor = 4
-
 // Recorder is the ring buffer. Safe for concurrent use.
 type Recorder struct {
 	mu    sync.Mutex
 	cap   int
 	buf   []Event // ring, buf[seq % cap] once full
 	seq   int64   // events recorded so far
-	heads [][]int // live vector clock per process
-
-	sent     map[EventRef][]int
-	sentFIFO []EventRef
+	heads [][]int // clock of each process's newest recorded event
 
 	tsdbStore *tsdb.Store
 	alerts    *alert.Engine
@@ -124,7 +114,6 @@ func New(procs, capacity int) *Recorder {
 		cap:   capacity,
 		buf:   make([]Event, 0, capacity),
 		heads: make([][]int, procs),
-		sent:  make(map[EventRef][]int),
 	}
 	for p := range r.heads {
 		r.heads[p] = make([]int, procs)
@@ -132,70 +121,13 @@ func New(procs, capacity int) *Recorder {
 	return r
 }
 
-// Record appends one event. pos is the event's 1-based position on proc;
-// kind is "internal", "send", or "recv"; from identifies the matching send
-// for recv events (nil otherwise). Calls must be ordered consistently with
-// causality per process (the runtime holds its own lock across delivery and
-// recording, which guarantees this).
-func (r *Recorder) Record(proc, pos int, kind, label string, from *EventRef) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if proc < 0 || proc >= len(r.heads) {
-		return
-	}
-	head := r.heads[proc]
-	approx := false
-	if from != nil {
-		if sc, ok := r.sent[*from]; ok {
-			for i, v := range sc {
-				if v > head[i] {
-					head[i] = v
-				}
-			}
-		} else {
-			// The send clock aged out of the window: merge what we know (at
-			// least the send's own component) and mark the clock approximate.
-			if from.Proc >= 0 && from.Proc < len(head) && from.Pos > head[from.Proc] {
-				head[from.Proc] = from.Pos
-			}
-			approx = true
-		}
-	}
-	head[proc] = pos
-	ev := Event{
-		Proc:   proc,
-		Pos:    pos,
-		Kind:   kind,
-		Label:  label,
-		Clock:  append([]int(nil), head...),
-		Approx: approx,
-	}
-	if from != nil {
-		f := *from
-		ev.From = &f
-	}
-	if kind == "send" {
-		ref := EventRef{Proc: proc, Pos: pos}
-		r.sent[ref] = ev.Clock
-		r.sentFIFO = append(r.sentFIFO, ref)
-		if len(r.sentFIFO) > sendWindowFactor*r.cap {
-			evict := r.sentFIFO[0]
-			r.sentFIFO = r.sentFIFO[1:]
-			delete(r.sent, evict)
-		}
-	}
-	r.addLocked(ev)
-}
-
-// RecordClock appends one event whose vector clock the caller knows exactly,
-// as a replay of a recorded trace does: clock becomes the event's clock and
-// proc's live clock, so no send window is consulted and the clock is never
-// approximate. from names one send a recv consumed (nil otherwise). The
-// recorder keeps clock, so the caller must not change it afterwards.
-func (r *Recorder) RecordClock(proc, pos int, kind string, from *EventRef, clock []int) {
+// RecordClock appends one event with the vector clock the caller read for
+// it, as a replay of an execution does: clock becomes the event's clock and
+// proc's final clock. pos is the event's 1-based position on proc; kind is
+// "internal", "send", or "recv"; label may be empty; from names one send a
+// recv consumed (nil otherwise). The recorder keeps clock, so the caller
+// must not change it afterwards.
+func (r *Recorder) RecordClock(proc, pos int, kind, label string, from *EventRef, clock []int) {
 	if r == nil {
 		return
 	}
@@ -205,13 +137,7 @@ func (r *Recorder) RecordClock(proc, pos int, kind string, from *EventRef, clock
 		return
 	}
 	copy(r.heads[proc], clock)
-	r.addLocked(Event{Proc: proc, Pos: pos, Kind: kind, From: from, Clock: clock})
-}
-
-// addLocked stamps ev with the next sequence number and puts it in the ring.
-// Caller holds r.mu.
-func (r *Recorder) addLocked(ev Event) {
-	ev.Seq = r.seq
+	ev := Event{Seq: r.seq, Proc: proc, Pos: pos, Kind: kind, Label: label, From: from, Clock: clock}
 	if len(r.buf) < r.cap {
 		r.buf = append(r.buf, ev)
 	} else {

@@ -17,7 +17,7 @@ import (
 func TestRingBounds(t *testing.T) {
 	r := New(2, 4)
 	for i := 1; i <= 10; i++ {
-		r.Record(0, i, "internal", "", nil)
+		r.RecordClock(0, i, "internal", "", nil, []int{i, 0})
 	}
 	if r.Len() != 4 {
 		t.Fatalf("ring holds %d events, capacity 4", r.Len())
@@ -47,61 +47,24 @@ func TestDefaultCapacity(t *testing.T) {
 	}
 }
 
-// TestClockCorrectness replays a known message pattern and checks the
-// recorded vector clocks against the hand-computed values.
-func TestClockCorrectness(t *testing.T) {
-	r := New(3, 16)
-	// p0: e1 (send), p1: e1 (recv from p0:1), p1: e2 (send), p2: e1 (recv from p1:2)
-	r.Record(0, 1, "send", "m1", nil)
-	r.Record(1, 1, "recv", "m1", &EventRef{Proc: 0, Pos: 1})
-	r.Record(1, 2, "send", "m2", nil)
-	r.Record(2, 1, "recv", "m2", &EventRef{Proc: 1, Pos: 2})
-	b := r.Snapshot("test", nil)
-	want := [][]int{
-		{1, 0, 0}, // p0:1
-		{1, 1, 0}, // p1:1 after merge
-		{1, 2, 0}, // p1:2
-		{1, 2, 1}, // p2:1 knows everything upstream
-	}
-	for i, ev := range b.Events {
-		if ev.Approx {
-			t.Errorf("event %d marked approx with live send window", i)
-		}
-		if len(ev.Clock) != 3 {
-			t.Fatalf("event %d clock %v", i, ev.Clock)
-		}
-		for p, v := range want[i] {
-			if ev.Clock[p] != v {
-				t.Errorf("event %d clock = %v, want %v", i, ev.Clock, want[i])
-			}
-		}
-	}
-	if b.Clocks[2][0] != 1 || b.Clocks[2][1] != 2 || b.Clocks[2][2] != 1 {
-		t.Errorf("final clock p2 = %v", b.Clocks[2])
-	}
-}
-
-// TestApproxEviction forces the bounded send window to evict a send clock
-// and checks the dependent recv is marked approximate with a lower-bound
-// clock that still covers the send's own component.
-// TestRecordClock: events recorded with known clocks keep them exactly,
-// interleave in sequence with Record, never read as approximate, and set
-// the final per-process clocks.
+// TestRecordClock: events keep the clocks and labels they were recorded
+// with, in record order, and set the final per-process clocks.
 func TestRecordClock(t *testing.T) {
 	r := New(3, 8)
-	r.RecordClock(1, 1, "send", nil, []int{0, 1, 0})
-	r.RecordClock(2, 1, "send", nil, []int{0, 0, 1})
-	r.RecordClock(0, 1, "recv", &EventRef{Proc: 1, Pos: 1}, []int{1, 1, 1})
-	r.Record(0, 2, "internal", "", nil)
-	r.RecordClock(5, 1, "internal", nil, []int{0, 0, 0}) // no such process: ignored
+	r.RecordClock(1, 1, "send", "send→0", nil, []int{0, 1, 0})
+	r.RecordClock(2, 1, "send", "", nil, []int{0, 0, 1})
+	r.RecordClock(0, 1, "recv", "recv←1", &EventRef{Proc: 1, Pos: 1}, []int{1, 1, 1})
+	r.RecordClock(0, 2, "internal", "", nil, []int{2, 1, 1})
+	r.RecordClock(5, 1, "internal", "", nil, []int{0, 0, 0}) // no such process: ignored
 	b := r.Snapshot("test", nil)
 	want := [][]int{{0, 1, 0}, {0, 0, 1}, {1, 1, 1}, {2, 1, 1}}
+	labels := []string{"send→0", "", "recv←1", ""}
 	if len(b.Events) != len(want) {
 		t.Fatalf("bundle holds %d events, want %d", len(b.Events), len(want))
 	}
 	for i, ev := range b.Events {
-		if ev.Seq != int64(i) || ev.Approx || !slices.Equal(ev.Clock, want[i]) {
-			t.Errorf("event %d = %+v, want seq %d clock %v, not approx", i, ev, i, want[i])
+		if ev.Seq != int64(i) || ev.Label != labels[i] || !slices.Equal(ev.Clock, want[i]) {
+			t.Errorf("event %d = %+v, want seq %d label %q clock %v", i, ev, i, labels[i], want[i])
 		}
 	}
 	if b.Events[2].From == nil || *b.Events[2].From != (EventRef{Proc: 1, Pos: 1}) {
@@ -114,28 +77,6 @@ func TestRecordClock(t *testing.T) {
 	}
 }
 
-func TestApproxEviction(t *testing.T) {
-	capacity := 4
-	r := New(2, capacity)
-	r.Record(0, 1, "send", "old", nil)
-	// Flood the send window (factor 4 × capacity) until "old" is evicted.
-	for i := 2; i <= sendWindowFactor*capacity+2; i++ {
-		r.Record(0, i, "send", "", nil)
-	}
-	r.Record(1, 1, "recv", "old", &EventRef{Proc: 0, Pos: 1})
-	b := r.Snapshot("test", nil)
-	last := b.Events[len(b.Events)-1]
-	if last.Kind != "recv" || !last.Approx {
-		t.Fatalf("evicted-send recv not marked approx: %+v", last)
-	}
-	if last.Clock[0] < 1 {
-		t.Errorf("approx clock %v does not cover the send's own component", last.Clock)
-	}
-	if last.Clock[1] != 1 {
-		t.Errorf("approx clock %v has wrong local component", last.Clock)
-	}
-}
-
 func TestBundleJSONRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	r := New(3, 8)
@@ -144,21 +85,23 @@ func TestBundleJSONRoundTrip(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		p := rng.Intn(3)
 		pos[p]++
+		// Any clock round-trips; this one is the positions recorded so far.
+		clock := slices.Clone(pos[:])
 		switch rng.Intn(3) {
 		case 0:
-			r.Record(p, pos[p], "send", "s", nil)
+			r.RecordClock(p, pos[p], "send", "s", nil, clock)
 			sent = append(sent, EventRef{Proc: p, Pos: pos[p]})
 		case 1:
 			if len(sent) > 0 {
 				from := sent[rng.Intn(len(sent))]
 				if from.Proc != p {
-					r.Record(p, pos[p], "recv", "r", &from)
+					r.RecordClock(p, pos[p], "recv", "r", &from, clock)
 					continue
 				}
 			}
-			r.Record(p, pos[p], "internal", "i", nil)
+			r.RecordClock(p, pos[p], "internal", "i", nil, clock)
 		default:
-			r.Record(p, pos[p], "internal", "i", nil)
+			r.RecordClock(p, pos[p], "internal", "i", nil, clock)
 		}
 	}
 	reg := obs.New()
@@ -181,20 +124,21 @@ func TestBundleJSONRoundTrip(t *testing.T) {
 	}
 	for i := range b.Events {
 		a, z := b.Events[i], back.Events[i]
-		if a.Seq != z.Seq || a.Proc != z.Proc || a.Pos != z.Pos || a.Kind != z.Kind {
+		if a.Seq != z.Seq || a.Proc != z.Proc || a.Pos != z.Pos || a.Kind != z.Kind || a.Label != z.Label {
 			t.Fatalf("event %d mismatch: %+v vs %+v", i, a, z)
 		}
-		for j := range a.Clock {
-			if a.Clock[j] != z.Clock[j] {
-				t.Fatalf("event %d clock mismatch", i)
-			}
+		if (a.From == nil) != (z.From == nil) || a.From != nil && *a.From != *z.From {
+			t.Fatalf("event %d From mismatch: %v vs %v", i, a.From, z.From)
+		}
+		if !slices.Equal(a.Clock, z.Clock) {
+			t.Fatalf("event %d clock mismatch: %v vs %v", i, a.Clock, z.Clock)
 		}
 	}
 }
 
 func TestDump(t *testing.T) {
 	r := New(2, 4)
-	r.Record(0, 1, "internal", "x", nil)
+	r.RecordClock(0, 1, "internal", "x", nil, []int{1, 0})
 	path := filepath.Join(t.TempDir(), "bundle.json")
 	if err := r.Dump(path, "panic: test", nil); err != nil {
 		t.Fatal(err)
@@ -218,7 +162,7 @@ func TestDump(t *testing.T) {
 
 func TestNilRecorder(t *testing.T) {
 	var r *Recorder
-	r.Record(0, 1, "internal", "", nil) // must not panic
+	r.RecordClock(0, 1, "internal", "", nil, []int{1}) // must not panic
 	if r.Len() != 0 {
 		t.Error("nil recorder Len != 0")
 	}
@@ -232,7 +176,7 @@ func TestNilRecorder(t *testing.T) {
 
 func TestAttachTelemetry(t *testing.T) {
 	r := New(2, 8)
-	r.Record(0, 1, "internal", "boot", nil)
+	r.RecordClock(0, 1, "internal", "boot", nil, []int{1, 0})
 
 	st := tsdb.NewStore(tsdb.Options{})
 	base := time.Unix(1_700_000_000, 0)

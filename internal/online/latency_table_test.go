@@ -81,7 +81,7 @@ func replayLatency(t *testing.T, ex *poset.Execution, members map[string][]poset
 		}
 		return nil
 	}
-	if _, err := online.ReplaySteps(ex, feed); err != nil {
+	if _, err := online.ReplayStepsOn(online.NewStream(ex.NumProcs()), ex, feed); err != nil {
 		t.Fatal(err)
 	}
 	if mon == nil {

@@ -428,38 +428,30 @@ func (s *Stream) snapshotLocked() *Snapshot {
 	return &Snapshot{Exec: ex, Analysis: a}
 }
 
-// Replay feeds a recorded execution into a fresh Stream in a causality-
-// respecting order (a linear extension), returning the stream. It bridges
-// the offline and online paths: analyses of the replayed stream agree with
-// analyses of the original execution, which the tests verify. Receives are
+// ReplayStepsOn feeds a recorded execution into s, an empty stream, in a
+// causality-respecting order (a linear extension), and returns s. The
+// caller configures the stream (instruments it, shares it with a monitor,
+// gives it a retention policy) before the replay starts. Receives are
 // replayed with their original send attribution, so the streamed execution
-// is structurally identical (same counts, same message edges).
-func Replay(ex *poset.Execution) (*Stream, error) {
-	return ReplaySteps(ex, nil)
-}
-
-// ReplaySteps is Replay with an observation hook: after each event is
-// appended to the stream, step (when non-nil) is called with the stream and
-// the event's ID. Replay preserves per-process positions, so the ID passed
-// to step is simultaneously the original execution's event and the
-// just-appended stream event — callers use it to drive an online Monitor
-// (Observe/Complete/Poll) in lockstep with the growing prefix, which is how
-// the fault-injection harness checks online verdicts against offline replay.
-// A step error aborts the replay.
-func ReplaySteps(ex *poset.Execution, step func(s *Stream, e poset.EventID) error) (*Stream, error) {
-	return ReplayStepsOn(NewStream(ex.NumProcs()), ex, step)
-}
-
-// ReplayStepsOn is ReplaySteps onto a caller-supplied empty stream, so the
-// stream can be configured (instrumented, shared with a monitor, given a
-// retention policy) before the replay starts. A receive is replayed with all
-// of its message predecessors, so an event that receives several messages
-// merges them all. Because the replay knows the message structure up front,
-// every send event is pinned once per message the moment it is appended and
-// unpinned as each receive lands, so a compaction triggered by the step
-// callback (e.g. a monitor retention appraisal) can never pass an in-flight
-// send — delayed receives under reordering fault plans keep working instead
-// of failing with ErrCompacted.
+// is structurally identical (same counts, same message edges), and
+// analyses of the replayed stream agree with analyses of the original
+// execution, which the tests verify. A receive is replayed with all of its
+// message predecessors, so an event that receives several messages merges
+// them all.
+//
+// After each event is appended, step (when non-nil) is called with the
+// stream and the event's ID. The replay preserves per-process positions,
+// so that ID is both the original execution's event and the just-appended
+// stream event: callers use it to drive an online Monitor
+// (Observe/Complete/Poll) in lockstep with the growing prefix. A step error
+// aborts the replay.
+//
+// Because the replay knows the message structure up front, every send
+// event is pinned once per message the moment it is appended and unpinned
+// as each receive lands, so a compaction triggered by step (e.g. a monitor
+// retention appraisal) can never pass an in-flight send — delayed receives
+// under reordering fault plans keep working instead of failing with
+// ErrCompacted.
 func ReplayStepsOn(s *Stream, ex *poset.Execution, step func(s *Stream, e poset.EventID) error) (*Stream, error) {
 	if s.NumProcs() != ex.NumProcs() {
 		return nil, fmt.Errorf("online: ReplayStepsOn: stream has %d processes, execution has %d", s.NumProcs(), ex.NumProcs())

@@ -431,7 +431,7 @@ func TestReplayMultiReceive(t *testing.T) {
 		{Name: "last", Events: []poset.EventID{last}},
 	}}
 	diffRuns(t, res, "multi-receive")
-	s, err := Replay(res.Exec)
+	s, err := ReplayStepsOn(NewStream(res.Exec.NumProcs()), res.Exec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +453,7 @@ func TestReplayMatchesOriginal(t *testing.T) {
 		} else {
 			ex = posettest.RandomDAG(r, 2+r.Intn(4), 5+r.Intn(40), r.Intn(60)).MustBuild()
 		}
-		s, err := Replay(ex)
+		s, err := ReplayStepsOn(NewStream(ex.NumProcs()), ex, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -502,7 +502,7 @@ func TestReplaySizesRings(t *testing.T) {
 		}
 		return nil
 	}
-	if _, err := ReplaySteps(ex, sized); err != nil {
+	if _, err := ReplayStepsOn(NewStream(ex.NumProcs()), ex, sized); err != nil {
 		t.Fatal(err)
 	}
 	s := NewStream(ex.NumProcs())

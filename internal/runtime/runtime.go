@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"causet/internal/obs"
-	"causet/internal/obs/flight"
 	"causet/internal/obs/logx"
 	"causet/internal/poset"
 )
@@ -82,7 +81,6 @@ type System struct {
 	met systemObs
 	tr  *obs.Tracer
 	lg  *logx.Logger
-	fr  *flight.Recorder
 }
 
 // SetTransport attaches a delivery transport. Call before Run; a nil
@@ -92,19 +90,12 @@ func (s *System) SetTransport(t Transport) { s.transport = t }
 // SetNodeWrapper attaches a node-body wrapper. Call before Run.
 func (s *System) SetNodeWrapper(w NodeWrapper) { s.wrapper = w }
 
-// SetFlightRecorder attaches a violation flight recorder: every recorded
-// poset event is mirrored into its ring buffer with a live vector clock, so
-// a bundle dumped on violation or crash carries the last-K causal history.
-// Call before Run; a nil recorder (the default) costs nothing.
-func (s *System) SetFlightRecorder(fr *flight.Recorder) { s.fr = fr }
-
 // systemObs holds the system's pre-interned instruments; all nil when
 // Instrument was not called.
 type systemObs struct {
-	events    *obs.Counter
-	messages  *obs.Counter
-	eventsWin *obs.Window
-	recvWait  *obs.Window
+	events   *obs.Counter
+	messages *obs.Counter
+	recvWait *obs.Window
 	// Per-node gauges (nil slices when uninstrumented): queueDepth tracks
 	// each inbox's buffered envelope count after every direct-path push and
 	// pop, recvWaitNode the node's last blocking-receive wait — the live
@@ -115,20 +106,19 @@ type systemObs struct {
 
 // Instrument attaches a metrics registry and/or execution tracer to the
 // system; either may be nil. The registry receives runtime.events (every
-// recorded poset event) and runtime.messages (every delivered message),
-// plus two sliding windows: runtime.event_window (the live events/sec
-// rate) and runtime.recv_wait_ns (recent blocking-receive latencies, the
-// per-node backpressure signal). The tracer gets one thread-scoped instant
-// per labeled event and one "recv-wait" span per blocking Recv, each on
-// the node's own timeline (tid = node ID), so a Perfetto view shows
-// per-node lanes with their blocking structure; protocol implementations
-// add round spans via Node.Span. Call Instrument before Run.
+// recorded poset event, whose rate is the live event rate) and
+// runtime.messages (every delivered message), plus the sliding window
+// runtime.recv_wait_ns (recent blocking-receive latencies, the per-node
+// backpressure signal). The tracer gets one thread-scoped instant per
+// labeled event and one "recv-wait" span per blocking Recv, each on the
+// node's own timeline (tid = node ID), so a Perfetto view shows per-node
+// lanes with their blocking structure; protocol implementations add round
+// spans via Node.Span. Call Instrument before Run.
 func (s *System) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	s.tr = tr
 	if reg != nil {
 		s.met.events = reg.Counter("runtime.events")
 		s.met.messages = reg.Counter("runtime.messages")
-		s.met.eventsWin = reg.Window("runtime.event_window", 4096)
 		s.met.recvWait = reg.Window("runtime.recv_wait_ns", 1024)
 		s.met.queueDepth = make([]*obs.Gauge, s.n)
 		s.met.recvWaitNode = make([]*obs.Gauge, s.n)
@@ -213,9 +203,8 @@ func (s *System) Trace() (*poset.Execution, map[poset.EventID]string, error) {
 	return ex, labels, nil
 }
 
-// record appends one event for node id under the recorder lock. kind
-// classifies the event for the flight recorder ("internal" or "send").
-func (s *System) record(id int, label, kind string) poset.EventID {
+// record appends one event for node id under the recorder lock.
+func (s *System) record(id int, label string) poset.EventID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e := s.b.Append(id)
@@ -225,8 +214,6 @@ func (s *System) record(id int, label, kind string) poset.EventID {
 		s.tr.Instant("runtime", label, int64(id))
 	}
 	s.met.events.Add(1)
-	s.met.eventsWin.Observe(1)
-	s.fr.Record(id, e.Pos, kind, label, nil)
 	return e
 }
 
@@ -241,14 +228,12 @@ func (s *System) recordEdge(from poset.EventID, toNode int, label string) poset.
 		s.tr.Instant("runtime", label, int64(toNode))
 	}
 	s.met.events.Add(1)
-	s.met.eventsWin.Observe(1)
 	s.met.messages.Add(1)
 	if err := s.b.Message(from, recv); err != nil {
 		// The builder only rejects structurally impossible edges; reaching
 		// here indicates recorder corruption, not an application error.
 		panic(err)
 	}
-	s.fr.Record(toNode, recv.Pos, "recv", label, &flight.EventRef{Proc: from.Proc, Pos: from.Pos})
 	return recv
 }
 
@@ -267,7 +252,7 @@ func (nd *Node) NumNodes() int { return nd.sys.n }
 
 // Internal records a local event with the given label and returns it.
 func (nd *Node) Internal(label string) poset.EventID {
-	e := nd.sys.record(nd.id, label, "internal")
+	e := nd.sys.record(nd.id, label)
 	nd.sys.lg.Debug("internal", logx.F("node", nd.id), logx.F("label", label))
 	return e
 }
@@ -279,7 +264,7 @@ func (nd *Node) Send(to int, payload any) poset.EventID {
 	if to == nd.id || to < 0 || to >= nd.sys.n {
 		panic(fmt.Sprintf("runtime: node %d sending to %d", nd.id, to))
 	}
-	send := nd.sys.record(nd.id, fmt.Sprintf("send→%d", to), "send")
+	send := nd.sys.record(nd.id, fmt.Sprintf("send→%d", to))
 	nd.sys.lg.Debug("send", logx.F("node", nd.id), logx.F("to", to), logx.F("pos", send.Pos))
 	env := Envelope{From: nd.id, To: to, Payload: payload, sendEvent: send}
 	if t := nd.sys.transport; t != nil {
