@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build vet test race bench tables metrics trace explain benchdiff profile stream soak fuzz chaos flight alerts examples coverage clean
+.PHONY: all build vet test race bench tables metrics trace explain benchdiff profile stream soak fuzz chaos syncmon flight alerts examples coverage clean
 
 all: build vet test
 
@@ -67,7 +67,7 @@ stream:
 # Long-horizon soak (E15): stream 100k events through the retention-
 # enabled online monitor asserting bounded heap and verdict agreement, the
 # unretained monitor asserting flat ns/event, and the E15 soak shape
-# asserting at most 450 B allocated per appended event (the CI smoke), then
+# asserting at most 300 B allocated per appended event (the CI smoke), then
 # print the full soak table up to 1M events.
 soak:
 	$(GO) test -run 'TestSoakBoundedHeap|TestSoakSettlementCostFlat|TestSoakAllocBytesPerEvent' -v ./internal/bench
@@ -91,13 +91,19 @@ fuzz:
 chaos:
 	$(GO) test -race ./internal/faultsim -seeds=64
 
+# The syncmon binary the flight and alerts targets run: `go run` reports
+# every non-zero exit as 1, which would let an error (exit 2) pass as the
+# expected violation exit 1.
+syncmon:
+	$(GO) build -o syncmon ./cmd/syncmon
+
 # Flight-recorder smoke: run the monitor against a lossy simulated execution
 # with a condition that must fail (exit 1), and check the causal black box
 # it dumps to flight_violation.json holds events with their vector clocks —
 # the same step CI's flight-recorder smoke runs.
-flight:
+flight: syncmon
 	rm -f flight_violation.json
-	$(GO) run ./cmd/syncmon -faults "twophase,nodes=3,rounds=2,seed=5,drop=0.1" \
+	./syncmon -faults "twophase,nodes=3,rounds=2,seed=5,drop=0.1" \
 		-explain -flight-out flight_violation.json \
 		-cond 'backwards: R1(apply-0, vote-0)'; \
 		code=$$?; test $$code -eq 1 || { echo "expected violation exit 1, got $$code"; exit 1; }
@@ -110,9 +116,9 @@ flight:
 # transition prints as an ALERT line, the run still exits 1 — alerts never
 # change the syncmon exit contract — and the sampled time-series store is
 # dumped to tsdb_dump.json (the same scenario CI's alert-rule replay gates).
-alerts:
+alerts: syncmon
 	printf 'violations[critical]: syncmon.violations.count > 0\n' > alerts.rules
-	-$(GO) run ./cmd/syncmon -faults "twophase,nodes=3,rounds=2,seed=5,dup=1" \
+	-./syncmon -faults "twophase,nodes=3,rounds=2,seed=5,dup=1" \
 		-cond 'c: R1(vote-0, apply-0)' -cond 'negc: !R1(vote-0, apply-0)' \
 		-alert-rules alerts.rules -tsdb-out tsdb_dump.json
 	@echo "alert rules in alerts.rules; time-series dump written to tsdb_dump.json"
@@ -129,4 +135,4 @@ coverage:
 	$(GO) tool cover -func=cover.out | tail -1
 
 clean:
-	rm -f cover.out test_output.txt bench_output.txt trace_ring.json trace_spans.json explain_flows.json benchtab_new.json cpu.pprof mem.pprof alerts.rules tsdb_dump.json flight_violation.json
+	rm -f cover.out test_output.txt bench_output.txt trace_ring.json trace_spans.json explain_flows.json benchtab_new.json cpu.pprof mem.pprof alerts.rules tsdb_dump.json flight_violation.json syncmon

@@ -534,6 +534,10 @@ func streamVerdicts(stream *online.Stream, om *online.Monitor, ex *poset.Executi
 			settled[r.Name] = r
 		}
 	}
+	var clock []int // the recorded event's clock, read into one buffer
+	if rec != nil {
+		clock = make([]int, ex.NumProcs())
+	}
 	step := func(s *online.Stream, e poset.EventID) error {
 		if rec != nil {
 			kind, from := "internal", ex.MsgPredecessors(e)
@@ -544,8 +548,7 @@ func streamVerdicts(stream *online.Stream, om *online.Monitor, ex *poset.Executi
 				kind = "send"
 			}
 			// e is its process's newest event, whose row no compaction drops.
-			clock, err := s.Clock(e)
-			if err != nil {
+			if err := s.ReadClock(e, clock); err != nil {
 				return err
 			}
 			rec.RecordClock(e.Proc, e.Pos, kind, labels[e], ref, clock)

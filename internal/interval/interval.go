@@ -26,7 +26,7 @@ var (
 // Interval is a nonatomic poset event: an immutable, deduplicated,
 // (Proc, Pos)-sorted set of real events of a single execution.
 type Interval struct {
-	ex     *poset.Execution
+	ex     *poset.Execution // nil for an interval built by InPlace
 	events []poset.EventID
 	// first[i]/last[i] index into events for node i's extrema; -1 when the
 	// interval has no event on node i.
@@ -37,18 +37,42 @@ type Interval struct {
 // New validates and constructs an interval over ex from the given events.
 // Events are deduplicated; at least one event is required and all must be
 // real events of ex (Definition 1's "an event of interest to an application
-// will usually not contain any dummy events" is enforced).
+// will usually not contain any dummy events" is enforced). New copies its
+// input.
 func New(ex *poset.Execution, events []poset.EventID) (*Interval, error) {
 	if len(events) == 0 {
 		return nil, ErrEmpty
 	}
-	n := ex.NumProcs()
-	extrema := make([]int, 2*n)
-	first, last := extrema[:n:n], extrema[n:]
 	for _, e := range events {
 		if !ex.IsReal(e) {
 			return nil, fmt.Errorf("%w: %v", ErrNotReal, e)
 		}
+	}
+	iv := order(ex.NumProcs(), events, make([]poset.EventID, len(events)))
+	iv.ex = ex
+	return iv, nil
+}
+
+// InPlace builds the interval of events without an execution: events must
+// be non-empty real events on procs processes, which the caller has checked
+// as New checks them. It orders and deduplicates events in place, so the
+// interval's member list is a prefix of events and the caller gives events
+// up; the sort stages them in scratch, which comes back grown for reuse.
+// The interval's Execution is nil. It answers every query that reads only
+// its members: membership, extremes, node set, Overlaps, its per-node
+// proxies and String.
+func InPlace(procs int, events, scratch []poset.EventID) (*Interval, []poset.EventID) {
+	scratch = append(scratch[:0], events...)
+	return order(procs, scratch, events), scratch
+}
+
+// order builds the interval of src, non-empty real events on procs
+// processes, over dst, which has src's length and receives the members in
+// (Proc, Pos) order, deduplicated.
+func order(procs int, src, dst []poset.EventID) *Interval {
+	extrema := make([]int, 2*procs)
+	first, last := extrema[:procs:procs], extrema[procs:]
+	for _, e := range src {
 		last[e.Proc]++
 	}
 	// Order the events by (Proc, Pos) with a stable counting sort on Proc,
@@ -59,14 +83,13 @@ func New(ex *poset.Execution, events []poset.EventID) (*Interval, error) {
 	for p, c := range last {
 		first[p], last[p], at = at, at, at+c
 	}
-	sorted := make([]poset.EventID, len(events))
-	for _, e := range events {
-		sorted[last[e.Proc]] = e
+	for _, e := range src {
+		dst[last[e.Proc]] = e
 		last[e.Proc]++
 	}
 	nodes := 0
 	for p := range first {
-		run := sorted[first[p]:last[p]]
+		run := dst[first[p]:last[p]]
 		if len(run) > 0 {
 			nodes++
 		}
@@ -74,8 +97,8 @@ func New(ex *poset.Execution, events []poset.EventID) (*Interval, error) {
 			slices.SortFunc(run, byPos)
 		}
 	}
-	dedup := sorted[:1]
-	for _, e := range sorted[1:] {
+	dedup := dst[:1]
+	for _, e := range dst[1:] {
 		if e != dedup[len(dedup)-1] {
 			dedup = append(dedup, e)
 		}
@@ -83,7 +106,6 @@ func New(ex *poset.Execution, events []poset.EventID) (*Interval, error) {
 	// The node set is sized to the number of runs in one allocation, and
 	// first and last share another.
 	iv := &Interval{
-		ex:     ex,
 		events: dedup,
 		first:  first,
 		last:   last,
@@ -99,7 +121,15 @@ func New(ex *poset.Execution, events []poset.EventID) (*Interval, error) {
 		}
 		iv.last[e.Proc] = idx
 	}
-	return iv, nil
+	return iv
+}
+
+// sub returns the interval of events, non-empty members of iv, in iv's
+// execution.
+func (iv *Interval) sub(events []poset.EventID) *Interval {
+	out := order(len(iv.first), events, make([]poset.EventID, len(events)))
+	out.ex = iv.ex
+	return out
 }
 
 // byPos orders the events of one process.
@@ -114,7 +144,8 @@ func MustNew(ex *poset.Execution, events []poset.EventID) *Interval {
 	return iv
 }
 
-// Execution returns the execution the interval belongs to.
+// Execution returns the execution the interval belongs to, nil for an
+// interval built by InPlace.
 func (iv *Interval) Execution() *poset.Execution { return iv.ex }
 
 // Events returns the interval's members in (Proc, Pos) order. The slice is
@@ -327,7 +358,7 @@ func (iv *Interval) ProxyInterval(kind ProxyKind, def ProxyDef, clk *vclock.Cloc
 	if len(events) == 0 {
 		return nil, fmt.Errorf("interval: %v proxy (%v) of %v is empty", kind, def, iv)
 	}
-	return New(iv.ex, events)
+	return iv.sub(events), nil
 }
 
 // RestrictTo returns the sub-interval of iv on the given nodes, or an error
@@ -347,7 +378,7 @@ func (iv *Interval) RestrictTo(nodes []int) (*Interval, error) {
 	if len(events) == 0 {
 		return nil, fmt.Errorf("interval: %v has no events on nodes %v", iv, nodes)
 	}
-	return New(iv.ex, events)
+	return iv.sub(events), nil
 }
 
 // Union returns the interval containing the events of both operands, which

@@ -3,6 +3,7 @@ package interval
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -403,5 +404,60 @@ func TestExecutionAccessor(t *testing.T) {
 	iv := MustNew(ex, []poset.EventID{{Proc: 0, Pos: 1}})
 	if iv.Execution() != ex {
 		t.Errorf("Execution accessor does not return the source execution")
+	}
+}
+
+// TestInPlaceMatchesNew: InPlace, given the events New gets (duplicates
+// included), orders them in place into New's member list, and its interval,
+// which has no execution, answers membership, extremes, Overlaps, the
+// per-node proxies and String as New's does. The proxies, the overlap
+// report's operands, have no execution either.
+func TestInPlaceMatchesNew(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	var scratch []poset.EventID
+	for trial := 0; trial < 300; trial++ {
+		ex := posettest.Random(r, 1+r.Intn(5), 2+r.Intn(30), 0.4)
+		xs := posettest.RandomInterval(r, ex, 10)
+		xs = append(xs, xs[r.Intn(len(xs))])
+		x, y := MustNew(ex, xs), MustNew(ex, posettest.RandomInterval(r, ex, 10))
+		events := slices.Clone(xs)
+		var got *Interval
+		got, scratch = InPlace(ex.NumProcs(), events, scratch)
+		if got.Execution() != nil {
+			t.Fatal("InPlace interval has an execution")
+		}
+		if !slices.Equal(got.Events(), x.Events()) || &got.Events()[0] != &events[0] {
+			t.Fatalf("InPlace(%v) members %v, want %v ordered in place", xs, got.Events(), x.Events())
+		}
+		if !slices.Equal(got.NodeSet(), x.NodeSet()) || got.String() != x.String() {
+			t.Fatalf("InPlace(%v) = %v over %v, want %v over %v", xs, got, got.NodeSet(), x, x.NodeSet())
+		}
+		for _, e := range ex.AllEvents() {
+			if got.Contains(e) != x.Contains(e) {
+				t.Fatalf("%v.Contains(%v) = %v, want %v", got, e, got.Contains(e), x.Contains(e))
+			}
+		}
+		for p := range ex.NumProcs() {
+			gl, gok := got.LeastOn(p)
+			wl, wok := x.LeastOn(p)
+			gg, _ := got.GreatestOn(p)
+			wg, _ := x.GreatestOn(p)
+			if gl != wl || gok != wok || gg != wg {
+				t.Fatalf("%v on p%d: extremes %v..%v, want %v..%v", got, p, gl, gg, wl, wg)
+			}
+		}
+		if got.Overlaps(y) != x.Overlaps(y) || y.Overlaps(got) != y.Overlaps(x) {
+			t.Fatalf("%v.Overlaps(%v) = %v, want %v", got, y, got.Overlaps(y), x.Overlaps(y))
+		}
+		for _, kind := range []ProxyKind{ProxyL, ProxyU} {
+			gp, gerr := got.ProxyInterval(kind, DefPerNode, nil)
+			wp, werr := x.ProxyInterval(kind, DefPerNode, nil)
+			if gerr != nil || werr != nil {
+				t.Fatal(gerr, werr)
+			}
+			if gp.Execution() != nil || gp.String() != wp.String() || gp.Overlaps(y) != wp.Overlaps(y) {
+				t.Fatalf("%v proxy of %v = %v, want %v", kind, got, gp, wp)
+			}
+		}
 	}
 }

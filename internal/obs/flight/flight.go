@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -81,9 +82,13 @@ const TsdbTail = 60
 
 // Recorder is the ring buffer. Safe for concurrent use.
 type Recorder struct {
-	mu    sync.Mutex
-	cap   int
-	buf   []Event // ring, buf[seq % cap] once full
+	mu  sync.Mutex
+	cap int
+	// buf is the ring, buf[seq % cap] once full. Each slot owns its event's
+	// clock array and froms[k], slot k's From, which the event recorded
+	// into the slot next reuses.
+	buf   []Event
+	froms []EventRef
 	seq   int64   // events recorded so far
 	heads [][]int // clock of each process's newest recorded event
 
@@ -113,6 +118,7 @@ func New(procs, capacity int) *Recorder {
 	r := &Recorder{
 		cap:   capacity,
 		buf:   make([]Event, 0, capacity),
+		froms: make([]EventRef, capacity),
 		heads: make([][]int, procs),
 	}
 	for p := range r.heads {
@@ -122,11 +128,12 @@ func New(procs, capacity int) *Recorder {
 }
 
 // RecordClock appends one event with the vector clock the caller read for
-// it, as a replay of an execution does: clock becomes the event's clock and
-// proc's final clock. pos is the event's 1-based position on proc; kind is
-// "internal", "send", or "recv"; label may be empty; from names one send a
-// recv consumed (nil otherwise). The recorder keeps clock, so the caller
-// must not change it afterwards.
+// it, as a replay of an execution does: clock, one component per process,
+// becomes the event's clock and proc's final clock. pos is the event's
+// 1-based position on proc; kind is "internal", "send", or "recv"; label may
+// be empty; from names one send a recv consumed (nil otherwise). The
+// recorder copies clock and *from into its ring slot, so the caller may
+// reuse both, and once the ring is full a call allocates nothing.
 func (r *Recorder) RecordClock(proc, pos int, kind, label string, from *EventRef, clock []int) {
 	if r == nil {
 		return
@@ -137,11 +144,16 @@ func (r *Recorder) RecordClock(proc, pos int, kind, label string, from *EventRef
 		return
 	}
 	copy(r.heads[proc], clock)
-	ev := Event{Seq: r.seq, Proc: proc, Pos: pos, Kind: kind, Label: label, From: from, Clock: clock}
 	if len(r.buf) < r.cap {
-		r.buf = append(r.buf, ev)
-	} else {
-		r.buf[r.seq%int64(r.cap)] = ev
+		r.buf = append(r.buf, Event{Clock: make([]int, len(r.heads))})
+	}
+	k := r.seq % int64(r.cap)
+	ev := &r.buf[k]
+	copy(ev.Clock, clock)
+	*ev = Event{Seq: r.seq, Proc: proc, Pos: pos, Kind: kind, Label: label, Clock: ev.Clock}
+	if from != nil {
+		r.froms[k] = *from
+		ev.From = &r.froms[k]
 	}
 	r.seq++
 }
@@ -178,6 +190,14 @@ func (r *Recorder) Snapshot(reason string, reg *obs.Registry) *Bundle {
 		start := r.seq % int64(r.cap)
 		b.Events = append(b.Events, r.buf[start:]...)
 		b.Events = append(b.Events, r.buf[:start]...)
+	}
+	for i := range b.Events { // the slots reuse their clocks and refs
+		ev := &b.Events[i]
+		ev.Clock = slices.Clone(ev.Clock)
+		if ev.From != nil {
+			from := *ev.From
+			ev.From = &from
+		}
 	}
 	for _, head := range r.heads {
 		b.Clocks = append(b.Clocks, append([]int(nil), head...))

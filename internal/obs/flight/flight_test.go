@@ -77,6 +77,38 @@ func TestRecordClock(t *testing.T) {
 	}
 }
 
+// TestRecordClockReusesSlots: RecordClock copies the clock and the send
+// reference into its ring slot, so the caller may reuse one buffer of each
+// for every event, and on a full ring a call allocates nothing; Snapshot
+// copies them out, so later records leave a bundle unchanged.
+func TestRecordClockReusesSlots(t *testing.T) {
+	r := New(2, 4)
+	clock := []int{0, 7}
+	from := EventRef{Proc: 1}
+	pos := 0
+	record := func() {
+		pos++
+		clock[0], from.Pos = pos, pos
+		r.RecordClock(0, pos, "recv", "", &from, clock)
+	}
+	for range 4 {
+		record()
+	}
+	first := r.Snapshot("test", nil)
+	if allocs := testing.AllocsPerRun(100, record); allocs != 0 {
+		t.Errorf("RecordClock on a full ring allocates %.2f objects; want 0", allocs)
+	}
+	for _, b := range []*Bundle{first, r.Snapshot("test", nil)} {
+		last := b.Events[len(b.Events)-1].Pos
+		for i, ev := range b.Events {
+			want := last - 3 + i
+			if ev.Pos != want || !slices.Equal(ev.Clock, []int{want, 7}) || ev.From == nil || *ev.From != (EventRef{Proc: 1, Pos: want}) {
+				t.Errorf("event %d = pos %d clock %v from %v, want pos, clock[0] and from p1:%d", i, ev.Pos, ev.Clock, ev.From, want)
+			}
+		}
+	}
+}
+
 func TestBundleJSONRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	r := New(3, 8)

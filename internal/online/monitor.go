@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"causet/internal/core"
+	"causet/internal/fifo"
 	"causet/internal/hierarchy"
 	"causet/internal/monitor"
 	"causet/internal/obs"
@@ -119,7 +120,7 @@ type Monitor struct {
 	retention           RetentionPolicy
 	retainOn            bool
 	retired             map[string]string
-	ledger              []retirement
+	ledger              fifo.Queue[retirement]
 	released, abandoned int
 	watermark           []int
 	lastAppraise        int
@@ -128,9 +129,11 @@ type Monitor struct {
 
 	// Settlement scratch (settle.go), reused by every settling Poll and
 	// StrongestBetween: the first used entries hold the up rows and cuts of
-	// the intervals the current pass prepared.
+	// the intervals the current pass prepared, and order stages the member
+	// lists the pass orders.
 	scratch []settleCuts
 	used    int
+	order   []poset.EventID
 	fast    core.EvalCounters // core.fast.* for the atoms Poll decides
 }
 
@@ -226,7 +229,7 @@ func (m *Monitor) settle(cs *condState, res monitor.Result, now, wall time.Time)
 	var total int
 	if m.retainOn {
 		total = m.stream.TotalEvents()
-		m.ledger = append(m.ledger, retirement{name: c.Name, seq: total, at: now, cond: true})
+		m.ledger.Push(retirement{name: c.Name, seq: total, at: now, cond: true})
 	}
 	for _, ref := range c.Refs() {
 		iv := m.ivs[ref]
@@ -503,7 +506,6 @@ func (m *Monitor) checkIncrementalLocked() {
 // atoms read. It returns the settling pass's span, opened on the tracer the
 // stream was instrumented with (a no-op without one). Caller holds m.mu.
 func (m *Monitor) prepareReadyLocked(todo []*condState) obs.Span {
-	var ex *poset.Execution
 	m.stream.mu.Lock()
 	defer m.stream.mu.Unlock()
 	sp := m.stream.metTracer.Begin("online", "settle")
@@ -517,7 +519,7 @@ func (m *Monitor) prepareReadyLocked(todo []*condState) obs.Span {
 				refs = cs.c.LeftRefs()
 			}
 			for _, ref := range refs {
-				if m.prepareLocked(&ex, ref, up) != nil {
+				if m.prepareLocked(ref, up) != nil {
 					break
 				}
 			}
@@ -558,11 +560,10 @@ func (m *Monitor) StrongestBetween(xName, yName string) ([]core.Relation, error)
 		}
 	}
 	defer m.releaseScratchLocked()
-	var ex *poset.Execution
 	m.stream.mu.Lock()
-	err := m.prepareLocked(&ex, xName, true)
+	err := m.prepareLocked(xName, true)
 	if err == nil {
-		err = m.prepareLocked(&ex, yName, false)
+		err = m.prepareLocked(yName, false)
 	}
 	m.stream.mu.Unlock()
 	if err != nil {

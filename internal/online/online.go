@@ -302,15 +302,26 @@ func (s *Stream) merge(f poset.EventID, t, msg []int) {
 // Clock returns the online forward vector clock of a recorded real event —
 // available immediately, without a snapshot.
 func (s *Stream) Clock(e poset.EventID) (vclock.VC, error) {
+	t := make(vclock.VC, s.procs)
+	if err := s.ReadClock(e, t); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// ReadClock copies the forward vector clock of a recorded real event into
+// dst, which has NumProcs components; it allocates nothing.
+func (s *Stream) ReadClock(e poset.EventID, dst vclock.VC) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e.Proc < 0 || e.Proc >= s.procs || e.Pos < 1 || e.Pos > s.counts[e.Proc] {
-		return nil, fmt.Errorf("online: Clock of unrecorded event %v", e)
+		return fmt.Errorf("online: Clock of unrecorded event %v", e)
 	}
 	if e.Pos <= s.base[e.Proc] {
-		return nil, fmt.Errorf("%w: %v", ErrCompacted, e)
+		return fmt.Errorf("%w: %v", ErrCompacted, e)
 	}
-	return slices.Clone(s.row(s.fwd, e)), nil
+	copy(dst, s.row(s.fwd, e))
+	return nil
 }
 
 // Frontier returns, at one prefix, each process's event count and the
@@ -359,14 +370,14 @@ type Snapshot struct {
 }
 
 // Snapshot returns the current frozen view, cached until the next append or
-// compaction. The view is copy-on-grow (the message log is shared with the
-// builder, capacity-clamped); the clocks are copied out of the stream's
-// retained rows, forward rows as they are and reverse timestamps derived
-// from the first-follower index, which costs O(retained events·|P|) per
-// construction; and the analysis starts with an empty cut cache. The
-// returned snapshot shares no mutable state with the stream, so later
-// appends and compactions leave it unchanged. It is the cold API for
-// whole-prefix analysis; the online monitor does not take snapshots.
+// compaction. The view copies the retained message log (poset.Builder.View);
+// the clocks are copied out of the stream's retained rows, forward rows as
+// they are and reverse timestamps derived from the first-follower index,
+// which costs O(retained events·|P|) per construction; and the analysis
+// starts with an empty cut cache. The returned snapshot shares no mutable
+// state with the stream, so later appends and compactions leave it
+// unchanged. It is the cold API for whole-prefix analysis; the online
+// monitor does not take snapshots.
 func (s *Stream) Snapshot() *Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -379,9 +390,9 @@ func (s *Stream) Snapshot() *Snapshot {
 	return s.snap
 }
 
-// viewLocked returns a copy-on-grow view of the recorded prefix. Caller
-// holds the lock.
-func (s *Stream) viewLocked() *poset.Execution {
+// snapshotLocked builds a snapshot over a view of the recorded prefix and
+// copies of the retained rows. Caller holds the lock.
+func (s *Stream) snapshotLocked() *Snapshot {
 	ex, err := s.b.View()
 	if err != nil {
 		// Stream appends follow the fresh-sink discipline (messages only
@@ -389,13 +400,6 @@ func (s *Stream) viewLocked() *poset.Execution {
 		// anything), so views are always available.
 		panic(err)
 	}
-	return ex
-}
-
-// snapshotLocked builds a snapshot over copies of the retained rows. Caller
-// holds the lock.
-func (s *Stream) snapshotLocked() *Snapshot {
-	ex := s.viewLocked()
 	n := s.procs
 	retained := 0
 	for p := range n {

@@ -78,7 +78,7 @@ func (m *Monitor) SetRetention(p RetentionPolicy) error {
 		now := m.nowFn()
 		for name, cs := range m.conds {
 			if cs.c == nil {
-				m.ledger = append(m.ledger, retirement{name: name, seq: total, at: now, cond: true})
+				m.ledger.Push(retirement{name: name, seq: total, at: now, cond: true})
 			}
 		}
 	}
@@ -178,13 +178,15 @@ type retirement struct {
 }
 
 // forgetLocked drops the tombstones of the names that retired a window
-// before (total, now). The ledger is in retirement order, so its stamps
-// never decrease and the entries out of the window are a prefix; a clock
-// that steps back keeps names longer, never shorter. Caller holds m.mu.
+// before (total, now), and their ledger entries. The ledger is in
+// retirement order, so its stamps never decrease and the entries out of
+// the window are a prefix; a clock that steps back keeps names longer,
+// never shorter. Caller holds m.mu.
 func (m *Monitor) forgetLocked(total int, now time.Time) {
+	ledger := m.ledger.Items()
 	k := 0
-	for ; k < len(m.ledger); k++ {
-		r := &m.ledger[k]
+	for ; k < len(ledger); k++ {
+		r := &ledger[k]
 		if !m.outOfWindowLocked(total, now, r.seq, r.at) {
 			break
 		}
@@ -193,9 +195,8 @@ func (m *Monitor) forgetLocked(total int, now time.Time) {
 		} else {
 			delete(m.retired, r.name)
 		}
-		*r = retirement{} // the backing array keeps no name alive
 	}
-	m.ledger = m.ledger[k:]
+	m.ledger.Pop(k) // the queue's array keeps no name alive
 }
 
 // outOfWindowLocked reports whether a retention window starting at (seq, at)
@@ -235,7 +236,7 @@ func (m *Monitor) appraiseLocked(total int) {
 			// fail its waiters so they stop pinning memory too.
 			delete(m.ivs, name)
 			m.retired[name] = retiredAbandoned
-			m.ledger = append(m.ledger, retirement{name: name, seq: total, at: now})
+			m.ledger.Push(retirement{name: name, seq: total, at: now})
 			m.abandoned++
 			m.metAbandoned.Inc()
 			m.lg.Warn("interval_abandoned",
@@ -256,7 +257,7 @@ func (m *Monitor) appraiseLocked(total int) {
 			// finds its operands.
 			delete(m.ivs, name)
 			m.retired[name] = retiredReleased
-			m.ledger = append(m.ledger, retirement{name: name, seq: total, at: now})
+			m.ledger.Push(retirement{name: name, seq: total, at: now})
 			m.released++
 			m.metReleased.Inc()
 			continue

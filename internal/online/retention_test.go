@@ -679,8 +679,8 @@ func TestReleaseFreesIntervalRecords(t *testing.T) {
 	if len(m.retired) != 0 || m.abandoned != 50 || m.released != 20 {
 		t.Errorf("tombstones: %d retired (%d abandoned, %d released); want 0 (50, 20)", len(m.retired), m.abandoned, m.released)
 	}
-	if len(m.conds) != 0 || len(m.ready) != 0 || len(m.ledger) != 0 {
-		t.Errorf("%d condition records, %d ready, %d ledger entries; want none", len(m.conds), len(m.ready), len(m.ledger))
+	if len(m.conds) != 0 || len(m.ready) != 0 || len(m.ledger.Items()) != 0 {
+		t.Errorf("%d condition records, %d ready, %d ledger entries; want none", len(m.conds), len(m.ready), len(m.ledger.Items()))
 	}
 }
 
@@ -800,7 +800,7 @@ func TestLedgerForgetsAfterWindow(t *testing.T) {
 	age(1)
 	m.mu.Lock()
 	_, lateKept := m.conds["late"]
-	nRetired, nConds, nLedger := len(m.retired), len(m.conds), len(m.ledger)
+	nRetired, nConds, nLedger := len(m.retired), len(m.conds), len(m.ledger.Items())
 	m.mu.Unlock()
 	if nRetired != 0 || nConds != 1 || nLedger != 1 || !lateKept {
 		t.Fatalf("a window after retirement: %d retired, %d conditions, %d ledger entries; want 0, late, late's",

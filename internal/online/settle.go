@@ -40,9 +40,10 @@ const (
 )
 
 // summary is what settlement keeps of a completed interval, built at its
-// first evaluation.
+// first evaluation straight from the stream.
 type summary struct {
-	// members is the validated member list, built over a stream view: the
+	// members is the validated member list: the observed events, ordered in
+	// place, as an interval with no execution (interval.InPlace). The
 	// overlap check and its error report read it.
 	members *interval.Interval
 	// rows is six |P| rows: FirstPos and LastPos (the per-node extremes, -1
@@ -88,28 +89,44 @@ func fold(acc []int, n int, first bool, least, greatest []int) {
 	}
 }
 
-// summarizeLocked validates an interval's events against the view ex and
-// builds its summary. Caller holds s.mu.
-func (s *Stream) summarizeLocked(ex *poset.Execution, events []poset.EventID) (summary, error) {
-	members, err := interval.New(ex, events)
-	if err != nil {
-		return summary{}, err
-	}
+// summarizeLocked builds the summary of an interval's observed events from
+// the stream: it validates them against the stream's counts and compaction
+// base, folds the forward rows of their per-node extremes, and orders them
+// in place into the member list, so the caller gives events up. An event
+// the stream never recorded fails as interval.New fails on it, and a node
+// whose least member was compacted fails with ErrCompacted. Caller holds
+// m.mu and s.mu.
+func (m *Monitor) summarizeLocked(events []poset.EventID) (summary, error) {
+	s := m.stream
 	n := s.procs
 	rows := make([]int, (2+numFolds)*n)
 	first, last := rows[:n], rows[n:2*n]
 	for i := range first {
 		first[i], last[i] = -1, -1
 	}
-	for k, i := range members.NodeSet() {
-		l, _ := members.LeastOn(i)
-		g, _ := members.GreatestOn(i)
-		if l.Pos <= s.base[i] {
-			return summary{}, fmt.Errorf("%w: %v", ErrCompacted, l)
+	for _, e := range events {
+		if e.Proc < 0 || e.Proc >= n || e.Pos < 1 || e.Pos > s.counts[e.Proc] {
+			return summary{}, fmt.Errorf("%w: %v", interval.ErrNotReal, e)
 		}
-		first[i], last[i] = l.Pos, g.Pos
-		fold(rows[2*n:], n, k == 0, s.row(s.fwd, l), s.row(s.fwd, g))
+		if f := first[e.Proc]; f < 0 || e.Pos < f {
+			first[e.Proc] = e.Pos
+		}
+		last[e.Proc] = max(last[e.Proc], e.Pos)
 	}
+	k := 0
+	for i, l := range first {
+		if l < 0 {
+			continue
+		}
+		if l <= s.base[i] {
+			return summary{}, fmt.Errorf("%w: %v", ErrCompacted, poset.EventID{Proc: i, Pos: l})
+		}
+		fold(rows[2*n:], n, k == 0, s.row(s.fwd, poset.EventID{Proc: i, Pos: l}),
+			s.row(s.fwd, poset.EventID{Proc: i, Pos: last[i]}))
+		k++
+	}
+	var members *interval.Interval
+	members, m.order = interval.InPlace(n, events, m.order)
 	return summary{members: members, rows: rows}, nil
 }
 
@@ -180,23 +197,19 @@ func (sc *settleCuts) assemble(sum *summary, up []int, n int) {
 }
 
 // prepareLocked makes the named completed interval evaluable at the current
-// prefix. Its summary is built on first use, over the view *ex (taken on
-// demand); a failure poisons the name, so every condition touching it
-// settles Failed with the same error. Its cuts are assembled into the
-// scratch once per settling pass, with up rows filled when up is set: a
-// pass prepares every left operand, with up, before any other operand.
-// Caller holds m.mu and stream.mu.
-func (m *Monitor) prepareLocked(ex **poset.Execution, name string, up bool) error {
+// prefix. Its summary is built on first use; a failure poisons the name, so
+// every condition touching it settles Failed with the same error. Its cuts
+// are assembled into the scratch once per settling pass, with up rows
+// filled when up is set: a pass prepares every left operand, with up,
+// before any other operand. Caller holds m.mu and stream.mu.
+func (m *Monitor) prepareLocked(name string, up bool) error {
 	iv := m.ivs[name]
 	if iv.defErr != nil || iv.slot > 0 {
 		return iv.defErr
 	}
 	s := m.stream
 	if iv.sum.members == nil {
-		if *ex == nil {
-			*ex = s.viewLocked()
-		}
-		sum, err := s.summarizeLocked(*ex, iv.events)
+		sum, err := m.summarizeLocked(iv.events)
 		if err != nil {
 			iv.defErr = fmt.Errorf("online: interval %q: %w", name, err)
 			return iv.defErr

@@ -21,9 +21,8 @@ func summaryCuts(t *testing.T, m *Monitor, name string) [3]core.IntervalCuts {
 	t.Helper()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var ex *poset.Execution
 	m.stream.mu.Lock()
-	err := m.prepareLocked(&ex, name, true)
+	err := m.prepareLocked(name, true)
 	m.stream.mu.Unlock()
 	if err != nil {
 		t.Fatalf("prepare %s: %v", name, err)
@@ -376,6 +375,70 @@ func TestSettleAfterDirectCompactFails(t *testing.T) {
 	for _, r := range res {
 		if r.State != monitor.Failed || !errors.Is(r.Err, ErrCompacted) {
 			t.Errorf("%s = %v (%v); want Failed with ErrCompacted", r.Name, r.State, r.Err)
+		}
+	}
+}
+
+// TestSettleErrorTexts pins the Failed errors of conditions over intervals
+// a settling pass cannot summarize. A member the stream never recorded
+// fails as interval.New fails on it, naming the first such member in
+// observed order; a compacted member fails with ErrCompacted, naming the
+// least member on the lowest node whose least member was compacted.
+func TestSettleErrorTexts(t *testing.T) {
+	s := NewStream(2)
+	m := NewMonitor(s)
+	var evs []poset.EventID
+	for range 3 {
+		send, err := s.Send(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recv, err := s.Recv(1, send)
+		if err != nil {
+			t.Fatal(err)
+		}
+		evs = append(evs, send, recv) // p0:k, p1:k
+	}
+	for _, iv := range []struct {
+		name    string
+		members []poset.EventID
+	}{
+		{"old", []poset.EventID{evs[3], evs[2], evs[0]}},
+		{"bogus", []poset.EventID{evs[5], {Proc: 1, Pos: 9}, {Proc: 0, Pos: 8}}},
+		{"alien", []poset.EventID{{Proc: 5, Pos: 1}}},
+		{"ok", []poset.EventID{evs[4], evs[5]}},
+	} {
+		if err := m.Observe(iv.name, iv.members...); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Complete(iv.name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if applied, _, err := s.Compact([]int{2, 2}); err != nil || applied[0] != 2 || applied[1] != 2 {
+		t.Fatalf("Compact = %v, %v; want [2 2]", applied, err)
+	}
+	want := map[string]struct {
+		text string
+		is   error
+	}{
+		"compacted":  {`online: interval "old": online: event was compacted by retention (Pin in-flight sends to keep them addressable): p0:1`, ErrCompacted},
+		"unrecorded": {`online: interval "bogus": interval: nonatomic event may contain only real events: p1:9`, interval.ErrNotReal},
+		"no-process": {`online: interval "alien": interval: nonatomic event may contain only real events: p5:1`, interval.ErrNotReal},
+	}
+	for name, src := range map[string]string{"compacted": "R1(old, ok)", "unrecorded": "R1(ok, bogus)", "no-process": "R4(alien, ok)"} {
+		if err := m.AddCondition(name, src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res := m.Poll()
+	if len(res) != len(want) {
+		t.Fatalf("Poll = %+v; want %d results", res, len(want))
+	}
+	for _, r := range res {
+		w := want[r.Name]
+		if r.State != monitor.Failed || r.Err == nil || r.Err.Error() != w.text || !errors.Is(r.Err, w.is) {
+			t.Errorf("%s = %v (%v); want Failed with %q", r.Name, r.State, r.Err, w.text)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package poset
 
 import (
 	"errors"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -50,8 +51,8 @@ func TestCompactBelowDropsSenderSideEdges(t *testing.T) {
 		t.Fatalf("CompactedThrough = %v, want [4 4 2]", got)
 	}
 
-	// The pre-compaction view must be untouched: it aliased the old backing
-	// array, which CompactBelow must not filter in place.
+	// The pre-compaction view must be untouched: it holds a copy of the log,
+	// which CompactBelow filters in place.
 	if got := len(pre.Messages()); got != preMsgs {
 		t.Fatalf("pre-compaction view lost messages: %d, want %d", got, preMsgs)
 	}
@@ -78,9 +79,9 @@ func TestCompactBelowDropsSenderSideEdges(t *testing.T) {
 
 // TestCompactBelowAdvancesLog pins how CompactBelow drops messages. When
 // the dropped messages lead the log, it advances the log's start in the
-// same backing array, and a view taken before keeps its messages across
-// later Message calls. A dropped message recorded after a retained one (a
-// straggler) makes it copy the retained messages into a fresh log instead.
+// same array, and a view taken before keeps its messages across later
+// Message calls. A dropped message recorded after a retained one (a
+// straggler) is filtered out in place.
 func TestCompactBelowAdvancesLog(t *testing.T) {
 	t.Run("prefix", func(t *testing.T) {
 		b := chainBuilder(t, 5) // 10 messages in a 16-message array
@@ -89,18 +90,19 @@ func TestCompactBelowAdvancesLog(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := slices.Clone(pre.Messages())
+		fifth := &b.msgs.Items()[4]
 		if _, err := b.CompactBelow([]int{4, 4, 2}); err != nil {
 			t.Fatal(err)
 		}
-		if &b.msgs[0] != &pre.Messages()[4] {
-			t.Fatal("CompactBelow copied a log whose dropped messages lead it")
+		if &b.msgs.Items()[0] != fifth {
+			t.Fatal("CompactBelow moved a log whose dropped messages lead it")
 		}
-		for range 3 { // written into the same array, past the view's end
+		for range 3 { // written into the same array
 			if _, _, err := b.SendRecv(0, 1); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if &b.msgs[0] != &pre.Messages()[4] {
+		if &b.msgs.Items()[0] != fifth {
 			t.Fatal("Message moved a log with spare capacity")
 		}
 		if !slices.Equal(pre.Messages(), want) {
@@ -133,20 +135,94 @@ func TestCompactBelowAdvancesLog(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := slices.Clone(pre.Messages())
+		first := &b.msgs.Items()[0]
 		dropped, err := b.CompactBelow([]int{1, 0})
 		if err != nil || dropped != 1 {
 			t.Fatalf("CompactBelow = %d, %v; want 1 dropped", dropped, err)
 		}
-		if &b.msgs[0] == &pre.Messages()[0] {
-			t.Fatal("CompactBelow filtered the log in place")
+		if &b.msgs.Items()[0] != first {
+			t.Fatal("CompactBelow moved the log instead of filtering it in place")
 		}
-		if !slices.Equal(b.msgs, []Message{{From: s1, To: r0}}) {
-			t.Fatalf("log after compaction = %v, want only %v -> %v", b.msgs, s1, r0)
+		if !slices.Equal(b.msgs.Items(), []Message{{From: s1, To: r0}}) {
+			t.Fatalf("log after compaction = %v, want only %v -> %v", b.msgs.Items(), s1, r0)
 		}
 		if !slices.Equal(pre.Messages(), want) {
 			t.Fatalf("pre-compaction view changed: %v, want %v", pre.Messages(), want)
 		}
 	})
+}
+
+// TestViewKeepsMessagesAcrossSlide: once the log's array is full and
+// compaction has dropped at least a quarter of it, Message slides the
+// retained messages to the front of the same array instead of growing it,
+// and a view taken before the slide keeps its messages.
+func TestViewKeepsMessagesAcrossSlide(t *testing.T) {
+	b := NewBuilder(2)
+	for len(b.msgs.Items()) < 8 || len(b.msgs.Items()) < cap(b.msgs.Items()) {
+		if _, _, err := b.SendRecv(0, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Message k is p0:k -> p1:k, so compacting both processes through n/4
+	// drops the log's first quarter, the least that makes Message slide.
+	n := len(b.msgs.Items())
+	if dropped, err := b.CompactBelow([]int{n / 4, n / 4}); err != nil || dropped != n/4 {
+		t.Fatalf("CompactBelow = %d, %v; want %d dropped", dropped, err, n/4)
+	}
+	pre, err := b.View()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := slices.Clone(pre.Messages())
+	if _, _, err := b.SendRecv(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := cap(b.msgs.Items()); got != n {
+		t.Fatalf("log capacity %d after the message; want %d, the same array from its start", got, n)
+	}
+	if !slices.Equal(pre.Messages(), want) {
+		t.Fatalf("view taken before the slide changed: %v, want %v", pre.Messages(), want)
+	}
+	post, err := b.View()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := post.Messages(); len(got) != len(want)+1 || !slices.Equal(got[:len(want)], want) {
+		t.Fatalf("log after the slide %v, want %v and one new message", got, want)
+	}
+}
+
+// TestMessageCompactSteadyStateAllocs: once the log's array has room for
+// the window compaction keeps, a loop of Message and CompactBelow
+// allocates nothing, because Message reuses the space compaction frees.
+func TestMessageCompactSteadyStateAllocs(t *testing.T) {
+	const window = 8
+	b := NewBuilder(2)
+	step := func() {
+		send, recv, err := b.SendRecv(0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.CompactBelow([]int{send.Pos - window, recv.Pos - window}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 4 * window {
+		step()
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for range 1000 {
+		step()
+	}
+	runtime.ReadMemStats(&m1)
+	if n := m1.Mallocs - m0.Mallocs; n != 0 {
+		t.Errorf("1000 steps of Message plus CompactBelow allocated %d times; want 0", n)
+	}
+	if n := len(b.msgs.Items()); n != window {
+		t.Errorf("log holds %d messages; want the %d-message window", n, window)
+	}
 }
 
 func TestCompactBelowRejectsInconsistentCut(t *testing.T) {

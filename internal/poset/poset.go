@@ -24,8 +24,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
+
+	"causet/internal/fifo"
 )
 
 // EventID identifies an event by its process (node) index and its position in
@@ -79,9 +80,8 @@ type Execution struct {
 	counts []int     // number of real events per process
 	msgs   []Message // all message edges, in insertion order
 
-	// Message adjacency is derived lazily (see edges): views of a growing
-	// stream are taken once per monitor check, and most never answer a
-	// structural query that needs it.
+	// Message adjacency is derived lazily (see edges): most views of a
+	// growing stream never answer a structural query that needs it.
 	edgesOnce sync.Once
 	adj       *adjacency
 
@@ -105,13 +105,16 @@ var (
 
 // Builder incrementally constructs an Execution. Methods record events and
 // message edges; Build validates acyclicity and freezes the result, while
-// View freezes a copy-on-grow prefix without copying the message log.
+// View freezes a copy of the current prefix without validating it.
 type Builder struct {
 	counts []int
-	msgs   []Message
+	// msgs is the message log, in insertion order. Compaction drops messages
+	// from its front, and Message reuses the space they leave (fifo.Queue),
+	// so a log that retention keeps bounded stops allocating.
+	msgs fifo.Queue[Message]
 
-	// View safety. A view shares b.msgs with future appends, so it is only
-	// sound if every (counts, msgs-prefix) pair the builder passes through is
+	// View safety. A view skips the Kahn validation pass, so it is only
+	// sound if every (counts, msgs) state the builder passes through is
 	// itself acyclic. That holds when every message lands in a "fresh sink":
 	// a frontier event with no outgoing edges at insert time — then no edge
 	// can ever close a cycle and validation is O(1) per message instead of a
@@ -124,12 +127,14 @@ type Builder struct {
 	unsafeForViews bool
 
 	// Retention state (CompactBelow). droppedMsgs counts messages removed
-	// from b.msgs by compaction, so droppedMsgs+len(msgs) — the msgSeq a view
-	// records — is monotone over the builder's lifetime even though len(msgs)
-	// is not. compacted[p] is the per-process watermark: events at positions
-	// 1..compacted[p] have had their message edges dropped.
+	// from the log by compaction, so droppedMsgs plus the retained count —
+	// the msgSeq a view records — is monotone over the builder's lifetime
+	// even though the retained count is not. compacted[p] is the
+	// per-process watermark: events at positions 1..compacted[p] have had
+	// their message edges dropped.
 	droppedMsgs int
 	compacted   []int
+	spare       []int // the previous watermark's array, reused by the next call
 }
 
 // NewBuilder returns a Builder for an execution with procs processes, each
@@ -192,17 +197,15 @@ func (b *Builder) Message(from, to EventID) error {
 		b.unsafeForViews = true
 	}
 	b.lastSent[from.Proc] = max(b.lastSent[from.Proc], from.Pos)
-	b.msgs = append(b.msgs, Message{From: from, To: to})
+	b.msgs.Push(Message{From: from, To: to})
 	return nil
 }
 
 // Grow makes room in the message log for n more messages, so that many
 // Message calls append without moving the log. It moves the log at most
-// once; views keep the array they alias, capacity-clamped as before.
+// once.
 func (b *Builder) Grow(n int) {
-	if n > 0 {
-		b.msgs = slices.Grow(b.msgs, n)
-	}
+	b.msgs.Grow(n)
 }
 
 // SendRecv appends a fresh send event on fromProc and a fresh receive event
@@ -232,7 +235,7 @@ func (b *Builder) Build() (*Execution, error) {
 	}
 	ex := &Execution{
 		counts: append([]int(nil), b.counts...),
-		msgs:   append([]Message(nil), b.msgs...),
+		msgs:   append([]Message(nil), b.msgs.Items()...),
 	}
 	if _, err := ex.linearize(); err != nil {
 		return nil, err
@@ -240,15 +243,16 @@ func (b *Builder) Build() (*Execution, error) {
 	return ex, nil
 }
 
-// View returns an immutable snapshot of the builder's current state without
-// copying the message log: the returned Execution aliases b.msgs up to its
-// current length (capacity-clamped, so future appends that grow the slice
-// never leak in). It is valid only while the builder follows the fresh-sink
-// message discipline — every Message lands in the newest event of its process
-// before that event sends anything — which makes each prefix acyclic by
-// construction and lets View skip the Kahn validation pass entirely. If any
-// recorded message broke the discipline, View fails with ErrViewUnsafe and
-// callers must fall back to Build.
+// View returns an immutable snapshot of the builder's current state: the
+// returned Execution holds copies of the counts, the retained message log
+// and the compaction watermark, so later Message and CompactBelow calls,
+// which reuse the log's space, leave it unchanged. It is valid only while
+// the builder follows the fresh-sink message discipline — every Message
+// lands in the newest event of its process before that event sends
+// anything — which makes each prefix acyclic by construction and lets View
+// skip the Kahn validation pass entirely. If any recorded message broke the
+// discipline, View fails with ErrViewUnsafe and callers must fall back to
+// Build. A view costs O(processes + retained messages).
 func (b *Builder) View() (*Execution, error) {
 	if b.unsafeForViews {
 		return nil, ErrViewUnsafe
@@ -257,10 +261,11 @@ func (b *Builder) View() (*Execution, error) {
 	for _, c := range b.counts {
 		total += c
 	}
-	n := len(b.msgs)
+	msgs := b.msgs.Items()
+	n := len(msgs)
 	ex := &Execution{
 		counts: append([]int(nil), b.counts...),
-		msgs:   b.msgs[:n:n],
+		msgs:   append([]Message(nil), msgs...),
 		origin: b,
 		epoch:  total,
 		msgSeq: b.droppedMsgs + n,
@@ -290,10 +295,9 @@ func (b *Builder) View() (*Execution, error) {
 //
 // When the dropped messages form a prefix of the log, as they do when
 // messages are recorded in causal order, compaction advances the log's
-// start and copies nothing. Live views are unaffected: each holds a
-// capacity-clamped slice of the log, and appends write only past every
-// view's end. A dropped message recorded after a retained one makes
-// CompactBelow copy the retained messages into a fresh log instead.
+// start and moves nothing; a dropped message recorded after a retained one
+// (a straggler) is filtered out in place. Views hold copies, so neither
+// disturbs them. From its third call on, CompactBelow allocates nothing.
 func (b *Builder) CompactBelow(w []int) (dropped int, err error) {
 	if len(w) != len(b.counts) {
 		return 0, fmt.Errorf("poset: CompactBelow watermark has %d components for %d processes", len(w), len(b.counts))
@@ -303,17 +307,19 @@ func (b *Builder) CompactBelow(w []int) (dropped int, err error) {
 		// Build has no consistent-prefix story to preserve.
 		return 0, ErrViewUnsafe
 	}
-	nw := make([]int, len(w))
+	// nw is the new watermark, built in the spare array: w clamped up to the
+	// previous watermark and to 0.
+	nw := b.spare
+	if nw == nil {
+		nw = make([]int, len(w))
+	}
 	for p, wp := range w {
 		if wp > b.counts[p] {
 			return 0, fmt.Errorf("%w: watermark %d exceeds %d events on process %d", ErrNoSuchEvent, wp, b.counts[p], p)
 		}
-		nw[p] = wp
-		if b.compacted != nil && nw[p] < b.compacted[p] {
-			nw[p] = b.compacted[p]
-		}
-		if nw[p] < 0 {
-			nw[p] = 0
+		nw[p] = max(wp, 0)
+		if b.compacted != nil {
+			nw[p] = max(nw[p], b.compacted[p])
 		}
 	}
 	// Drop every message sent from inside the cut. Consistency makes this
@@ -322,8 +328,9 @@ func (b *Builder) CompactBelow(w []int) (dropped int, err error) {
 	// contributes no causal path between retained events (any retained event
 	// preceding the send would itself be inside the downward-closed cut).
 	// head counts the leading dropped messages.
+	msgs := b.msgs.Items()
 	head := 0
-	for i, m := range b.msgs {
+	for i, m := range msgs {
 		sent := m.From.Pos <= nw[m.From.Proc]
 		if !sent && m.To.Pos <= nw[m.To.Proc] {
 			return 0, fmt.Errorf("%w: %v -> %v straddles watermark %v", ErrNotDownClosed, m.From, m.To, nw)
@@ -335,20 +342,19 @@ func (b *Builder) CompactBelow(w []int) (dropped int, err error) {
 			}
 		}
 	}
-	if dropped == head {
-		b.msgs = b.msgs[head:]
-	} else {
-		// Filtering in place would rewrite entries live views still read.
-		kept := make([]Message, 0, len(b.msgs)-dropped)
-		for _, m := range b.msgs[head:] {
+	if dropped > head {
+		kept := head
+		for _, m := range msgs[head:] {
 			if m.From.Pos > nw[m.From.Proc] {
-				kept = append(kept, m)
+				msgs[kept] = m
+				kept++
 			}
 		}
-		b.msgs = kept
+		b.msgs.Truncate(kept)
 	}
+	b.msgs.Pop(head)
 	b.droppedMsgs += dropped
-	b.compacted = nw
+	b.compacted, b.spare = nw, b.compacted
 	return dropped, nil
 }
 

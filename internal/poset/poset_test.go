@@ -205,13 +205,13 @@ func TestBuilderGrow(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Grow(3)
-	first := &b.msgs[0]
+	first := &b.msgs.Items()[0]
 	for range 3 {
 		if _, _, err := b.SendRecv(1, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if &b.msgs[0] != first {
+	if &b.msgs.Items()[0] != first {
 		t.Error("the message log moved after Grow(3) and three messages")
 	}
 	if got := before.Messages(); len(got) != 1 || got[0] != (Message{From: send, To: recv}) {
